@@ -178,7 +178,7 @@ func BenchmarkNginxThroughput(b *testing.B) {
 	b.ReportAllocs()
 	var native, mv, overhead, recs float64
 	for i := 0; i < b.N; i++ {
-		native, mv, overhead, recs = bench.NginxCell(2, 8, 100, false, true)
+		native, mv, overhead, recs = bench.NginxCell(2, 8, 100, false)
 	}
 	b.ReportMetric(native, "native-req/s")
 	b.ReportMetric(mv, "mvee-req/s")
@@ -189,28 +189,20 @@ func BenchmarkNginxThroughput(b *testing.B) {
 // BenchmarkEventedKeepAlive is the §5.5 cell closest to production nginx:
 // the evented (single-thread poll) serving mode under keep-alive load,
 // where one wakeup's worth of ready connections is replicated as ONE
-// multi-record batch. The batch=off cell is the A-B control — identical
-// traffic, every recv replicated as its own record — so the delta between
-// the two cells is the cross-core handoff cost the batching removes.
-// records/req must stay below 4 on the batch=on cell (recv + sendfile +
+// multi-record batch. records/req must stay below 4 (recv + sendfile +
 // amortized poll); that is the acceptance gate for the replication bill.
 func BenchmarkEventedKeepAlive(b *testing.B) {
-	for _, batch := range []bool{true, false} {
-		batch := batch
-		b.Run("batch="+onOff(batch), func(b *testing.B) {
-			b.ReportAllocs()
-			var native, mv, overhead, recs float64
-			for i := 0; i < b.N; i++ {
-				native, mv, overhead, recs = bench.NginxCell(2, 8, 100, true, batch)
-			}
-			b.ReportMetric(native, "native-req/s")
-			b.ReportMetric(mv, "mvee-req/s")
-			b.ReportMetric(overhead*100, "overhead-%")
-			b.ReportMetric(recs, "records/req")
-			if batch && recs >= 4 {
-				b.Fatalf("replication bill: %.2f records/req on the keep-alive static page, want < 4", recs)
-			}
-		})
+	b.ReportAllocs()
+	var native, mv, overhead, recs float64
+	for i := 0; i < b.N; i++ {
+		native, mv, overhead, recs = bench.NginxCell(2, 8, 100, true)
+	}
+	b.ReportMetric(native, "native-req/s")
+	b.ReportMetric(mv, "mvee-req/s")
+	b.ReportMetric(overhead*100, "overhead-%")
+	b.ReportMetric(recs, "records/req")
+	if recs >= 4 {
+		b.Fatalf("replication bill: %.2f records/req on the keep-alive static page, want < 4", recs)
 	}
 }
 
@@ -218,15 +210,14 @@ func BenchmarkEventedKeepAlive(b *testing.B) {
 var fleetPools = []int{1, 4, 16}
 
 // startBenchFleet builds a warm fleet of `pool` webserver sessions in the
-// given serving mode ("" = thread pool, "evented", "evented-nobatch",
-// "prefork", "prefork-mt" = 2 worker processes x 4 accept threads each).
+// given serving mode ("" = thread pool, "evented", "prefork",
+// "prefork-mt" = 2 worker processes x 4 accept threads each).
 func startBenchFleet(b *testing.B, pool int, vulnerable bool, mode string) *fleet.Fleet {
 	b.Helper()
 	cfg := webserver.Config{Port: 8080, PoolThreads: 4, InstrumentCustomSync: true,
 		Vulnerable: vulnerable, PageSize: 1024,
-		Evented:        mode == "evented" || mode == "evented-nobatch",
-		NoBatchWakeups: mode == "evented-nobatch",
-		Prefork:        mode == "prefork" || mode == "prefork-mt", Workers: 4}
+		Evented: mode == "evented",
+		Prefork: mode == "prefork" || mode == "prefork-mt", Workers: 4}
 	if mode == "prefork-mt" {
 		cfg.Workers, cfg.WorkerThreads = 2, 4
 	}
@@ -356,10 +347,10 @@ func BenchmarkFleetDivergenceChurn(b *testing.B) {
 // trade-off under the MVEE; req/s and the latency quantiles are directly
 // comparable cells.
 func BenchmarkPollServer(b *testing.B) {
-	run := func(name, mode string, pool int) {
-		b.Run(name, func(b *testing.B) {
+	for _, pool := range []int{1, 4} {
+		b.Run(fmt.Sprintf("pool-%d", pool), func(b *testing.B) {
 			b.ReportAllocs()
-			f := startBenchFleet(b, pool, false, mode)
+			f := startBenchFleet(b, pool, false, "evented")
 			defer f.Close()
 			b.ResetTimer()
 			start := time.Now()
@@ -374,14 +365,6 @@ func BenchmarkPollServer(b *testing.B) {
 			b.ReportMetric(float64(s.Latency.Quantile(0.99)), "p99-ns")
 		})
 	}
-	for _, pool := range []int{1, 4} {
-		run(fmt.Sprintf("pool-%d", pool), "evented", pool)
-	}
-	// The A-B control: identical single-session evented serving with the
-	// poll-wakeup batching disabled, so every ready recv pays its own
-	// replication handoff. Comparing this cell to pool-1 isolates what the
-	// multi-record batch buys on the gateway's request mix.
-	run("pool-1-nobatch", "evented-nobatch", 1)
 }
 
 // BenchmarkPreforkServer measures the multi-process serving mode through
@@ -865,89 +848,77 @@ func BenchmarkTelemetryMatrix(b *testing.B) {
 // the PR-3 tentpole's target. A producer/consumer pair streams b.N events
 // through a ring at full speed while "lagging slaves" wait for an event
 // that is only published after the run (the shape of a slave stuck on a
-// record the master has not produced yet):
-//
-//	parked   the laggards park on the ring's futex wait set — a handful
-//	         of poll iterations each, then zero CPU until woken
-//	gosched  the pre-parking behavior: the backoff tail yields forever,
-//	         so every laggard stays runnable, burning a scheduler pass
-//	         and a poll per iteration for the whole run
+// record the master has not produced yet). The laggards park on the ring's
+// futex wait set — a handful of poll iterations each, then zero CPU until
+// woken.
 //
 // laggard-polls/op is the waste: poll-loop iterations the laggards burned
-// per produced event. Parked waits hold it near zero; the Gosched tail
-// scales it with run length (and, on a loaded machine, those polls are
-// timeslices stolen from the variants doing real work — wall-clock ns/op
-// shows that part only when cores are contended, so the poll count is the
-// portable signal).
+// per produced event. Parked waits hold it near zero; the yield-forever
+// tail they replaced (~0.25 polls/op in BENCH_3.json) scaled it with run
+// length, and on a loaded machine those polls are timeslices stolen from
+// the variants doing real work — wall-clock ns/op shows that part only
+// when cores are contended, so the poll count is the portable signal.
 func BenchmarkLaggingSlaveWait(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		park bool
-	}{{"parked", true}, {"gosched", false}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			prevPark := ring.SetParking(mode.park)
-			defer ring.SetParking(prevPark)
-			prevProcs := runtime.GOMAXPROCS(2)
-			defer runtime.GOMAXPROCS(prevProcs)
-			b.ReportAllocs()
+	b.Run("parked", func(b *testing.B) {
+		prevProcs := runtime.GOMAXPROCS(2)
+		defer runtime.GOMAXPROCS(prevProcs)
+		b.ReportAllocs()
 
-			const laggards = 8
-			release := ring.NewLog[int](2, 1)
-			var polls atomic.Uint64
-			var lagWG sync.WaitGroup
-			for g := 0; g < laggards; g++ {
-				lagWG.Add(1)
-				go func() {
-					defer lagWG.Done()
-					n := uint64(0)
-					for spins := 0; !release.Ready(0); spins++ {
-						n++
-						if ring.ParkDue(spins) {
-							pk := release.Parker()
-							gen := pk.Prepare()
-							if release.Ready(0) {
-								pk.Cancel()
-								break
-							}
-							pk.Park(gen)
-							continue
-						}
-						ring.Backoff(spins)
-					}
-					polls.Add(n)
-				}()
-			}
-
-			l := ring.NewLog[int](1024, 1)
-			var consWG sync.WaitGroup
-			consWG.Add(1)
+		const laggards = 8
+		release := ring.NewLog[int](2, 1)
+		var polls atomic.Uint64
+		var lagWG sync.WaitGroup
+		for g := 0; g < laggards; g++ {
+			lagWG.Add(1)
 			go func() {
-				defer consWG.Done()
-				var batch [64]int
-				seen := 0
-				for spins := 0; seen < b.N; {
-					n := l.TryConsumeBatch(0, batch[:])
-					if n == 0 {
-						ring.Backoff(spins)
-						spins++
+				defer lagWG.Done()
+				n := uint64(0)
+				for spins := 0; !release.Ready(0); spins++ {
+					n++
+					if ring.ParkDue(spins) {
+						pk := release.Parker()
+						gen := pk.Prepare()
+						if release.Ready(0) {
+							pk.Cancel()
+							break
+						}
+						pk.Park(gen)
 						continue
 					}
-					spins = 0
-					seen += n
+					ring.Backoff(spins)
 				}
+				polls.Add(n)
 			}()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				l.Append(i)
+		}
+
+		l := ring.NewLog[int](1024, 1)
+		var consWG sync.WaitGroup
+		consWG.Add(1)
+		go func() {
+			defer consWG.Done()
+			var batch [64]int
+			seen := 0
+			for spins := 0; seen < b.N; {
+				n := l.TryConsumeBatch(0, batch[:])
+				if n == 0 {
+					ring.Backoff(spins)
+					spins++
+					continue
+				}
+				spins = 0
+				seen += n
 			}
-			consWG.Wait()
-			b.StopTimer()
-			release.Append(1)
-			lagWG.Wait()
-			b.ReportMetric(float64(polls.Load())/float64(b.N), "laggard-polls/op")
-		})
-	}
+		}()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l.Append(i)
+		}
+		consWG.Wait()
+		b.StopTimer()
+		release.Append(1)
+		lagWG.Wait()
+		b.ReportMetric(float64(polls.Load())/float64(b.N), "laggard-polls/op")
+	})
 }
 
 // BenchmarkConnectPath measures the serving path's per-connection kernel

@@ -13,7 +13,6 @@
 //	mvee-serve -pool 2 -no-instrument -forensics     # §5.5 benign-divergence churn
 //	mvee-serve -pool 8 -dispatch least -policy sensitive
 //	mvee-serve -pool 4 -evented -attacks 1           # event-driven (poll) serving mode
-//	mvee-serve -pool 4 -evented -no-batch            # A/B: per-call readiness replication
 //	mvee-serve -pool 2 -prefork -worker-procs 4      # multi-process (fork) serving mode
 //	mvee-serve -prefork -worker-threads 4 -reloads 3 # multi-threaded workers, 3 hot restarts under load
 //	mvee-serve -pool 4 -admin 127.0.0.1:9090         # live /metrics, /statusz, pprof
@@ -51,7 +50,6 @@ func main() {
 	workers := flag.Int("workers", 0, "gateway workers (0 = 2*pool)")
 	poolThreads := flag.Int("threads", 8, "server worker threads per session (thread-pool mode)")
 	evented := flag.Bool("evented", false, "event-driven serving: one thread per session multiplexing connections via poll")
-	noBatch := flag.Bool("no-batch", false, "disable poll-wakeup batching: replicate each ready connection's recv as its own handoff (evented mode)")
 	prefork := flag.Bool("prefork", false, "multi-process serving: the parent forks worker processes sharing the listener, reaping and re-forking them on death")
 	workerProcs := flag.Int("worker-procs", 4, "prefork worker processes per session")
 	workerThreads := flag.Int("worker-threads", 1, "accept threads per prefork worker process")
@@ -89,7 +87,6 @@ func main() {
 		InstrumentCustomSync: !*noInstrument,
 		Vulnerable:           *attacks > 0,
 		Evented:              *evented,
-		NoBatchWakeups:       *noBatch,
 		Prefork:              *prefork,
 		Workers:              *workerProcs,
 		WorkerThreads:        *workerThreads,

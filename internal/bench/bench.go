@@ -263,22 +263,20 @@ func Table3(kind analysis.PointsToKind) (*stats.Table, []*analysis.Report) {
 // overhead, using the loopback load generator (the paper's worst case:
 // 48% overhead on loopback). Thread-pool serving mode.
 func Nginx(variants, conns, requests int) (native, mveeTput float64, overhead float64) {
-	native, mveeTput, overhead, _ = NginxCell(variants, conns, requests, false, true)
+	native, mveeTput, overhead, _ = NginxCell(variants, conns, requests, false)
 	return native, mveeTput, overhead
 }
 
-// NginxCell runs one §5.5 throughput cell — thread-pool or evented serving,
-// poll-wakeup batching on or off — and additionally returns recsPerReq: the
-// monitored syscall records the MVEE's master spent per served response.
-// That quotient is the replication bill of one request (accept + recv +
-// response transfer + close, plus the amortized poll traffic in evented
-// mode); the batching and zero-copy work exists to push it toward the
-// native line, and the static-page keep-alive workload must keep it
-// below 4.
-func NginxCell(variants, conns, requests int, evented, batching bool) (native, mveeTput, overhead, recsPerReq float64) {
+// NginxCell runs one §5.5 throughput cell — thread-pool or evented serving
+// — and additionally returns recsPerReq: the monitored syscall records the
+// MVEE's master spent per served response. That quotient is the
+// replication bill of one request (accept + recv + response transfer +
+// close, plus the amortized poll traffic in evented mode); the batching and
+// zero-copy work exists to push it toward the native line, and the
+// static-page keep-alive workload must keep it below 4.
+func NginxCell(variants, conns, requests int, evented bool) (native, mveeTput, overhead, recsPerReq float64) {
 	run := func(nv int, kind agent.Kind, port uint16) (float64, float64) {
-		cfg := webserver.Config{Port: port, PoolThreads: 8, InstrumentCustomSync: true,
-			Evented: evented, NoBatchWakeups: !batching}
+		cfg := webserver.Config{Port: port, PoolThreads: 8, InstrumentCustomSync: true, Evented: evented}
 		s := core.NewSession(core.Options{
 			Variants: nv, Agent: kind, ASLR: true, DCL: true, Seed: 5, MaxThreads: 64,
 		}, webserver.Program(cfg))

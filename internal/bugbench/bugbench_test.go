@@ -91,6 +91,29 @@ func TestCorpusVerdicts(t *testing.T) {
 	}
 }
 
+// TestAbbaInversionRepeats is the regression for the detector's one known
+// false positive: vthreads used to register on the BlockBoard from inside
+// their own goroutine, so between `go` and that registration the board
+// undercounted live threads. In abba-inversion t0 exits and t1 parks on the
+// barrier before t2 has registered — live == blocked == 1, and the board
+// reported "deadlock: 1 blocked" with an empty cycle about one run in five.
+// With liveness registered by the launcher the verdict must be the
+// annotated cycle every time.
+func TestAbbaInversionRepeats(t *testing.T) {
+	for _, e := range Corpus() {
+		if e.Name != "abba-inversion" {
+			continue
+		}
+		for i := 0; i < 200; i++ {
+			if err := Check(e, seeds[i%len(seeds)]); err != nil {
+				t.Fatalf("run %d: %v", i, err)
+			}
+		}
+		return
+	}
+	t.Fatal("abba-inversion is not in the corpus")
+}
+
 // TestArmedDetectorNoFalsePositiveOnWorkloads runs real (live, terminating)
 // workload shapes with the detector armed: none may be reported as
 // deadlocked or diverged. This is the corpus's negative space — the

@@ -357,6 +357,7 @@ func (s *Session) Start() {
 			t := &Thread{ID: 0, sess: s, vs: vs, proc: vs.proc,
 				sigs: newSigTable(), ps: &procState{}}
 			t.ps.wg.Add(1)
+			t.board().ThreadStart(t.ID)
 			go t.run(s.prog.Main)
 		}
 		go s.collect()
@@ -531,16 +532,17 @@ type procState struct{ wg sync.WaitGroup }
 func (t *Thread) run(fn func(*Thread)) {
 	defer t.vs.wg.Done()
 	defer t.ps.wg.Done()
-	if b := t.board(); b != nil {
-		// Master-variant thread accounting for the deadlock detector: the
-		// board's live count must cover every vthread that can ever park,
-		// and the exit must fire on every unwind path. The defer sits
-		// between the WaitGroup defers (so the board is quiesced before
-		// collect can Close it) and the recover (which may still issue the
-		// exit syscalls — none of which park at instrumented sites).
-		b.ThreadStart(t.ID)
-		defer b.ThreadExit(t.ID)
-	}
+	// Master-variant thread accounting for the deadlock detector: the
+	// board's live count must cover every vthread that can ever park, and
+	// the exit must fire on every unwind path. The defer sits between the
+	// WaitGroup defers (so the board is quiesced before collect can Close
+	// it) and the recover (which may still issue the exit syscalls — none
+	// of which park at instrumented sites). The matching ThreadStart is the
+	// LAUNCHER's, before its `go` (Start, Spawn, Fork): registered from in
+	// here, the board undercounts between `go` and this line, and a sibling
+	// that parks in that window reads as "every live thread is blocked" — a
+	// false deadlock.
+	defer t.board().ThreadExit(t.ID)
 	defer func() {
 		if r := recover(); r != nil {
 			switch r {
@@ -747,6 +749,7 @@ func (t *Thread) Spawn(fn func(*Thread)) *ThreadHandle {
 	h := &ThreadHandle{Tid: tid, done: make(chan struct{})}
 	t.vs.wg.Add(1)
 	t.ps.wg.Add(1)
+	child.board().ThreadStart(tid)
 	go func() {
 		defer close(h.done)
 		child.run(fn)
@@ -829,6 +832,7 @@ func (t *Thread) Fork(fn func(*Thread)) *ProcHandle {
 		proc: childProc, sigs: t.sigs.clone(), ps: ps, leader: true}
 	h := &ProcHandle{Pid: pid, Tid: tid, ps: ps}
 	t.vs.wg.Add(1)
+	child.board().ThreadStart(tid)
 	go child.run(fn)
 	return h
 }

@@ -14,13 +14,18 @@ import (
 // testing.AllocsPerRun counts process-wide mallocs while the mirrored
 // slave goroutine runs the same calls concurrently.
 //
-// The matrix matches BenchmarkReplicationHotPath: both policies, payload-
+// The matrix covers BenchmarkReplicationHotPath — both policies, payload-
 // free (getpid) and inline-payload (64-byte pwrite) calls, telemetry off
-// and on — the observability plane (counter matrix, sampled latency,
-// flight-recorder appends) must not cost a single allocation. Parking
-// keeps this invariant because futex.Parker parks on sync.Cond, which
-// recycles its queue nodes — even under AllocsPerRun's GOMAXPROCS=1,
-// where every rendezvous escalates through yields and may park.
+// and on: the observability plane (counter matrix, sampled latency,
+// flight-recorder appends) must not cost a single allocation — plus the
+// storage paths of the shared place step on both of its callers: a payload
+// that spills past InlinePayload into the record and digest arenas, a
+// stream read whose Call.Buf-aliased result goes through the output arena
+// and back out into the slave's Buf, and an InvokeBatchOn run of 8 that
+// mixes both into one reserved run of the ring. Parking keeps this
+// invariant because futex.Parker parks on sync.Cond, which recycles its
+// queue nodes — even under AllocsPerRun's GOMAXPROCS=1, where every
+// rendezvous escalates through yields and may park.
 func TestReplicationHotPathZeroAllocs(t *testing.T) {
 	policies := []struct {
 		name   string
@@ -29,40 +34,74 @@ func TestReplicationHotPathZeroAllocs(t *testing.T) {
 		{"strict", PolicyStrictLockstep},
 		{"relaxed", PolicySecuritySensitive},
 	}
+	// A shape's setup issues variant v's preparatory calls (identically in
+	// every variant) and returns the measured operation.
+	type shape struct {
+		name  string
+		setup func(m *Monitor, v int) func()
+	}
+	pwrite := func(n int) func(m *Monitor, v int) func() {
+		return func(m *Monitor, v int) func() {
+			data := make([]byte, n)
+			for i := range data {
+				data[i] = byte(i)
+			}
+			fd := m.Invoke(v, 0, openCall("/alloc-test", kernel.OCreat|kernel.ORdwr)).Val
+			call := kernel.Call{Nr: kernel.SysPwrite, Args: [6]uint64{fd, 0}, Data: data}
+			// Pre-size so the measured pwrites never grow the inode.
+			m.Invoke(v, 0, call)
+			return func() { m.Invoke(v, 0, call) }
+		}
+	}
+	shapes := []shape{
+		{"payload-0", func(m *Monitor, v int) func() {
+			return func() { m.Invoke(v, 0, kernel.Call{Nr: kernel.SysGetpid}) }
+		}},
+		{fmt.Sprintf("payload-%d", InlinePayload), pwrite(InlinePayload)},
+		{fmt.Sprintf("payload-%d", 4*InlinePayload), pwrite(4 * InlinePayload)},
+		{"buf-out", func(m *Monitor, v int) func() {
+			// Pipes are stream objects: a Buf-carrying read fills the
+			// caller's buffer in place and the result aliases it.
+			pr := m.Invoke(v, 0, kernel.Call{Nr: kernel.SysPipe2})
+			buf := make([]byte, 64)
+			msg := []byte("payload")
+			return func() {
+				m.Invoke(v, 0, kernel.Call{Nr: kernel.SysWrite, Args: [6]uint64{pr.Val2}, Data: msg})
+				m.Invoke(v, 0, kernel.Call{Nr: kernel.SysRead, Args: [6]uint64{pr.Val, 64}, Buf: buf})
+			}
+		}},
+		{"batch-8", func(m *Monitor, v int) func() {
+			// Each run of 4 drains exactly what it wrote, so the pipe never
+			// fills: one spilled write, read back as two Buf-sized halves.
+			pr := m.Invoke(v, 0, kernel.Call{Nr: kernel.SysPipe2})
+			buf := make([]byte, InlinePayload)
+			big := make([]byte, 2*InlinePayload)
+			run := []kernel.Call{
+				{Nr: kernel.SysWrite, Args: [6]uint64{pr.Val2}, Data: big},
+				{Nr: kernel.SysRead, Args: [6]uint64{pr.Val, InlinePayload}, Buf: buf},
+				{Nr: kernel.SysGetpid},
+				{Nr: kernel.SysRead, Args: [6]uint64{pr.Val, InlinePayload}, Buf: buf},
+			}
+			calls := append(append([]kernel.Call(nil), run...), run...)
+			rets := make([]kernel.Ret, len(calls))
+			return func() { m.InvokeBatchOn(v, 0, m.procs[v], calls, rets) }
+		}},
+	}
 	for _, pc := range policies {
-		for _, payload := range []int{0, InlinePayload} {
+		for _, sh := range shapes {
 			for _, tel := range []bool{false, true} {
-				pc, payload, tel := pc, payload, tel
-				t.Run(fmt.Sprintf("%s/payload-%d/telemetry=%v", pc.name, payload, tel), func(t *testing.T) {
+				pc, sh, tel := pc, sh, tel
+				t.Run(fmt.Sprintf("%s/%s/telemetry=%v", pc.name, sh.name, tel), func(t *testing.T) {
 					k := kernel.New()
 					procs := []*kernel.Proc{
 						k.NewProc(0x1000_0000, 0x7000_0000),
 						k.NewProc(0x2000_0000, 0x7100_0000),
 					}
-					m := New(k, procs, Config{MaxThreads: 2, RingCap: 256, Policy: pc.policy, Telemetry: tel})
-					data := make([]byte, payload)
-					for i := range data {
-						data[i] = byte(i)
-					}
-					one := func(v int, fd uint64) {
-						if payload == 0 {
-							m.Invoke(v, 0, kernel.Call{Nr: kernel.SysGetpid})
-						} else {
-							m.Invoke(v, 0, kernel.Call{
-								Nr: kernel.SysPwrite, Args: [6]uint64{fd, 0}, Data: data,
-							})
-						}
-					}
-					setup := func(v int) uint64 {
-						fd := m.Invoke(v, 0, openCall("/alloc-test", kernel.OCreat|kernel.ORdwr))
-						// Pre-size so the measured pwrites never grow the inode.
-						m.Invoke(v, 0, kernel.Call{
-							Nr: kernel.SysPwrite, Args: [6]uint64{fd.Val, 0},
-							Data: make([]byte, InlinePayload),
-						})
-						return fd.Val
-					}
-					const warmup, runs = 64, 200
+					const ringCap = 256
+					m := New(k, procs, Config{MaxThreads: 2, RingCap: ringCap, Policy: pc.policy, Telemetry: tel})
+					// Warm up past two full ring laps, so every arena slot a
+					// steady-state record can land in has been grown.
+					const warmup, runs = 2 * ringCap, 200
 					// AllocsPerRun invokes f runs+1 times (one untimed warmup
 					// call); the slave mirrors the exact total or the last
 					// rendezvous would hang.
@@ -70,16 +109,16 @@ func TestReplicationHotPathZeroAllocs(t *testing.T) {
 					done := make(chan struct{})
 					go func() {
 						defer close(done)
-						fd := setup(1)
+						one := sh.setup(m, 1)
 						for i := 0; i < total; i++ {
-							one(1, fd)
+							one()
 						}
 					}()
-					fd := setup(0)
+					one := sh.setup(m, 0)
 					for i := 0; i < warmup; i++ {
-						one(0, fd)
+						one()
 					}
-					allocs := testing.AllocsPerRun(runs, func() { one(0, fd) })
+					allocs := testing.AllocsPerRun(runs, one)
 					<-done
 					if d := m.Divergence(); d != nil {
 						t.Fatalf("diverged: %v", d)

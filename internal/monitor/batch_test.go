@@ -119,16 +119,25 @@ func captureTrace(t *testing.T, batched bool) []Record {
 	}
 	m := New(k, procs, Config{MaxThreads: 8, RingCap: 32, Capture: true})
 	k.WriteFile("/in", bytes.Repeat([]byte("req!"), 8))
+	// The pipe calls pin the record placement both callers share: a payload
+	// past InlinePayload (spilled, not inline) and two stream recvs whose
+	// results alias their Bufs (one Buf per recv: a batch defers the
+	// copy-out to its end, so its calls cannot share one).
+	body := []byte(strings.Repeat("spill-me", 2) + strings.Repeat("SPILL-ME", 10))
 
 	drive := func(v int) {
 		fd := m.Invoke(v, 0, openCall("/in", kernel.ORdonly))
 		out := m.Invoke(v, 0, openCall("/out", kernel.OCreat|kernel.OWronly))
-		buf := make([]byte, 16)
+		pr := m.Invoke(v, 0, kernel.Call{Nr: kernel.SysPipe2})
+		buf, bufA, bufB := make([]byte, 16), make([]byte, 16), make([]byte, 16)
 		calls := []kernel.Call{
 			{Nr: kernel.SysRead, Args: [6]uint64{fd.Val, 16}, Buf: buf},
 			{Nr: kernel.SysGetpid},
 			{Nr: kernel.SysRead, Args: [6]uint64{fd.Val, 16}, Buf: buf},
 			{Nr: kernel.SysWrite, Args: [6]uint64{out.Val}, Data: []byte("HTTP/1.1 200 OK")},
+			{Nr: kernel.SysWrite, Args: [6]uint64{pr.Val2}, Data: body},
+			{Nr: kernel.SysRead, Args: [6]uint64{pr.Val, 16}, Buf: bufA},
+			{Nr: kernel.SysRead, Args: [6]uint64{pr.Val, 16}, Buf: bufB},
 		}
 		rets := make([]kernel.Ret, len(calls))
 		if batched {
@@ -143,6 +152,9 @@ func captureTrace(t *testing.T, batched bool) []Record {
 				t.Errorf("batched=%v variant %d call %d failed: %+v", batched, v, i, r)
 			}
 		}
+		// The guest reuses its receive buffers once the calls return.
+		clear(bufA)
+		clear(bufB)
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -156,8 +168,20 @@ func captureTrace(t *testing.T, batched bool) []Record {
 		t.Fatalf("batched=%v diverged: %+v", batched, d)
 	}
 	tape := m.StopCapture()
-	if len(tape) == 0 || len(tape[0]) == 0 {
-		t.Fatalf("batched=%v captured nothing", batched)
+	if len(tape) == 0 || len(tape[0]) < 3 {
+		t.Fatalf("batched=%v captured %d streams", batched, len(tape))
+	}
+	// Each record must hold its own stable copy of the bytes it carried: a
+	// record still aliasing the guest's buffer would show the zeroes the
+	// guest wrote over it.
+	tail := tape[0][len(tape[0])-3:]
+	if got := tail[0].Payload(); !bytes.Equal(got, body) {
+		t.Fatalf("batched=%v spilled write payload = %q, want %q", batched, got, body)
+	}
+	for i, want := range [][]byte{body[:16], body[16:32]} {
+		if got := tail[1+i].Ret.Data; !bytes.Equal(got, want) {
+			t.Fatalf("batched=%v pipe recv %d recorded %q, want %q", batched, i, got, want)
+		}
 	}
 	return tape[0]
 }

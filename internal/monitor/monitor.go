@@ -52,35 +52,24 @@ func (b *payloadBox) Payload() []byte {
 
 // SetPayload stores p, inline if it fits and in a freshly allocated spill
 // otherwise. The hot path does not use this (it places large payloads in
-// per-thread arenas; see storeSpill) — SetPayload is for trace
-// construction and tests.
+// per-thread arenas; see store) — SetPayload is for trace construction and
+// tests.
 func (b *payloadBox) SetPayload(p []byte) {
+	b.spill = nil
+	b.store(p, nil, 0, 0)
+}
+
+// store stores the payload of ring entry seq (of a ring with capacity rcap)
+// into a box whose spill is nil: inline if it fits, through the arena slot
+// for seq otherwise. Callers must have reserved seq first — that is what
+// makes the arena slot reusable (see spillArena).
+func (b *payloadBox) store(p []byte, arena *spillArena, rcap int, seq uint64) {
 	b.n = int32(len(p))
 	if len(p) <= InlinePayload {
 		copy(b.inline[:], p)
-		b.spill = nil
 		return
 	}
-	b.spill = append([]byte(nil), p...)
-}
-
-// storeInline stores a payload known to fit inline.
-func (b *payloadBox) storeInline(p []byte) {
-	b.n = int32(len(p))
-	copy(b.inline[:], p)
-}
-
-// storeSpill stores an oversized payload through arena slot seq (of a ring
-// with capacity rcap), or a fresh allocation when arena recycling is
-// unsound (arena == nil). Callers must have Reserved seq first — that is
-// what makes the arena slot reusable (see spillArena).
-func (b *payloadBox) storeSpill(p []byte, arena *spillArena, rcap int, seq uint64) {
-	b.n = int32(len(p))
-	if arena != nil {
-		b.spill = arena.put(rcap, seq, p)
-		return
-	}
-	b.spill = append([]byte(nil), p...)
+	b.spill = arena.put(rcap, seq, p)
 }
 
 // Record is one entry in a per-thread syscall buffer: the master's account
@@ -185,8 +174,12 @@ type spillArena struct {
 }
 
 // put copies p into the arena slot for seq (of a ring with capacity rcap)
-// and returns the stable copy.
+// and returns the stable copy. A nil arena means recycling is unsound (see
+// arenaAt): the copy is then a fresh allocation.
 func (a *spillArena) put(rcap int, seq uint64, p []byte) []byte {
+	if a == nil {
+		return append([]byte(nil), p...)
+	}
 	if a.bufs == nil {
 		a.bufs = make([][]byte, rcap)
 	}
@@ -194,6 +187,16 @@ func (a *spillArena) put(rcap int, seq uint64, p []byte) []byte {
 	b := append(a.bufs[i][:0], p...)
 	a.bufs[i] = b
 	return b
+}
+
+// arenaAt returns thread tid's arena, or nil when the monitor runs without
+// arenas (capture retains records past consumption; replay publishes
+// nothing live).
+func arenaAt(arenas []spillArena, tid int) *spillArena {
+	if arenas == nil {
+		return nil
+	}
+	return &arenas[tid]
 }
 
 // Monitor supervises one MVEE session: variant 0 is the master, variants
@@ -268,10 +271,10 @@ type Monitor struct {
 	inboxes  [][]atomic.Pointer[ring.Log[digest]]
 	inboxPos [][]uint64
 
-	// arenas[tid] recycles the master's oversized record payloads;
-	// darenas[g][tid] recycles slave g+1's oversized digest payloads. Nil
-	// when recycling would be unsound (capture retains records; replay has
-	// no live producer).
+	// arenas[tid] recycles the master's oversized record payloads; nil when
+	// recycling would be unsound (capture retains records; replay has no
+	// live producer). darenas[g][tid] recycles slave g+1's oversized digest
+	// payloads — digests are never retained, so these always recycle.
 	arenas  []spillArena
 	darenas [][]spillArena
 	// outArenas[tid] recycles the master's OUTPUT payloads for calls made
@@ -389,15 +392,11 @@ func New(kern *kernel.Kernel, procs []*kernel.Proc, cfg Config) *Monitor {
 	}
 	m.inboxes = make([][]atomic.Pointer[ring.Log[digest]], len(procs)-1)
 	m.inboxPos = make([][]uint64, len(procs)-1)
-	if !m.replay {
-		m.darenas = make([][]spillArena, len(procs)-1)
-	}
+	m.darenas = make([][]spillArena, len(procs)-1)
 	for g := range m.inboxes {
 		m.inboxes[g] = make([]atomic.Pointer[ring.Log[digest]], cfg.MaxThreads)
 		m.inboxPos[g] = make([]uint64, cfg.MaxThreads)
-		if m.darenas != nil {
-			m.darenas[g] = make([]spillArena, cfg.MaxThreads)
-		}
+		m.darenas[g] = make([]spillArena, cfg.MaxThreads)
 	}
 	return m
 }
@@ -675,23 +674,14 @@ func (m *Monitor) ThreadExit(v, tid int) {
 // submitDigest publishes slave v's account of its next call (or thread
 // exit) to the master's inbox for thread tid. Small payloads travel inline
 // in the ring slot; large ones go through the slave's digest arena, whose
-// slots recycle in lockstep with the inbox ring's (Reserve blocks until the
-// old occupant was consumed), so steady-state digests are allocation-free
-// at any payload size.
+// slots recycle in lockstep with the inbox ring's (ReserveN blocks until
+// the old occupant was consumed), so steady-state digests are
+// allocation-free at any payload size.
 func (m *Monitor) submitDigest(v, tid int, call kernel.Call, exit bool) {
 	ib := m.inbox(v-1, tid)
 	d := digest{Nr: call.Nr, Args: call.Args, Exit: exit}
-	if len(call.Data) <= InlinePayload {
-		d.storeInline(call.Data)
-		ib.Append(d)
-		return
-	}
-	seq := ib.Reserve()
-	var arena *spillArena
-	if m.darenas != nil {
-		arena = &m.darenas[v-1][tid]
-	}
-	d.storeSpill(call.Data, arena, ib.Cap(), seq)
+	seq := ib.ReserveN(1)
+	d.store(call.Data, &m.darenas[v-1][tid], ib.Cap(), seq)
 	ib.Publish(seq, d)
 }
 
@@ -773,172 +763,147 @@ func (m *Monitor) validateDigest(v, tid int, call kernel.Call, cls class, exit b
 	return nil
 }
 
+// awaitTurn blocks until variant v's copy of the syscall ordering clock
+// reaches t — the §4.1 wait, shared by the master (t is the ticket it just
+// took) and the slaves (t is the record's stamp: the master's ticket, served
+// by the slave's own clock). It runs per ordered call and must not allocate.
+// The common, uncontended case exits on the first load; a thread whose turn
+// is far off parks on the clock's wait set and is woken by the passTurn that
+// hands it the turn.
+func (m *Monitor) awaitTurn(v int, t uint64) {
+	for spins := 0; m.clocks[v].Now() < t; spins++ {
+		m.checkKilled()
+		if ring.ParkDue(spins) {
+			g := m.clockParks[v].Prepare()
+			if m.clocks[v].Now() >= t || m.killed.Load() {
+				m.clockParks[v].Cancel()
+				continue
+			}
+			m.clockParks[v].Park(g)
+			continue
+		}
+		relax(spins)
+	}
+}
+
+// passTurn ends variant v's ordered section: the clock moves to the next
+// ticket and whoever parked waiting for it is woken.
+func (m *Monitor) passTurn(v int) {
+	m.clocks[v].Tick()
+	m.clockParks[v].Wake()
+}
+
+// enter is the master's protocol up to the point of execution, for one call
+// of thread tid: the lockstep rendezvous (no variant proceeds until all have
+// arrived with an equivalent call), the record's identity, and — for an
+// ordered call — the §4.1 ticket (see the Monitor type comment): take the
+// next position in the total order and wait for the turn. On return the
+// caller is inside the ordered section and must passTurn(0) once the call
+// has executed. Blocking calls take no ticket: the kernel may never return
+// (§4.1 Limitations), so they are executed by the master only and
+// replicated positionally.
+func (m *Monitor) enter(tid int, call *kernel.Call, cls class, rec *Record) {
+	if m.cfg.Variants > 1 && m.lockstepped(cls) {
+		m.awaitDigests(tid, *call, cls, false)
+	}
+	*rec = Record{Nr: call.Nr, Args: call.Args, Ordered: cls.ordered}
+	if cls.ordered {
+		rec.Ts = m.tickets.Take()
+		m.awaitTurn(0, rec.Ts)
+	}
+}
+
+// place completes the append of rec at sequence seq of thread tid's ring r,
+// which the caller reserved (ReserveN): that reservation is what makes the
+// arena slots for seq reusable. The call's input payload is copied into the
+// record — inline in the ring slot when it fits, through the per-thread
+// arena otherwise; copying, rather than aliasing the caller's buffer, is
+// what makes the record immutable the moment it is published. A result that
+// aliases the caller's reusable destination buffer (Call.Buf) is repointed
+// at a copy in the output arena slot for seq, or the master guest's next
+// receive would overwrite bytes the slaves haven't consumed yet. Without
+// arenas (see arenaAt) both copies are fresh allocations.
+func (m *Monitor) place(tid int, r *ring.Log[Record], seq uint64, rec *Record, call *kernel.Call) {
+	rec.store(call.Data, arenaAt(m.arenas, tid), r.Cap(), seq)
+	if call.Buf != nil && len(rec.Ret.Data) > 0 {
+		rec.Ret.Data = arenaAt(m.outArenas, tid).put(r.Cap(), seq, rec.Ret.Data)
+	}
+	r.Publish(seq, *rec)
+}
+
 // masterCall executes a monitored call in the master variant and publishes
 // the record for the slaves. After the call executes, the master pops the
 // lowest deliverable pending signal of the calling process (if any) into
-// Ret.Sig — the syscall-boundary delivery point. Because the popped signal
-// travels inside the replicated record, the master's delivery schedule IS
-// the session's delivery schedule: slaves consume it positionally instead
-// of racing their own pending sets (DESIGN.md §2.5).
+// Ret.Sig — the syscall-boundary delivery point, inside the ordered section
+// when there is one. Because the popped signal travels inside the
+// replicated record, the master's delivery schedule IS the session's
+// delivery schedule: slaves consume it positionally instead of racing their
+// own pending sets (DESIGN.md §2.5). Publication happens after the turn is
+// passed because records travel through per-thread rings, where
+// cross-thread order is immaterial.
 func (m *Monitor) masterCall(tid int, proc *kernel.Proc, call kernel.Call, cls class) kernel.Ret {
-	if m.cfg.Variants > 1 && m.lockstepped(cls) {
-		m.awaitDigests(tid, call, cls, false)
-	}
-	rec := Record{Nr: call.Nr, Args: call.Args, Ordered: cls.ordered}
-	if cls.ordered {
-		// §4.1, ticket form (see the Monitor type comment): take the next
-		// position in the total order, wait for the turn, execute, pass
-		// the turn. The stamp-execute window is the serialized section;
-		// publication happens after the turn is passed because records
-		// travel through per-thread rings, where cross-thread order is
-		// immaterial.
-		t := m.tickets.Take()
-		// Inline wait (no closure: this runs per ordered call and must not
-		// allocate). The common, uncontended case exits on the first load;
-		// a thread whose turn is far off parks on the clock's wait set and
-		// is woken by the Tick that passes it the turn.
-		for spins := 0; m.clocks[0].Now() < t; spins++ {
-			m.checkKilled()
-			if ring.ParkDue(spins) {
-				g := m.clockParks[0].Prepare()
-				if m.clocks[0].Now() >= t || m.killed.Load() {
-					m.clockParks[0].Cancel()
-					continue
-				}
-				m.clockParks[0].Park(g)
-				continue
-			}
-			relax(spins)
-		}
-		rec.Ts = t
-		rec.Ret = m.execute(proc, call)
-		if call.Nr != kernel.SysExit && call.Nr != kernel.SysThreadExit {
-			// No delivery at the exit boundaries: the thread is gone and
-			// Linux discards its pending signals. (Delivering here would
-			// also re-terminate a process already inside its exit path.)
-			rec.Ret.Sig = proc.BoundarySig()
-		}
-		m.clocks[0].Tick()
-		m.clockParks[0].Wake()
-		// Capture the master's return BEFORE publication: stabilization may
-		// repoint the published record's Ret.Data at an arena copy, while
-		// the master's own caller keeps the alias into its Call.Buf.
-		ret := rec.Ret
-		if m.publish {
-			m.publishRecord(tid, &rec, call.Data, call.Buf != nil && len(rec.Ret.Data) > 0)
-		}
-		m.flightAppend(0, tid, &rec, call.Data)
-		return ret
-	}
-	// Blocking call: may not be wrapped in the ordering critical section
-	// because the kernel may never return (§4.1 Limitations). It is still
-	// executed by the master only and replicated positionally.
+	var rec Record
+	m.enter(tid, &call, cls, &rec)
 	rec.Ret = m.execute(proc, call)
-	rec.Ret.Sig = proc.BoundarySig()
+	if call.Nr != kernel.SysExit && call.Nr != kernel.SysThreadExit {
+		// No delivery at the exit boundaries: the thread is gone and
+		// Linux discards its pending signals. (Delivering here would
+		// also re-terminate a process already inside its exit path.)
+		rec.Ret.Sig = proc.BoundarySig()
+	}
+	if cls.ordered {
+		m.passTurn(0)
+	}
+	// Capture the master's return BEFORE publication: place may repoint the
+	// published record's Ret.Data at an arena copy, while the master's own
+	// caller keeps the alias into its Call.Buf.
 	ret := rec.Ret
 	if m.publish {
-		m.publishRecord(tid, &rec, call.Data, call.Buf != nil && len(rec.Ret.Data) > 0)
+		r := m.ring(tid)
+		m.place(tid, r, r.ReserveN(1), &rec, &call)
 	}
 	m.flightAppend(0, tid, &rec, call.Data)
 	return ret
 }
 
-// publishRecord appends rec (with the call's input payload) to thread tid's
-// syscall ring. Small payloads are copied inline into the ring slot —
-// copying, rather than aliasing the caller's buffer, is what makes the
-// record immutable the moment it is published. Large payloads go through
-// the per-thread arena (or a fresh allocation when recycling is unsound;
-// see Monitor.arenas). stabilize marks a record whose Ret.Data aliases the
-// caller's reusable destination buffer (Call.Buf): such output must be
-// copied into slot-lifetime storage before the record becomes visible, or
-// the master guest's next receive overwrites bytes the slaves haven't
-// consumed yet.
-func (m *Monitor) publishRecord(tid int, rec *Record, payload []byte, stabilize bool) {
-	r := m.ring(tid)
-	if !stabilize && len(payload) <= InlinePayload {
-		rec.storeInline(payload)
-		r.Append(*rec)
-		return
-	}
-	seq := r.Reserve()
-	if len(payload) <= InlinePayload {
-		rec.storeInline(payload)
-	} else {
-		var arena *spillArena
-		if m.arenas != nil {
-			arena = &m.arenas[tid]
-		}
-		rec.storeSpill(payload, arena, r.Cap(), seq)
-	}
-	if stabilize {
-		m.stabilizeOut(tid, rec, r.Cap(), seq)
-	}
-	r.Publish(seq, *rec)
-}
-
-// stabilizeOut repoints rec.Ret.Data at a stable copy backed by the
-// output arena slot for seq (reusable exactly when ring slot seq is — the
-// caller Reserved it), or a fresh allocation when arenas are off (capture
-// retains records indefinitely).
-func (m *Monitor) stabilizeOut(tid int, rec *Record, rcap int, seq uint64) {
-	if m.outArenas != nil {
-		rec.Ret.Data = m.outArenas[tid].put(rcap, seq, rec.Ret.Data)
-		return
-	}
-	rec.Ret.Data = append([]byte(nil), rec.Ret.Data...)
-}
-
-// slaveCall validates thread tid's call against the master's record,
-// waits for its ordering turn, and returns the replicated (or per-variant
-// re-executed) result.
+// slaveCall submits thread tid's call for the master's pre-execution
+// validation when it is lockstepped — the master will not execute until
+// every slave has arrived — and then takes the slave step. (Replay has no
+// master to validate against; the trace is the authority.)
 func (m *Monitor) slaveCall(v, tid int, proc *kernel.Proc, call kernel.Call, cls class) kernel.Ret {
 	if m.lockstepped(cls) && !m.replay {
-		// Submit this call for the master's pre-execution validation;
-		// the master will not execute until every slave has arrived.
-		// (Replay has no master to validate against; the trace is the
-		// authority.)
 		m.submitDigest(v, tid, call, false)
 	}
+	return m.slaveStep(v, tid, proc, &call, cls)
+}
+
+// slaveStep is the slave's protocol for one call of thread tid: validate it
+// against the master's record, wait for the ordering turn, and return the
+// replicated (or per-variant re-executed) result.
+func (m *Monitor) slaveStep(v, tid int, proc *kernel.Proc, call *kernel.Call, cls class) kernel.Ret {
 	rec := m.nextRecord(v, tid)
-	if d := m.compare(v, tid, call, rec, cls); d != nil {
+	if d := m.compare(v, tid, *call, rec, cls); d != nil {
 		m.Kill(d)
 		panic(ErrKilled)
 	}
-	var ret kernel.Ret
 	if rec.Ordered {
-		// Wait until this variant's ordering clock reaches the recorded
-		// stamp; then this thread alone may proceed (§4.1). This is the
-		// slave half of the ticket scheme: rec.Ts is the master's ticket,
-		// and the slave's own Lamport clock is its serving word. Inline
-		// wait — no closure — so the per-call path stays allocation-free;
-		// far-off turns park on the clock's wait set until a sibling
-		// thread's Tick passes the turn along.
-		for spins := 0; m.clocks[v].Now() < rec.Ts; spins++ {
-			m.checkKilled()
-			if ring.ParkDue(spins) {
-				g := m.clockParks[v].Prepare()
-				if m.clocks[v].Now() >= rec.Ts || m.killed.Load() {
-					m.clockParks[v].Cancel()
-					continue
-				}
-				m.clockParks[v].Park(g)
-				continue
-			}
-			relax(spins)
-		}
-		ret = m.slaveResult(proc, call, rec, cls)
-		m.clocks[v].Tick()
-		m.clockParks[v].Wake()
-	} else {
-		ret = m.slaveResult(proc, call, rec, cls)
+		// This variant's ordering clock must reach the recorded stamp;
+		// then this thread alone may proceed (§4.1).
+		m.awaitTurn(v, rec.Ts)
 	}
-	// Copy a replicated output payload into the slave's own destination
-	// buffer (Call.Buf): the record's bytes may live in a recycled arena
-	// slot that is only valid until this thread advances past the record,
-	// and each variant must own its result the way the master owns its.
-	if call.Buf != nil && !cls.perVariant && len(ret.Data) > 0 {
+	ret := rec.Ret // replicated master (or traced) result
+	if cls.perVariant {
+		ret = m.execute(proc, *call)
+	} else if call.Buf != nil && len(ret.Data) > 0 {
+		// Copy a replicated output payload into the slave's own destination
+		// buffer (Call.Buf): the record's bytes may live in a recycled arena
+		// slot that is only valid until this thread advances past the record,
+		// and each variant must own its result the way the master owns its.
 		n := copy(call.Buf, ret.Data)
 		ret.Data = call.Buf[:n]
+	}
+	if rec.Ordered {
+		m.passTurn(v)
 	}
 	// Enact the master's signal-delivery schedule: the record says a
 	// signal landed at this boundary, so consume the slave's own pending
@@ -961,20 +926,14 @@ func (m *Monitor) slaveCall(v, tid int, proc *kernel.Proc, call kernel.Call, cls
 	return ret
 }
 
-func (m *Monitor) slaveResult(proc *kernel.Proc, call kernel.Call, rec *Record, cls class) kernel.Ret {
-	if cls.perVariant {
-		return m.execute(proc, call)
-	}
-	return rec.Ret // replicated master (or traced) result
-}
-
 // InvokeBatchOn performs a RUN of system calls on behalf of thread tid of
 // variant v as one replicated multi-record: the master executes all of
-// them and publishes the records in one ring operation (one reservation,
-// one wake — one cross-core handoff per batch instead of one per call),
-// and the slaves consume them through the same batched peek the run-ahead
-// protocol already uses. This is the poll-wakeup amortization path: a poll
-// that woke with K ready connections drains all K receives as one batch.
+// them and publishes the records as one reserved run of its ring (one
+// reservation, one back-pressure wait — one cross-core handoff per batch
+// instead of one per call), and the slaves consume them through the same
+// batched peek the run-ahead protocol already uses. This is the poll-wakeup
+// amortization path: a poll that woke with K ready connections drains all K
+// receives as one batch.
 //
 // Eligibility is exactly the REPLICATED set (monitored, replicated, not
 // per-variant): replicated calls execute only in the master, so deferring
@@ -990,6 +949,8 @@ func (m *Monitor) slaveResult(proc *kernel.Proc, call kernel.Call, rec *Record, 
 // keeping the master's delivery schedule positional and replicable.
 //
 // rets must be the same length as calls; rets[i] receives call i's result.
+// Calls that carry a Buf must each carry their own: the master copies a
+// result out of its Buf at publication, which a batch defers to its end.
 func (m *Monitor) InvokeBatchOn(v, tid int, proc *kernel.Proc, calls []kernel.Call, rets []kernel.Ret) {
 	m.checkKilled()
 	for i := range calls {
@@ -1028,45 +989,28 @@ func (m *Monitor) batchRecs(tid, n int) []Record {
 	return m.brecs[tid][:n]
 }
 
-// masterBatch is masterCall over a batch: per call, the digest rendezvous
-// and the ordered-section stamp+execute happen exactly as in the singular
-// path (the ordering clock still ticks once per call — batching changes
-// record TRANSPORT, not the total order, which is what keeps a batched
-// trace identical to the sequential one) — but publication is deferred and
-// done in one ring operation at the end.
+// batchChunk caps how many records one ring reservation of masterBatch
+// covers; larger batches are split (and further clamped to the ring's
+// capacity, which ReserveN must not exceed on a small test-sized ring).
+const batchChunk = 64
+
+// masterBatch is the master's protocol looped over a batch: per call, enter
+// and the ordered-section execute happen exactly as in masterCall (the
+// ordering clock still ticks once per call — batching changes record
+// TRANSPORT, not the total order, which is what keeps a batched trace
+// identical to the sequential one) — but publication is deferred to the
+// end, where each chunk of records is placed into one reserved run of the
+// ring, front to back.
 func (m *Monitor) masterBatch(tid int, proc *kernel.Proc, calls []kernel.Call, rets []kernel.Ret) {
 	recs := m.batchRecs(tid, len(calls))
 	for i := range calls {
-		call := &calls[i]
-		cls := classify(call.Nr)
-		if m.cfg.Variants > 1 && m.lockstepped(cls) {
-			m.awaitDigests(tid, *call, cls, false)
-		}
-		rec := &recs[i]
-		*rec = Record{Nr: call.Nr, Args: call.Args, Ordered: cls.ordered}
+		cls := classify(calls[i].Nr)
+		m.enter(tid, &calls[i], cls, &recs[i])
+		recs[i].Ret = m.execute(proc, calls[i])
 		if cls.ordered {
-			t := m.tickets.Take()
-			for spins := 0; m.clocks[0].Now() < t; spins++ {
-				m.checkKilled()
-				if ring.ParkDue(spins) {
-					g := m.clockParks[0].Prepare()
-					if m.clocks[0].Now() >= t || m.killed.Load() {
-						m.clockParks[0].Cancel()
-						continue
-					}
-					m.clockParks[0].Park(g)
-					continue
-				}
-				relax(spins)
-			}
-			rec.Ts = t
-			rec.Ret = m.execute(proc, *call)
-			m.clocks[0].Tick()
-			m.clockParks[0].Wake()
-		} else {
-			rec.Ret = m.execute(proc, *call)
+			m.passTurn(0)
 		}
-		rets[i] = rec.Ret
+		rets[i] = recs[i].Ret
 	}
 	// One delivery point per batch (see InvokeBatchOn): stamp the batch's
 	// boundary signal on the LAST record. Exit syscalls are per-variant and
@@ -1076,79 +1020,29 @@ func (m *Monitor) masterBatch(tid int, proc *kernel.Proc, calls []kernel.Call, r
 		rets[len(rets)-1].Sig = sig
 	}
 	if m.publish {
-		m.publishBatch(tid, recs, calls)
+		r := m.ring(tid)
+		for done := 0; done < len(recs); {
+			n := min(len(recs)-done, batchChunk, r.Cap())
+			first := r.ReserveN(n)
+			for i := 0; i < n; i++ {
+				m.place(tid, r, first+uint64(i), &recs[done+i], &calls[done+i])
+			}
+			done += n
+		}
 	}
 	for i := range recs {
 		m.flightAppend(0, tid, &recs[i], calls[i].Data)
 	}
 }
 
-// batchChunk caps how many records one publishBatch ring operation covers;
-// larger batches are split (and further clamped to the ring's capacity, so
-// ReserveN never over-reserves on a small test-sized ring).
-const batchChunk = 64
-
-// publishBatch publishes a batch of executed records to thread tid's ring
-// in one producer operation per chunk. The fast path — every payload
-// inline, no output stabilization needed — is a straight AppendBatch; a
-// chunk with spilled payloads or Buf-aliased outputs reserves its whole
-// sequence run at once (one fetch-add + one back-pressure wait, same cost
-// shape) and places each record's storage before publishing front-to-back.
-func (m *Monitor) publishBatch(tid int, recs []Record, calls []kernel.Call) {
-	r := m.ring(tid)
-	for len(recs) > 0 {
-		n := len(recs)
-		if n > batchChunk {
-			n = batchChunk
-		}
-		if n > r.Cap() {
-			n = r.Cap()
-		}
-		chunk, cc := recs[:n], calls[:n]
-		plain := true
-		for i := range chunk {
-			if len(cc[i].Data) > InlinePayload || (cc[i].Buf != nil && len(chunk[i].Ret.Data) > 0) {
-				plain = false
-				break
-			}
-		}
-		if plain {
-			for i := range chunk {
-				chunk[i].storeInline(cc[i].Data)
-			}
-			r.AppendBatch(chunk)
-		} else {
-			first := r.ReserveN(n)
-			for i := range chunk {
-				seq := first + uint64(i)
-				rec := &chunk[i]
-				if len(cc[i].Data) <= InlinePayload {
-					rec.storeInline(cc[i].Data)
-				} else {
-					var arena *spillArena
-					if m.arenas != nil {
-						arena = &m.arenas[tid]
-					}
-					rec.storeSpill(cc[i].Data, arena, r.Cap(), seq)
-				}
-				if cc[i].Buf != nil && len(rec.Ret.Data) > 0 {
-					m.stabilizeOut(tid, rec, r.Cap(), seq)
-				}
-				r.Publish(seq, *rec)
-			}
-		}
-		recs, calls = recs[n:], calls[n:]
-	}
-}
-
-// slaveBatch is slaveCall over a batch. The one protocol difference from
-// looping slaveCall: under lockstep, EVERY digest is submitted before ANY
-// record is consumed. The master publishes the batch only after executing
-// all of it, so a slave that submitted digest i only after consuming
-// record i-1 would deadlock against a master waiting for digest i before
-// executing the batch. Submitting up front is safe — digests are consumed
-// positionally from a per-thread inbox, so the master still validates
-// digest i against its call i.
+// slaveBatch is the slave step looped over a batch. The one protocol
+// difference from looping slaveCall: under lockstep, EVERY digest is
+// submitted before ANY record is consumed. The master publishes the batch
+// only after executing all of it, so a slave that submitted digest i only
+// after consuming record i-1 would deadlock against a master waiting for
+// digest i before executing the batch. Submitting up front is safe —
+// digests are consumed positionally from a per-thread inbox, so the master
+// still validates digest i against its call i.
 func (m *Monitor) slaveBatch(v, tid int, proc *kernel.Proc, calls []kernel.Call, rets []kernel.Ret) {
 	if !m.replay {
 		for i := range calls {
@@ -1158,45 +1052,7 @@ func (m *Monitor) slaveBatch(v, tid int, proc *kernel.Proc, calls []kernel.Call,
 		}
 	}
 	for i := range calls {
-		call := &calls[i]
-		cls := classify(call.Nr)
-		rec := m.nextRecord(v, tid)
-		if d := m.compare(v, tid, *call, rec, cls); d != nil {
-			m.Kill(d)
-			panic(ErrKilled)
-		}
-		ret := rec.Ret // batches are replicated-only: no per-variant re-execution
-		if rec.Ordered {
-			for spins := 0; m.clocks[v].Now() < rec.Ts; spins++ {
-				m.checkKilled()
-				if ring.ParkDue(spins) {
-					g := m.clockParks[v].Prepare()
-					if m.clocks[v].Now() >= rec.Ts || m.killed.Load() {
-						m.clockParks[v].Cancel()
-						continue
-					}
-					m.clockParks[v].Park(g)
-					continue
-				}
-				relax(spins)
-			}
-			m.clocks[v].Tick()
-			m.clockParks[v].Wake()
-		}
-		if call.Buf != nil && len(ret.Data) > 0 {
-			n := copy(call.Buf, ret.Data)
-			ret.Data = call.Buf[:n]
-		}
-		if rec.Ret.Sig != 0 {
-			proc.AckSignal(rec.Ret.Sig)
-			ret.Sig = rec.Ret.Sig
-		}
-		if call.Nr == kernel.SysWaitpid && rec.Ret.Err == kernel.OK {
-			m.kern.ApplySlaveWait(proc, int(rec.Ret.Val))
-		}
-		m.flightAppend(v, tid, rec, call.Data)
-		m.advance(v, tid)
-		rets[i] = ret
+		rets[i] = m.slaveStep(v, tid, proc, &calls[i], classify(calls[i].Nr))
 	}
 }
 

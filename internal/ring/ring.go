@@ -173,27 +173,18 @@ func (l *Log[T]) AppendBatch(vs []T) uint64 {
 	return first
 }
 
-// Reserve claims the next sequence number and blocks until its slot is
-// recyclable, without publishing anything. Publish(seq, v) completes the
-// append. The split exists for producers that must place a value into
+// ReserveN claims the next n consecutive sequence numbers in one producer
+// fetch-add, blocks until their slots are recyclable, and returns the first,
+// without publishing anything; Publish(seq, v) completes each append, front
+// to back. The split exists for producers that must place a value into
 // slot-lifetime storage (e.g. a payload arena recycled in lockstep with the
-// ring) before it becomes visible: once Reserve returns, every consumer
-// group has moved past the slot's previous occupant, so whatever backed
-// that occupant may be reused safely. Consumers at seq simply keep polling
-// until Publish lands, exactly as with a producer mid-Append.
-func (l *Log[T]) Reserve() uint64 {
-	seq := l.prod.Add(1) - 1
-	l.awaitSpace(seq)
-	return seq
-}
-
-// ReserveN reserves n consecutive sequence numbers in one producer
-// fetch-add and returns the first: the batch counterpart of Reserve, for a
-// producer placing several values into slot-lifetime storage before
-// publishing them (front-to-back, via Publish) as one multi-record. Like
-// AppendBatch's chunks, the single awaitSpace on the LAST reserved slot
-// covers the whole run. n must not exceed the ring's capacity — callers
-// chunk larger batches.
+// ring) before it becomes visible: once ReserveN returns, every consumer
+// group has moved past the slots' previous occupants, so whatever backed
+// those occupants may be reused safely. Consumers at a reserved sequence
+// simply keep polling until Publish lands, exactly as with a producer
+// mid-Append. Like AppendBatch's chunks, the single awaitSpace on the LAST
+// reserved slot covers the whole run. n must not exceed the ring's capacity
+// — callers chunk larger batches.
 func (l *Log[T]) ReserveN(n int) uint64 {
 	if n > len(l.slots) {
 		panic("ring: ReserveN larger than ring capacity")
@@ -203,7 +194,7 @@ func (l *Log[T]) ReserveN(n int) uint64 {
 	return seq
 }
 
-// Publish completes an append started with Reserve.
+// Publish completes an append started with ReserveN.
 func (l *Log[T]) Publish(seq uint64, v T) {
 	s := &l.slots[seq&l.mask]
 	s.val = v
@@ -216,7 +207,7 @@ func (l *Log[T]) Publish(seq uint64, v T) {
 // moving any cursor. It never blocks. Callers must only peek at sequences
 // that are not yet overwritten, i.e. from >= Cursor(g) for their group;
 // the copies then stay valid even after the producer recycles the slots,
-// but any slot-lifetime storage a value references (see Reserve) is only
+// but any slot-lifetime storage a value references (see ReserveN) is only
 // valid until the cursor advances past it.
 func (l *Log[T]) PeekBatch(from uint64, out []T) int {
 	n := 0
@@ -247,7 +238,7 @@ func (l *Log[T]) awaitSpace(seq uint64) {
 			l.park(g)
 			continue
 		}
-		backoff(spins)
+		Backoff(spins)
 	}
 }
 
@@ -267,7 +258,7 @@ func (l *Log[T]) Get(seq uint64) T {
 			l.park(g)
 			continue
 		}
-		backoff(spins)
+		Backoff(spins)
 	}
 	return s.val
 }
@@ -495,22 +486,6 @@ const (
 	parkSpins  = 128 // phase 4: park on a futex.Parker (phase 3 = yields)
 )
 
-// parking gates the final escalation phase. It exists for A/B measurement
-// (BenchmarkLaggingSlaveWait compares parked waits against the old
-// Gosched-forever tail) and stays on in production: a waiter that has
-// already burned 128 iterations is far behind, and yielding in a loop
-// costs a scheduler transition per iteration forever, where parking costs
-// two.
-var parking atomic.Bool
-
-func init() { parking.Store(true) }
-
-// SetParking enables or disables the parking phase of blocking waits and
-// returns the previous setting. With parking off, waits that pass the
-// pause phase fall back to scheduler yields (the pre-parking behavior).
-// It exists for benchmarks and tests; production code leaves parking on.
-func SetParking(on bool) bool { return parking.Swap(on) }
-
 // ParkDue reports whether a wait at the given spin count should stop
 // polling and park on the resource's futex.Parker. Poll loops shared with
 // Backoff use it as the escalation test:
@@ -533,7 +508,7 @@ func SetParking(on bool) bool { return parking.Swap(on) }
 // producer never parks, while one that is genuinely behind (a lagging
 // slave) stops costing CPU entirely instead of yield-storming.
 func ParkDue(spins int) bool {
-	return spins >= parkSpins && parking.Load()
+	return spins >= parkSpins
 }
 
 // pauseSink gives the pause loop a data dependency the compiler cannot
@@ -599,5 +574,3 @@ func Backoff(spins int) {
 		runtime.Gosched()
 	}
 }
-
-func backoff(spins int) { Backoff(spins) }

@@ -110,11 +110,5 @@ func TestEventedFleetServes(t *testing.T) {
 			t.Fatalf("post-attack request %d: %v", i, err)
 		}
 	}
-	s := f.Stats()
-	if s.Divergences == 0 {
-		t.Fatal("exploit did not burn a session")
-	}
-	if s.Recycled == 0 {
-		t.Fatal("burned session was not hot-replaced")
-	}
+	awaitBurnAndReplace(t, f)
 }

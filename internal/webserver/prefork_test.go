@@ -214,12 +214,28 @@ func TestPreforkFleetServes(t *testing.T) {
 			t.Fatalf("post-attack request %d: %v", i, err)
 		}
 	}
-	st := f.Stats()
-	if st.Divergences == 0 {
-		t.Fatal("exploit did not burn a session")
-	}
-	if st.Recycled == 0 {
-		t.Fatal("burned session was not hot-replaced")
+	awaitBurnAndReplace(t, f)
+}
+
+// awaitBurnAndReplace waits until the fleet has quarantined a diverged
+// member and hot-replaced it. Both happen on the fleet's own goroutines,
+// not on the Do that tripped them, so reading Stats once right after the
+// last request races them.
+func awaitBurnAndReplace(t *testing.T, f *fleet.Fleet) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st := f.Stats()
+		if st.Divergences > 0 && st.Recycled > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			if st.Divergences == 0 {
+				t.Fatal("exploit did not burn a session")
+			}
+			t.Fatal("burned session was not hot-replaced")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -53,13 +53,6 @@ type Config struct {
 	// every variant's event loop takes the same branches — and a variant
 	// polling a different fd set is divergence.
 	Evented bool
-	// NoBatchWakeups disables the evented mode's poll-wakeup batching:
-	// each ready connection's recv is then replicated as its own record,
-	// one cross-core handoff apiece, the way every call was delivered
-	// before batching existed. The zero value — batching ON — is the
-	// intended configuration; the switch is the A-B lever for
-	// scripts/bench.sh and the batching equivalence tests.
-	NoBatchWakeups bool
 	// Prefork selects the multi-PROCESS serving mode (nginx/Apache
 	// prefork): the parent binds the listener, forks Workers child
 	// processes that inherit (and accept on) the shared listening
@@ -459,9 +452,9 @@ type connState struct {
 // the master's poll parks on the kernel's poll wait set (allocation-free)
 // until traffic arrives, its revents array is replicated to the slaves,
 // and every variant's loop takes identical branches because the accept
-// results (and therefore the polled fd sets) are replicated too. With
-// batching on (the default), all of a wakeup's ready recvs travel as one
-// replicated multi-record — one ring reservation and one cross-core
+// results (and therefore the polled fd sets) are replicated too. When a
+// wakeup finds more than one connection ready, all of its recvs travel as
+// one replicated multi-record — one ring reservation and one cross-core
 // handoff per WAKEUP instead of per connection.
 func runEventedServer(t *core.Thread, cfg Config) {
 	srv := newPageSrv(t, cfg)
@@ -482,7 +475,6 @@ func runEventedServer(t *core.Thread, cfg Config) {
 	var calls []kernel.Call
 	var rets []kernel.Ret
 	probeBuf := make([]byte, kernel.PollFDSize)
-	batch := !cfg.NoBatchWakeups
 
 	takeBuf := func() []byte {
 		if n := len(spare); n > 0 {
@@ -531,7 +523,7 @@ serve:
 				ready = append(ready, i)
 			}
 		}
-		if batch && len(ready) > 1 {
+		if len(ready) > 1 {
 			if cap(calls) < len(ready) {
 				calls = make([]kernel.Call, len(ready))
 				rets = make([]kernel.Ret, len(ready))
