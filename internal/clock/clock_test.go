@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestLamportZeroValue(t *testing.T) {
@@ -287,5 +288,21 @@ func TestVectorJoinProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Layout guard: every master thread fetch-adds Tickets.n on every ordered
+// call, and the dispenser is embedded in the monitor between other fields
+// (the serving clocks' slice header among them). Fields are 8-byte aligned,
+// so a 64-byte line containing n lies within [n-56, n+64) wherever the
+// enclosing struct was allocated; the padding must cover all of it.
+func TestTicketsLayoutIsolatesCounter(t *testing.T) {
+	var tk Tickets
+	off := unsafe.Offsetof(tk.n)
+	if off < 56 {
+		t.Errorf("n at offset %d: a preceding field can share its line, want >= 56 bytes of padding", off)
+	}
+	if tail := unsafe.Sizeof(tk) - off; tail < 64 {
+		t.Errorf("%d bytes from n to the end of Tickets: a following field can share its line, want >= 64", tail)
 	}
 }

@@ -86,6 +86,43 @@ func TestForkPidsAreDeterministic(t *testing.T) {
 	}
 }
 
+// awaitParkedReaders holds the calling guest thread until a thread is asleep
+// in a blocking read on each of the given pipe descriptors — the condition
+// "the child is parked in its read", waited on rather than slept for (the
+// kernel/poll_test.go pattern). Only the master's reads reach the kernel, so
+// every variant's copy of the thread polls the master's pipes (the forking
+// parent still holds the descriptors), between unmonitored sched_yields: the
+// variants may spin different numbers of times without diverging. A waiter is
+// counted under its pipe's lock, so a kill issued afterwards finds it parked
+// (or about to park, still holding the lock the kick needs), never at an
+// earlier syscall boundary.
+func awaitParkedReaders(th *Thread, rfds ...uint64) {
+	master := th.sess.vars[0].proc
+	for _, fd := range rfds {
+		for master.PipeWaiters(int(fd)) == 0 {
+			th.Yield()
+		}
+	}
+}
+
+// awaitAnyFile holds the calling guest thread until one of paths exists in
+// the session's file system: "the interrupted read has returned", waited on
+// the same way. The tests below need it between the kill and the write that
+// feeds the parked read — a woken reader re-checks for data before it
+// re-checks for signals (a read with data completes normally, as on Linux),
+// so bytes written before the reader has unwound would turn its EINTR into a
+// plain successful read.
+func awaitAnyFile(th *Thread, paths ...string) {
+	for {
+		for _, p := range paths {
+			if _, ok := th.sess.kern.ReadFile(p); ok {
+				return
+			}
+		}
+		th.Yield()
+	}
+}
+
 func TestKillDuringBlockingReadEINTRsIdentically(t *testing.T) {
 	// The acceptance-criteria regression: a signal delivered while a child
 	// is parked in a blocking pipe read must EINTR the read, run the
@@ -119,13 +156,15 @@ func TestKillDuringBlockingReadEINTRsIdentically(t *testing.T) {
 			}
 			c.Exit(0)
 		})
-		// The child cannot pass its read before this kill lands (the pipe
-		// stays empty until the write below), so the EINTR is guaranteed —
-		// deterministically, not probabilistically.
-		th.Syscall(kernel.SysNanosleep, [6]uint64{uint64(2e6)}, nil)
+		// The child is parked in its read when this kill lands and cannot
+		// pass it before (the pipe stays empty until the handler has run),
+		// so the EINTR is guaranteed — deterministically, not
+		// probabilistically.
+		awaitParkedReaders(th, rfd)
 		if errno := th.Kill(child.Pid, kernel.SIGUSR1); errno != kernel.OK {
 			t.Errorf("kill: %v", errno)
 		}
+		awaitAnyFile(th, "/handled")
 		th.Syscall(kernel.SysWrite, [6]uint64{wfd}, []byte("go"))
 		var status int
 		for {
@@ -166,8 +205,9 @@ func TestKillDuringBlockingReadHandlerRan(t *testing.T) {
 				break
 			}
 		})
-		th.Syscall(kernel.SysNanosleep, [6]uint64{uint64(2e6)}, nil)
+		awaitParkedReaders(th, rfd)
 		th.Kill(child.Pid, kernel.SIGUSR1)
+		awaitAnyFile(th, "/handled")
 		th.Syscall(kernel.SysWrite, [6]uint64{wfd}, []byte("go"))
 		for {
 			if _, _, errno := th.Wait(); errno != kernel.EINTR {
@@ -702,10 +742,12 @@ func TestSignalIntoMultithreadedProcEINTRsOneThreadIdentically(t *testing.T) {
 			}
 			c.Exit(0)
 		})
-		// All four threads are committed to their reads before the pipes
-		// hold any bytes, so the signal can only land as an EINTR.
-		th.Syscall(kernel.SysNanosleep, [6]uint64{uint64(2e6)}, nil)
+		// All four threads are parked in their reads before the signal is
+		// sent, and the pipes hold no bytes until an interrupted thread has
+		// left its marker, so the signal can only land as an EINTR.
+		awaitParkedReaders(th, rfd[:]...)
 		th.Kill(child.Pid, kernel.SIGUSR1)
+		awaitAnyFile(th, "/eintr-1", "/eintr-2", "/eintr-3", "/eintr-4")
 		for i := range wfd {
 			th.Syscall(kernel.SysWrite, [6]uint64{wfd[i]}, []byte("go"))
 		}

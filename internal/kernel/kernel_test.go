@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -168,6 +169,34 @@ func TestPipeBlockingAndEOF(t *testing.T) {
 	rd := k.Do(p, Call{Nr: SysRead, Args: [6]uint64{rfd, 16}})
 	if !rd.Ok() || rd.Val != 0 {
 		t.Fatalf("read after writer close: %+v", rd)
+	}
+}
+
+func TestPipeWaitersCountsParkedReaders(t *testing.T) {
+	k := New()
+	p := newTestProc(k)
+	r := k.Do(p, Call{Nr: SysPipe2})
+	rfd, wfd := int(r.Val), int(r.Val2)
+	if n := p.PipeWaiters(rfd); n != 0 {
+		t.Fatalf("idle pipe has %d waiters", n)
+	}
+	done := make(chan struct{})
+	go func() {
+		k.Do(p, Call{Nr: SysRead, Args: [6]uint64{uint64(rfd), 16}})
+		close(done)
+	}()
+	// Either end names the pipe; the count rises once the reader sleeps.
+	for p.PipeWaiters(wfd) == 0 {
+		runtime.Gosched()
+	}
+	k.Do(p, Call{Nr: SysWrite, Args: [6]uint64{uint64(wfd)}, Data: []byte("go")})
+	<-done
+	if n := p.PipeWaiters(rfd); n != 0 {
+		t.Fatalf("%d waiters after the read returned", n)
+	}
+	fd := int(k.Do(p, Call{Nr: SysOpen, Args: [6]uint64{OCreat | OWronly}, Data: []byte("/f")}).Val)
+	if n := p.PipeWaiters(fd) + p.PipeWaiters(999); n != 0 {
+		t.Fatalf("non-pipe descriptors report %d waiters", n)
 	}
 }
 

@@ -221,6 +221,34 @@ func (p *pipe) waitLocked() {
 	p.waiting--
 }
 
+// PipeWaiters reports how many threads are asleep right now on the pipe
+// behind descriptor fd (either end), 0 when fd is not a live pipe end. It
+// reads the recycling count under the pipe's lock and changes nothing; tests
+// wait on it where the next step needs "that thread is parked in its read"
+// to hold. A thread counted here sleeps on, or still holds, the lock a kick
+// or a write must take, so whatever is issued afterwards finds it parked.
+func (p *Proc) PipeWaiters(fd int) int {
+	ref, errno := p.lookupFD(fd)
+	if errno != OK {
+		return 0
+	}
+	var pi *pipe
+	switch end := ref.obj.(type) {
+	case *readEnd:
+		pi = end.p
+	case *writeEnd:
+		pi = end.p
+	default:
+		return 0
+	}
+	pi.mu.Lock()
+	defer pi.mu.Unlock()
+	if !pi.checkGenLocked(ref.objGen) {
+		return 0
+	}
+	return pi.waiting
+}
+
 // wakeLocked is the only way pipe code broadcasts: it bumps the wake
 // sequence first, so a deadlock-detector cell registered before this wake
 // is provably stale. Both happen under p.mu — registration also samples

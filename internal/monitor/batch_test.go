@@ -68,7 +68,7 @@ func TestWritevSegmentBoundaryDivergence(t *testing.T) {
 
 func TestSendfileOffsetDivergenceInBatch(t *testing.T) {
 	// The offset mismatch is detected on the BATCHED consumption path too:
-	// the slave's run-ahead peek compares each record positionally, so a
+	// the slave compares each record positionally, in its ring slot, so a
 	// divergent second call kills the session even though the master
 	// published the whole batch in one ring operation.
 	m, _ := newTestMonitor(t, 2)

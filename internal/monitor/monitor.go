@@ -32,7 +32,21 @@ const InlinePayload = 64
 // fixed array inside the ring slot itself; larger payloads live in spill
 // (a per-thread arena slot on the hot path, a fresh allocation otherwise).
 // Keeping the triple in one embedded type keeps the storage invariant in
-// one place for both directions of the replication protocol.
+// one place for both directions of the replication protocol: n says where
+// the bytes are, and spill means something only when n > InlinePayload. A box
+// is overwritten in place, slot after slot, and an inline payload neither
+// reads nor clears what the previous occupant left: a payload-free call
+// touches n and nothing after it (reading n first to decide whether to clear
+// spill cost syscall_mix +11%). So the inline bytes beyond n and, when
+// n <= InlinePayload, spill are the previous occupants' and are never read;
+// every copy of a box inherits them, and two boxes holding equal payloads
+// need not be bytewise or DeepEqual equal — compare Payload(), as GobEncode
+// does. The box goes LAST in Record and digest so that everything a small
+// call writes and its counterpart reads is one contiguous run from the slot's
+// publication word to n (140 bytes of a record, 76 of a digest: three cache
+// lines and two, at seven slot alignments in eight), where the 64-byte array
+// in the middle used to push the fields behind it onto one more line that
+// both sides moved per call.
 type payloadBox struct {
 	n      int32
 	inline [InlinePayload]byte
@@ -44,7 +58,7 @@ type payloadBox struct {
 // slave: until it advances past the record) — large payloads may live in a
 // recycled arena.
 func (b *payloadBox) Payload() []byte {
-	if b.spill != nil {
+	if b.n > InlinePayload {
 		return b.spill
 	}
 	return b.inline[:b.n]
@@ -54,15 +68,13 @@ func (b *payloadBox) Payload() []byte {
 // otherwise. The hot path does not use this (it places large payloads in
 // per-thread arenas; see store) — SetPayload is for trace construction and
 // tests.
-func (b *payloadBox) SetPayload(p []byte) {
-	b.spill = nil
-	b.store(p, nil, 0, 0)
-}
+func (b *payloadBox) SetPayload(p []byte) { b.store(p, nil, 0, 0) }
 
 // store stores the payload of ring entry seq (of a ring with capacity rcap)
-// into a box whose spill is nil: inline if it fits, through the arena slot
-// for seq otherwise. Callers must have reserved seq first — that is what
-// makes the arena slot reusable (see spillArena).
+// over whatever the box held: inline if it fits — only the len(p) bytes are
+// written (see payloadBox) — through the arena slot for seq otherwise.
+// Callers must have reserved seq first — that is what makes the arena slot
+// reusable (see spillArena).
 func (b *payloadBox) store(p []byte, arena *spillArena, rcap int, seq uint64) {
 	b.n = int32(len(p))
 	if len(p) <= InlinePayload {
@@ -76,17 +88,19 @@ func (b *payloadBox) store(p []byte, arena *spillArena, rcap int, seq uint64) {
 // of one monitored system call, against which slaves validate their own.
 // The input payload travels in the embedded payloadBox; use Payload and
 // SetPayload. Records gob-encode compactly (see GobEncode): only the
-// payload bytes cross the wire, not the fixed inline array.
+// payload bytes cross the wire, not the fixed inline array — so the field
+// order below is memory layout only (see payloadBox for why the box is
+// last), not wire format.
 type Record struct {
 	Nr   kernel.Sysno
 	Args [6]uint64
 	Ret  kernel.Ret
 	Ts   uint64 // syscall-ordering-clock stamp, valid if Ordered
 
-	payloadBox
-
 	Ordered bool
 	Exit    bool // thread-exit marker, not a syscall
+
+	payloadBox
 }
 
 // Divergence describes why the monitor shut the variants down.
@@ -136,23 +150,33 @@ func (c *Config) fill() {
 	}
 }
 
-// slaveBatch is how many master records a slave thread consumes from its
-// ring in one peek: one cursor release per batch instead of one per record.
-// Under the relaxed (run-ahead) policy the master is typically several
-// records ahead, so real batches form; under strict lockstep batches
-// degenerate to length 1 without costing anything extra.
+// slaveBatch is how many master records a slave thread reads from its ring
+// between cursor releases: one cross-core cursor write per batch instead of
+// one per record. Under the relaxed (run-ahead) policy the master is
+// typically several records ahead, so real batches form; under strict
+// lockstep the slave waits for every record and releases before each wait,
+// which costs nothing extra. A power of two (advance masks with it).
 const slaveBatch = 8
 
-// slaveCons is one (consumer group, thread) pair's consumption state over
-// its per-thread syscall ring: a prefetched batch of records plus the next
-// ring sequence to peek. The ring cursor deliberately lags `next` while a
-// batch is in flight — slots (and their arena payloads) may only be
-// recycled once the slave is completely done with them, so the cursor is
-// released in a single AdvanceTo when the next batch is fetched.
+// slaveCons is one (consumer group, thread) pair's read position over its
+// per-thread syscall ring. The slave reads each record where it lies, in the
+// ring slot, so the ring cursor deliberately lags `next`: a slot (and the
+// arena payloads its record references) may be recycled only once the slave
+// is completely done with it, and the cursor is released in one AdvanceTo
+// every slaveBatch records and always before the slave waits (see
+// nextRecord, advance). Padded to a line: different guest threads of one
+// slave bump adjacent elements on every call.
 type slaveCons struct {
-	next  uint64 // next ring sequence to peek
-	i, n  int    // batch[i:n] are fetched but unprocessed
-	batch [slaveBatch]Record
+	next uint64 // next ring sequence to read
+	_    [56]byte
+}
+
+// orderClock is one variant's copy of the syscall ordering clock, alone on
+// its line: the master's and a slave's passTurn tick different clocks on
+// every ordered call, and as separate 8-byte allocations those shared one.
+type orderClock struct {
+	clock.Lamport
+	_ [56]byte
 }
 
 // counter is a cache-line-isolated event counter: the per-variant syscall
@@ -241,7 +265,7 @@ type Monitor struct {
 	procs []*kernel.Proc
 
 	// clocks[v] is variant v's private copy of the syscall ordering clock.
-	clocks []*clock.Lamport
+	clocks []orderClock
 	// clockParks[v] parks threads waiting for clocks[v] to reach their
 	// ticket (the §4.1 ordered-section waits) once spinning stops paying
 	// off; every Tick of clocks[v] wakes it — one atomic load when nobody
@@ -251,8 +275,8 @@ type Monitor struct {
 	// comment); clocks[0] is the corresponding "now serving" word.
 	tickets clock.Tickets
 	// rings[tid] carries master records to the slaves; group g serves
-	// slave variant g+1. scons[g][tid] is that slave thread's batched
-	// consumption state. Rings are created lazily on first use (see
+	// slave variant g+1. scons[g][tid] is that slave thread's read
+	// position. Rings are created lazily on first use (see
 	// Monitor.ring): a session sized for MaxThreads=64 typically runs a
 	// dozen threads, and eagerly allocating 64 record rings dominates both
 	// session construction (zeroing megabytes of slots) and steady-state
@@ -265,11 +289,10 @@ type Monitor struct {
 	// inboxes[g][tid] carries slave g+1's call digests to the master for
 	// lockstep calls: the master waits for (and validates) every slave's
 	// equivalent call BEFORE executing, so no variant proceeds past a
-	// lockstepped call until all variants have made it (§2). inboxPos
-	// tracks the master's read position per (g, tid). Lazily created like
-	// rings (see Monitor.inbox).
-	inboxes  [][]atomic.Pointer[ring.Log[digest]]
-	inboxPos [][]uint64
+	// lockstepped call until all variants have made it (§2). The master's
+	// read position is the inbox's one cursor. Lazily created like rings
+	// (see Monitor.inbox).
+	inboxes [][]atomic.Pointer[ring.Log[digest]]
 
 	// arenas[tid] recycles the master's oversized record payloads; nil when
 	// recycling would be unsound (capture retains records; replay has no
@@ -284,11 +307,12 @@ type Monitor struct {
 	// slot-lifetime storage before publication. Same recycling soundness
 	// condition (and nil-means-fresh-allocation fallback) as arenas.
 	outArenas []spillArena
-	// brecs[tid] is the master's record scratch for batched invocations
-	// (InvokeBatchOn): records are built across the whole batch before
-	// publication, so they cannot live on the stack of a per-call helper.
-	// Only thread tid's master goroutine touches its slot.
-	brecs [][]Record
+	// btickets[tid] is the master's scratch for batched invocations
+	// (InvokeBatchOn): a batch's records are placed only after all of it
+	// has executed, so each call's ordering ticket waits here (its result
+	// waits in the caller's rets). Only thread tid's master goroutine
+	// touches its slot.
+	btickets [][]uint64
 
 	// publish is true when master records have at least one consumer
 	// (live slaves or the capture tape).
@@ -324,7 +348,6 @@ func New(kern *kernel.Kernel, procs []*kernel.Proc, cfg Config) *Monitor {
 		cfg:      cfg,
 		kern:     kern,
 		procs:    procs,
-		clocks:   make([]*clock.Lamport, len(procs)),
 		rings:    make([]atomic.Pointer[ring.Log[Record]], cfg.MaxThreads),
 		syscalls: make([]counter, len(procs)),
 		unmon:    make([]counter, len(procs)),
@@ -333,11 +356,9 @@ func New(kern *kernel.Kernel, procs []*kernel.Proc, cfg Config) *Monitor {
 	m.publish = cfg.Variants > 1 || cfg.Capture
 	// Clocks: one per variant; replay additionally needs the "slave"
 	// clock at index 1.
+	m.clocks = make([]orderClock, len(procs))
 	if m.replay && len(m.clocks) < 2 {
-		m.clocks = make([]*clock.Lamport, 2)
-	}
-	for v := range m.clocks {
-		m.clocks[v] = &clock.Lamport{}
+		m.clocks = make([]orderClock, 2)
 	}
 	m.clockParks = make([]futex.Parker, len(m.clocks))
 	if cfg.Telemetry {
@@ -383,7 +404,7 @@ func New(kern *kernel.Kernel, procs []*kernel.Proc, cfg Config) *Monitor {
 		m.arenas = make([]spillArena, cfg.MaxThreads)
 		m.outArenas = make([]spillArena, cfg.MaxThreads)
 	}
-	m.brecs = make([][]Record, cfg.MaxThreads)
+	m.btickets = make([][]uint64, cfg.MaxThreads)
 	if m.replay {
 		m.prefillReplay(cfg.Replay)
 	}
@@ -391,11 +412,9 @@ func New(kern *kernel.Kernel, procs []*kernel.Proc, cfg Config) *Monitor {
 		m.capture = m.startCapture()
 	}
 	m.inboxes = make([][]atomic.Pointer[ring.Log[digest]], len(procs)-1)
-	m.inboxPos = make([][]uint64, len(procs)-1)
 	m.darenas = make([][]spillArena, len(procs)-1)
 	for g := range m.inboxes {
 		m.inboxes[g] = make([]atomic.Pointer[ring.Log[digest]], cfg.MaxThreads)
-		m.inboxPos[g] = make([]uint64, cfg.MaxThreads)
 		m.darenas[g] = make([]spillArena, cfg.MaxThreads)
 	}
 	return m
@@ -445,8 +464,8 @@ func (m *Monitor) inbox(g, tid int) *ring.Log[digest] {
 type digest struct {
 	Nr   kernel.Sysno
 	Args [6]uint64
-	payloadBox
 	Exit bool
+	payloadBox
 }
 
 // lockstepped reports whether calls of this class require the full
@@ -604,17 +623,17 @@ func (m *Monitor) InvokeOn(v, tid int, proc *kernel.Proc, call kernel.Call) kern
 		// — both ends of the replication path, at sampling cost.
 		if c := tel.Matrix.Inc(v, tid, call.Nr); telemetry.SampleDue(c) {
 			t0 := time.Now()
-			ret := m.dispatch(v, tid, proc, call, cls)
+			ret := m.dispatch(v, tid, proc, &call, cls)
 			tel.Matrix.Observe(v, call.Nr, time.Since(t0))
 			return ret
 		}
 	}
-	return m.dispatch(v, tid, proc, call, cls)
+	return m.dispatch(v, tid, proc, &call, cls)
 }
 
 // dispatch routes a monitored call to the master execute or slave replay
 // path.
-func (m *Monitor) dispatch(v, tid int, proc *kernel.Proc, call kernel.Call, cls class) kernel.Ret {
+func (m *Monitor) dispatch(v, tid int, proc *kernel.Proc, call *kernel.Call, cls class) kernel.Ret {
 	if m.replay && v == 0 {
 		// The replayed variant consumes the trace like an online slave.
 		return m.slaveCall(1, tid, proc, call, cls)
@@ -628,11 +647,11 @@ func (m *Monitor) dispatch(v, tid int, proc *kernel.Proc, call kernel.Call, cls 
 // flightAppend records one replicated call of variant v into its flight
 // ring: sysno, a digest of the compared args+payload, the ordering ticket,
 // and the delivered signal. Allocation-free (see telemetry.Flight).
-func (m *Monitor) flightAppend(v, tid int, rec *Record, payload []byte) {
+func (m *Monitor) flightAppend(v, tid int, nr kernel.Sysno, args *[6]uint64, payload []byte, ts uint64, sig uint32) {
 	if m.tel == nil {
 		return
 	}
-	m.tel.Flights[v].Append(rec.Nr, tid, telemetry.Digest(&rec.Args, payload), rec.Ts, rec.Ret.Sig)
+	m.tel.Flights[v].Append(nr, tid, telemetry.Digest(args, payload), ts, sig)
 }
 
 // ThreadExit publishes (master) or validates (slave) a thread-exit marker,
@@ -655,12 +674,12 @@ func (m *Monitor) ThreadExit(v, tid int) {
 	}
 	if v == 0 {
 		if m.publish {
-			m.awaitDigests(tid, kernel.Call{}, class{}, true)
+			m.awaitDigests(tid, &kernel.Call{}, class{}, true)
 			m.ring(tid).Append(Record{Exit: true})
 		}
 		return
 	}
-	m.submitDigest(v, tid, kernel.Call{}, true)
+	m.submitDigest(v, tid, &kernel.Call{}, true)
 	rec := m.nextRecord(v, tid)
 	if !rec.Exit {
 		m.Kill(&Divergence{Variant: v, Tid: tid,
@@ -672,17 +691,20 @@ func (m *Monitor) ThreadExit(v, tid int) {
 }
 
 // submitDigest publishes slave v's account of its next call (or thread
-// exit) to the master's inbox for thread tid. Small payloads travel inline
-// in the ring slot; large ones go through the slave's digest arena, whose
-// slots recycle in lockstep with the inbox ring's (ReserveN blocks until
-// the old occupant was consumed), so steady-state digests are
-// allocation-free at any payload size.
-func (m *Monitor) submitDigest(v, tid int, call kernel.Call, exit bool) {
+// exit) to the master's inbox for thread tid, written field by field into
+// the reserved inbox slot. Small payloads travel inline in the slot; large
+// ones go through the slave's digest arena, whose slots recycle in lockstep
+// with the inbox ring's (ReserveN blocks until the old occupant was
+// consumed), so steady-state digests are allocation-free at any payload
+// size.
+func (m *Monitor) submitDigest(v, tid int, call *kernel.Call, exit bool) {
 	ib := m.inbox(v-1, tid)
-	d := digest{Nr: call.Nr, Args: call.Args, Exit: exit}
 	seq := ib.ReserveN(1)
+	d := ib.Slot(seq)
+	d.Exit = exit
 	d.store(call.Data, &m.darenas[v-1][tid], ib.Cap(), seq)
-	ib.Publish(seq, d)
+	d.Nr, d.Args = call.Nr, call.Args // last: they share the polled line (see place)
+	ib.Commit(seq)
 }
 
 // awaitDigests blocks until every slave has submitted its digest for the
@@ -690,18 +712,18 @@ func (m *Monitor) submitDigest(v, tid int, call kernel.Call, exit bool) {
 // session on mismatch. This is the lockstep barrier: the master does not
 // execute until every variant has arrived with an equivalent call.
 //
-// Validation happens BEFORE the inbox cursor advances: a digest's spilled
-// payload lives in the slave's arena, which may recycle the slot as soon as
-// the cursor passes it.
-func (m *Monitor) awaitDigests(tid int, call kernel.Call, cls class, exit bool) {
+// The digest is validated where it lies, in the inbox slot, BEFORE the inbox
+// cursor advances: once the cursor passes it the slave may overwrite the
+// slot, and the arena slot a spilled payload lives in, with its next digest.
+func (m *Monitor) awaitDigests(tid int, call *kernel.Call, cls class, exit bool) {
 	for g := 0; g < m.cfg.Variants-1; g++ {
-		pos := m.inboxPos[g][tid]
 		ib := m.inbox(g, tid)
-		// Poll the publication word only (Ready), not TryGet: a TryGet
-		// miss constructs a zero digest, and this loop spins once per
-		// lockstepped call. Past the spin/pause/yield phases the master
-		// parks on the inbox's wait set; the slave's submitDigest append
-		// wakes it.
+		// The master is the inbox's only consumer, so its read position is
+		// the inbox cursor: a word on a line only this thread writes.
+		pos := ib.Cursor(0)
+		// Poll the publication word only. Past the spin/pause/yield phases
+		// the master parks on the inbox's wait set; the slave's
+		// submitDigest commit wakes it.
 		for spins := 0; !ib.Ready(pos); spins++ {
 			m.checkKilled()
 			if ring.ParkDue(spins) {
@@ -716,24 +738,22 @@ func (m *Monitor) awaitDigests(tid int, call kernel.Call, cls class, exit bool) 
 			}
 			relax(spins)
 		}
-		d, _ := ib.TryGet(pos)
-		if dv := m.validateDigest(g+1, tid, call, cls, exit, &d); dv != nil {
+		if dv := m.validateDigest(g+1, tid, call, cls, exit, ib.Slot(pos)); dv != nil {
 			m.Kill(dv)
 			panic(ErrKilled)
 		}
 		ib.Advance(0, pos)
-		m.inboxPos[g][tid]++
 	}
 }
 
 // validateDigest compares a slave's submitted call against the master's.
-func (m *Monitor) validateDigest(v, tid int, call kernel.Call, cls class, exit bool, d *digest) *Divergence {
+func (m *Monitor) validateDigest(v, tid int, call *kernel.Call, cls class, exit bool, d *digest) *Divergence {
 	fail := func(reason string) *Divergence {
 		slave := renderCall(kernel.Call{Nr: d.Nr, Args: d.Args, Data: d.Payload()})
 		if d.Exit {
 			slave = "thread exit"
 		}
-		master := renderCall(call)
+		master := renderCall(*call)
 		if exit {
 			master = "thread exit"
 		}
@@ -795,40 +815,51 @@ func (m *Monitor) passTurn(v int) {
 
 // enter is the master's protocol up to the point of execution, for one call
 // of thread tid: the lockstep rendezvous (no variant proceeds until all have
-// arrived with an equivalent call), the record's identity, and — for an
-// ordered call — the §4.1 ticket (see the Monitor type comment): take the
-// next position in the total order and wait for the turn. On return the
-// caller is inside the ordered section and must passTurn(0) once the call
-// has executed. Blocking calls take no ticket: the kernel may never return
-// (§4.1 Limitations), so they are executed by the master only and
-// replicated positionally.
-func (m *Monitor) enter(tid int, call *kernel.Call, cls class, rec *Record) {
+// arrived with an equivalent call) and — for an ordered call — the §4.1
+// ticket (see the Monitor type comment): take the next position in the total
+// order, wait for the turn, and return the ticket, which becomes the record's
+// stamp. On return from an ordered call the caller is inside the ordered
+// section and must passTurn(0) once the call has executed. Blocking calls
+// take no ticket: the kernel may never return (§4.1 Limitations), so they are
+// executed by the master only and replicated positionally.
+func (m *Monitor) enter(tid int, call *kernel.Call, cls class) (ts uint64) {
 	if m.cfg.Variants > 1 && m.lockstepped(cls) {
-		m.awaitDigests(tid, *call, cls, false)
+		m.awaitDigests(tid, call, cls, false)
 	}
-	*rec = Record{Nr: call.Nr, Args: call.Args, Ordered: cls.ordered}
 	if cls.ordered {
-		rec.Ts = m.tickets.Take()
-		m.awaitTurn(0, rec.Ts)
+		ts = m.tickets.Take()
+		m.awaitTurn(0, ts)
 	}
+	return ts
 }
 
-// place completes the append of rec at sequence seq of thread tid's ring r,
-// which the caller reserved (ReserveN): that reservation is what makes the
-// arena slots for seq reusable. The call's input payload is copied into the
-// record — inline in the ring slot when it fits, through the per-thread
-// arena otherwise; copying, rather than aliasing the caller's buffer, is
-// what makes the record immutable the moment it is published. A result that
-// aliases the caller's reusable destination buffer (Call.Buf) is repointed
-// at a copy in the output arena slot for seq, or the master guest's next
-// receive would overwrite bytes the slaves haven't consumed yet. Without
-// arenas (see arenaAt) both copies are fresh allocations.
-func (m *Monitor) place(tid int, r *ring.Log[Record], seq uint64, rec *Record, call *kernel.Call) {
+// place writes the master's record of call — its stamp ts (if ordered) and
+// result ret — into slot seq of thread tid's ring r and commits it. The
+// caller reserved seq (ReserveN): every slave is done with the slot's
+// previous occupant, so the record is built where the slaves will read it,
+// every field assigned (nothing of the old occupant survives but unread
+// inline bytes), and the arena slots for seq are reusable. The call's input
+// payload is copied into the record — inline in the ring slot when it fits,
+// through the per-thread arena otherwise; copying, rather than aliasing the
+// caller's buffer, is what makes the record immutable the moment it is
+// committed. A result that aliases the caller's reusable destination buffer
+// (Call.Buf) is repointed at a copy in the output arena slot for seq, or the
+// master guest's next receive would overwrite bytes the slaves haven't
+// consumed yet — only the record's copy of ret is repointed; the master's
+// own caller keeps the alias into its Buf. Without arenas (see arenaAt) both
+// copies are fresh allocations.
+func (m *Monitor) place(tid int, r *ring.Log[Record], seq uint64, call *kernel.Call, ordered bool, ts uint64, ret *kernel.Ret) {
+	rec := r.Slot(seq)
+	rec.Ret, rec.Ts = *ret, ts
+	rec.Ordered, rec.Exit = ordered, false
 	rec.store(call.Data, arenaAt(m.arenas, tid), r.Cap(), seq)
-	if call.Buf != nil && len(rec.Ret.Data) > 0 {
-		rec.Ret.Data = arenaAt(m.outArenas, tid).put(r.Cap(), seq, rec.Ret.Data)
+	if call.Buf != nil && len(ret.Data) > 0 {
+		rec.Ret.Data = arenaAt(m.outArenas, tid).put(r.Cap(), seq, ret.Data)
 	}
-	r.Publish(seq, *rec)
+	// Nr and Args share the line the slave polls (the slot's publication
+	// word): written last, they and the commit are one burst on it.
+	rec.Nr, rec.Args = call.Nr, call.Args
+	r.Commit(seq)
 }
 
 // masterCall executes a monitored call in the master variant and publishes
@@ -841,28 +872,23 @@ func (m *Monitor) place(tid int, r *ring.Log[Record], seq uint64, rec *Record, c
 // own pending sets (DESIGN.md §2.5). Publication happens after the turn is
 // passed because records travel through per-thread rings, where
 // cross-thread order is immaterial.
-func (m *Monitor) masterCall(tid int, proc *kernel.Proc, call kernel.Call, cls class) kernel.Ret {
-	var rec Record
-	m.enter(tid, &call, cls, &rec)
-	rec.Ret = m.execute(proc, call)
+func (m *Monitor) masterCall(tid int, proc *kernel.Proc, call *kernel.Call, cls class) kernel.Ret {
+	ts := m.enter(tid, call, cls)
+	ret := m.execute(proc, call)
 	if call.Nr != kernel.SysExit && call.Nr != kernel.SysThreadExit {
 		// No delivery at the exit boundaries: the thread is gone and
 		// Linux discards its pending signals. (Delivering here would
 		// also re-terminate a process already inside its exit path.)
-		rec.Ret.Sig = proc.BoundarySig()
+		ret.Sig = proc.BoundarySig()
 	}
 	if cls.ordered {
 		m.passTurn(0)
 	}
-	// Capture the master's return BEFORE publication: place may repoint the
-	// published record's Ret.Data at an arena copy, while the master's own
-	// caller keeps the alias into its Call.Buf.
-	ret := rec.Ret
 	if m.publish {
 		r := m.ring(tid)
-		m.place(tid, r, r.ReserveN(1), &rec, &call)
+		m.place(tid, r, r.ReserveN(1), call, cls.ordered, ts, &ret)
 	}
-	m.flightAppend(0, tid, &rec, call.Data)
+	m.flightAppend(0, tid, call.Nr, &call.Args, call.Data, ts, ret.Sig)
 	return ret
 }
 
@@ -870,19 +896,20 @@ func (m *Monitor) masterCall(tid int, proc *kernel.Proc, call kernel.Call, cls c
 // validation when it is lockstepped — the master will not execute until
 // every slave has arrived — and then takes the slave step. (Replay has no
 // master to validate against; the trace is the authority.)
-func (m *Monitor) slaveCall(v, tid int, proc *kernel.Proc, call kernel.Call, cls class) kernel.Ret {
+func (m *Monitor) slaveCall(v, tid int, proc *kernel.Proc, call *kernel.Call, cls class) kernel.Ret {
 	if m.lockstepped(cls) && !m.replay {
 		m.submitDigest(v, tid, call, false)
 	}
-	return m.slaveStep(v, tid, proc, &call, cls)
+	return m.slaveStep(v, tid, proc, call, cls)
 }
 
 // slaveStep is the slave's protocol for one call of thread tid: validate it
-// against the master's record, wait for the ordering turn, and return the
-// replicated (or per-variant re-executed) result.
+// against the master's record — read where it lies, in the ring slot, which
+// stays this thread's until advance — wait for the ordering turn, and return
+// the replicated (or per-variant re-executed) result.
 func (m *Monitor) slaveStep(v, tid int, proc *kernel.Proc, call *kernel.Call, cls class) kernel.Ret {
 	rec := m.nextRecord(v, tid)
-	if d := m.compare(v, tid, *call, rec, cls); d != nil {
+	if d := m.compare(v, tid, call, rec, cls); d != nil {
 		m.Kill(d)
 		panic(ErrKilled)
 	}
@@ -893,12 +920,12 @@ func (m *Monitor) slaveStep(v, tid int, proc *kernel.Proc, call *kernel.Call, cl
 	}
 	ret := rec.Ret // replicated master (or traced) result
 	if cls.perVariant {
-		ret = m.execute(proc, *call)
+		ret = m.execute(proc, call)
 	} else if call.Buf != nil && len(ret.Data) > 0 {
 		// Copy a replicated output payload into the slave's own destination
-		// buffer (Call.Buf): the record's bytes may live in a recycled arena
-		// slot that is only valid until this thread advances past the record,
-		// and each variant must own its result the way the master owns its.
+		// buffer (Call.Buf): the record's bytes live in a recycled arena slot
+		// that is only valid until this thread advances past the record, and
+		// each variant must own its result the way the master owns its.
 		n := copy(call.Buf, ret.Data)
 		ret.Data = call.Buf[:n]
 	}
@@ -921,7 +948,7 @@ func (m *Monitor) slaveStep(v, tid int, proc *kernel.Proc, call *kernel.Call, cl
 	// The slave's own call compared equal to the record, so digesting the
 	// slave's args+payload yields the master's digest: matching tails
 	// digest identically across variants right up to the divergence point.
-	m.flightAppend(v, tid, rec, call.Data)
+	m.flightAppend(v, tid, rec.Nr, &rec.Args, call.Data, rec.Ts, rec.Ret.Sig)
 	m.advance(v, tid)
 	return ret
 }
@@ -931,7 +958,7 @@ func (m *Monitor) slaveStep(v, tid int, proc *kernel.Proc, call *kernel.Call, cl
 // them and publishes the records as one reserved run of its ring (one
 // reservation, one back-pressure wait — one cross-core handoff per batch
 // instead of one per call), and the slaves consume them through the same
-// batched peek the run-ahead protocol already uses. This is the poll-wakeup
+// in-place reads and lagging cursor every record gets. This is the poll-wakeup
 // amortization path: a poll that woke with K ready connections drains all K
 // receives as one batch.
 //
@@ -981,14 +1008,6 @@ func (m *Monitor) InvokeBatchOn(v, tid int, proc *kernel.Proc, calls []kernel.Ca
 	m.masterBatch(tid, proc, calls, rets)
 }
 
-// batchRecs returns thread tid's master-side record scratch, grown to n.
-func (m *Monitor) batchRecs(tid, n int) []Record {
-	if cap(m.brecs[tid]) < n {
-		m.brecs[tid] = make([]Record, n)
-	}
-	return m.brecs[tid][:n]
-}
-
 // batchChunk caps how many records one ring reservation of masterBatch
 // covers; larger batches are split (and further clamped to the ring's
 // capacity, which ReserveN must not exceed on a small test-sized ring).
@@ -1002,36 +1021,37 @@ const batchChunk = 64
 // end, where each chunk of records is placed into one reserved run of the
 // ring, front to back.
 func (m *Monitor) masterBatch(tid int, proc *kernel.Proc, calls []kernel.Call, rets []kernel.Ret) {
-	recs := m.batchRecs(tid, len(calls))
+	if cap(m.btickets[tid]) < len(calls) {
+		m.btickets[tid] = make([]uint64, len(calls))
+	}
+	tickets := m.btickets[tid][:len(calls)]
 	for i := range calls {
 		cls := classify(calls[i].Nr)
-		m.enter(tid, &calls[i], cls, &recs[i])
-		recs[i].Ret = m.execute(proc, calls[i])
+		tickets[i] = m.enter(tid, &calls[i], cls)
+		rets[i] = m.execute(proc, &calls[i])
 		if cls.ordered {
 			m.passTurn(0)
 		}
-		rets[i] = recs[i].Ret
 	}
 	// One delivery point per batch (see InvokeBatchOn): stamp the batch's
 	// boundary signal on the LAST record. Exit syscalls are per-variant and
 	// therefore never batched, so no exit-boundary exception applies here.
 	if sig := proc.BoundarySig(); sig != 0 {
-		recs[len(recs)-1].Ret.Sig = sig
 		rets[len(rets)-1].Sig = sig
 	}
 	if m.publish {
 		r := m.ring(tid)
-		for done := 0; done < len(recs); {
-			n := min(len(recs)-done, batchChunk, r.Cap())
+		for done := 0; done < len(calls); {
+			n := min(len(calls)-done, batchChunk, r.Cap())
 			first := r.ReserveN(n)
-			for i := 0; i < n; i++ {
-				m.place(tid, r, first+uint64(i), &recs[done+i], &calls[done+i])
+			for i := done; i < done+n; i++ {
+				m.place(tid, r, first+uint64(i-done), &calls[i], classify(calls[i].Nr).ordered, tickets[i], &rets[i])
 			}
 			done += n
 		}
 	}
-	for i := range recs {
-		m.flightAppend(0, tid, &recs[i], calls[i].Data)
+	for i := range calls {
+		m.flightAppend(0, tid, calls[i].Nr, &calls[i].Args, calls[i].Data, tickets[i], rets[i].Sig)
 	}
 }
 
@@ -1047,7 +1067,7 @@ func (m *Monitor) slaveBatch(v, tid int, proc *kernel.Proc, calls []kernel.Call,
 	if !m.replay {
 		for i := range calls {
 			if m.lockstepped(classify(calls[i].Nr)) {
-				m.submitDigest(v, tid, calls[i], false)
+				m.submitDigest(v, tid, &calls[i], false)
 			}
 		}
 	}
@@ -1061,68 +1081,66 @@ func (m *Monitor) slaveBatch(v, tid int, proc *kernel.Proc, calls []kernel.Call,
 // the master's execution of a replicated call; slaves consume the record),
 // so this is where telemetry counts them — one predicted-false branch on
 // clean calls.
-func (m *Monitor) execute(proc *kernel.Proc, call kernel.Call) kernel.Ret {
-	ret := m.kern.Do(proc, call)
+func (m *Monitor) execute(proc *kernel.Proc, call *kernel.Call) kernel.Ret {
+	ret := m.kern.Do(proc, *call)
 	if ret.Inj != 0 && m.tel != nil {
 		m.tel.Faults.Count(ret.Inj)
 	}
 	return ret
 }
 
-// nextRecord returns the master's record for slave v's thread tid,
-// blocking (with kill checks) until the master publishes it. Records are
-// fetched in batches: one peek copies up to slaveBatch published records
-// out of the ring, and the ring cursor is released for the whole previous
-// batch in a single move — one cross-core cursor write per batch instead of
-// one per record. The returned pointer is into the batch buffer and stays
-// valid until the record is advanced past and a further batch is fetched.
+// nextRecord returns the master's record for slave v's thread tid, blocking
+// (with kill checks) until the master commits it. The pointer is into the
+// ring slot and stays valid until advance: the ring cursor trails the read
+// position (see slaveCons), so the master cannot recycle the slot — or the
+// arena payloads the record references — while the slave still reads it.
+// Before waiting, the slave releases every record it is done with: a master
+// stalled on back-pressure needs exactly those slots.
 func (m *Monitor) nextRecord(v, tid int) *Record {
 	g := v - 1
-	sc := &m.scons[g][tid]
-	if sc.i < sc.n {
-		return &sc.batch[sc.i]
-	}
+	next := m.scons[g][tid].next
 	r := m.ring(tid)
-	// The previous batch is fully processed: release its slots (and any
-	// arena payloads they reference) in one cursor move.
-	r.AdvanceTo(g, sc.next)
-	for spins := 0; ; spins++ {
-		m.checkKilled()
-		if n := r.PeekBatch(sc.next, sc.batch[:]); n > 0 {
-			sc.i, sc.n = 0, n
-			sc.next += uint64(n)
-			return &sc.batch[0]
-		}
-		// A slave that has drained the ring and found the master still
-		// busy elsewhere is the paper's lagging-slave case: park on the
-		// ring's wait set (the master's next publish wakes it) instead of
-		// yield-storming the scheduler.
-		if ring.ParkDue(spins) {
-			pk := r.Parker()
-			pg := pk.Prepare()
-			if r.Ready(sc.next) || m.killed.Load() {
-				pk.Cancel()
+	if !r.Ready(next) {
+		r.AdvanceTo(g, next)
+		for spins := 0; !r.Ready(next); spins++ {
+			m.checkKilled()
+			// A slave that has drained the ring and found the master still
+			// busy elsewhere is the paper's lagging-slave case: park on the
+			// ring's wait set (the master's next commit wakes it) instead
+			// of yield-storming the scheduler.
+			if ring.ParkDue(spins) {
+				pk := r.Parker()
+				pg := pk.Prepare()
+				if r.Ready(next) || m.killed.Load() {
+					pk.Cancel()
+					continue
+				}
+				pk.Park(pg)
 				continue
 			}
-			pk.Park(pg)
-			continue
+			relax(spins)
 		}
-		relax(spins)
 	}
+	return r.Slot(next)
 }
 
 // advance marks the current record of slave v's thread tid consumed. The
-// ring cursor itself moves lazily at the next batch fetch (see nextRecord).
+// ring cursor follows every slaveBatch records (here) or when the slave next
+// has to wait (nextRecord), whichever comes first.
 func (m *Monitor) advance(v, tid int) {
-	m.scons[v-1][tid].i++
+	sc := &m.scons[v-1][tid]
+	sc.next++
+	if sc.next&(slaveBatch-1) == 0 {
+		m.ring(tid).AdvanceTo(v-1, sc.next)
+	}
 }
 
 // compare validates a slave call against the master record under the
 // session policy. It returns a non-nil Divergence on mismatch.
-func (m *Monitor) compare(v, tid int, call kernel.Call, rec *Record, cls class) *Divergence {
+func (m *Monitor) compare(v, tid int, call *kernel.Call, rec *Record, cls class) *Divergence {
 	fail := func(reason string) *Divergence {
 		return &Divergence{Variant: v, Tid: tid, Reason: reason,
-			Master: renderRecord(rec), Slave: renderCall(call)}
+			Master: renderRecord(rec), Slave: renderCall(*call)}
 	}
 	if rec.Exit {
 		return fail("slave issued a system call where master's thread exited")

@@ -40,7 +40,10 @@ func (c *RecordCapture) drain(tid int) {
 	var local []Record
 	// Batched consumption: one cursor move per run of published records.
 	// The tape owns the copies outright (the monitor disables the payload
-	// arenas under capture), so consuming eagerly is safe. Rings are
+	// arenas under capture), so consuming eagerly is safe. A copy carries
+	// its slot's leftovers (see payloadBox): with n <= InlinePayload its
+	// spill is an earlier record's payload — one this tape holds anyway —
+	// and only Payload() says what the record carries. Rings are
 	// created lazily by the variants; until thread tid makes its first
 	// monitored call there is nothing to drain (and polling the atomic
 	// pointer creates nothing).

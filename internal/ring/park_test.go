@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,5 +159,29 @@ func TestParkWakeStressLaggingConsumer(t *testing.T) {
 		case <-time.After(60 * time.Second):
 			t.Fatal("consumer wedged: lost park/wake")
 		}
+	}
+}
+
+// TestBackoffFollowsGOMAXPROCS holds Backoff's re-sample: a process moved to
+// one P must degrade to immediate yields — and recover — within the one wait
+// that first reaches the yield phase, in either direction.
+func TestBackoffFollowsGOMAXPROCS(t *testing.T) {
+	wait := func() {
+		for spins := 0; spins <= pauseSpins; spins++ {
+			Backoff(spins)
+		}
+	}
+	defer func(old int) {
+		runtime.GOMAXPROCS(old)
+		wait()
+	}(runtime.GOMAXPROCS(1))
+	wait()
+	if multicore.Load() {
+		t.Fatal("multicore still set one wait after GOMAXPROCS dropped to 1")
+	}
+	runtime.GOMAXPROCS(2)
+	wait()
+	if !multicore.Load() {
+		t.Fatal("multicore still clear one wait after GOMAXPROCS rose to 2")
 	}
 }

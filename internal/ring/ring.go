@@ -70,10 +70,20 @@ type Log[T any] struct {
 	mask  uint64
 	stop  func() bool // optional shutdown signal; see SetStop
 
-	_       [cacheLine]byte
-	prod    atomic.Uint64 // next sequence number to allocate
-	_       [cacheLine - 8]byte
-	cursors []paddedCursor // per consumer group: next sequence to consume
+	_    [cacheLine]byte
+	prod atomic.Uint64 // next sequence number to allocate
+	// minSeen is the lowest consumer cursor ReserveN last read: a lower
+	// bound on every cursor (they only grow), so while it says there is
+	// room the single producer reserves without touching the consumers'
+	// lines at all. Only ReserveN's caller reads or writes it, which is why
+	// it may sit on prod's line.
+	minSeen uint64
+	// reserving is set while a ReserveN is in flight, in -race builds only:
+	// a second, overlapping ReserveN panics there instead of silently
+	// corrupting minSeen.
+	reserving atomic.Bool
+	_         [cacheLine - 20]byte
+	cursors   []paddedCursor // per consumer group: next sequence to consume
 
 	// waitQ parks waiters that have spun past the pause phase: consumers
 	// waiting on a publication, producers waiting on back-pressure. Every
@@ -175,59 +185,63 @@ func (l *Log[T]) AppendBatch(vs []T) uint64 {
 
 // ReserveN claims the next n consecutive sequence numbers in one producer
 // fetch-add, blocks until their slots are recyclable, and returns the first,
-// without publishing anything; Publish(seq, v) completes each append, front
-// to back. The split exists for producers that must place a value into
-// slot-lifetime storage (e.g. a payload arena recycled in lockstep with the
-// ring) before it becomes visible: once ReserveN returns, every consumer
-// group has moved past the slots' previous occupants, so whatever backed
-// those occupants may be reused safely. Consumers at a reserved sequence
-// simply keep polling until Publish lands, exactly as with a producer
-// mid-Append. Like AppendBatch's chunks, the single awaitSpace on the LAST
-// reserved slot covers the whole run. n must not exceed the ring's capacity
-// — callers chunk larger batches.
+// without publishing anything: the caller fills each Slot(seq) in place and
+// Commits it, front to back. The split exists for producers that build a
+// value where it will be read — a fat record written field by field, a
+// payload placed in slot-lifetime storage (an arena recycled in lockstep
+// with the ring): once ReserveN returns, every consumer group has moved past
+// the slots' previous occupants, so the slots and whatever backed those
+// occupants may be overwritten. Consumers at a reserved sequence simply keep
+// polling until Commit lands, exactly as with a producer mid-Append. Like
+// AppendBatch's chunks, one wait on the LAST reserved slot covers the whole
+// run. n must not exceed the ring's capacity — callers chunk larger batches.
+//
+// ReserveN is single-producer (-race builds panic on overlapping calls): it
+// remembers the lowest cursor it last saw (minSeen) and re-reads the
+// consumers' cache lines only when that says the ring is full. A stale value
+// is merely conservative — it sends the producer to awaitSpace, which reads
+// the live cursors and polls the stop callback. Append and AppendBatch, the
+// agents' multi-producer path, read the cursors every time.
 func (l *Log[T]) ReserveN(n int) uint64 {
 	if n > len(l.slots) {
 		panic("ring: ReserveN larger than ring capacity")
 	}
+	if raceEnabled {
+		if !l.reserving.CompareAndSwap(false, true) {
+			panic("ring: overlapping ReserveN calls on one Log (ReserveN is single-producer)")
+		}
+		defer l.reserving.Store(false)
+	}
 	seq := l.prod.Add(uint64(n)) - uint64(n)
-	l.awaitSpace(seq + uint64(n) - 1)
+	if last := seq + uint64(n) - 1; last >= l.minSeen+uint64(len(l.slots)) {
+		l.minSeen = l.awaitSpace(last)
+	}
 	return seq
 }
 
-// Publish completes an append started with ReserveN.
-func (l *Log[T]) Publish(seq uint64, v T) {
-	s := &l.slots[seq&l.mask]
-	s.val = v
-	s.pub.Store(seq + 1)
+// Slot returns the storage of sequence seq. A producer may write through it
+// between ReserveN and Commit(seq); a consumer of group g may read through
+// it once Ready(seq) and until g's cursor passes seq — the value, and any
+// slot-lifetime storage it references, is overwritten after that.
+func (l *Log[T]) Slot(seq uint64) *T { return &l.slots[seq&l.mask].val }
+
+// Commit publishes the value the producer wrote into Slot(seq), completing
+// an append started with ReserveN.
+func (l *Log[T]) Commit(seq uint64) {
+	l.slots[seq&l.mask].pub.Store(seq + 1)
 	l.waitQ.Wake()
 }
 
-// PeekBatch copies the run of published entries starting at sequence from
-// into out (at most len(out)) and returns how many were copied, without
-// moving any cursor. It never blocks. Callers must only peek at sequences
-// that are not yet overwritten, i.e. from >= Cursor(g) for their group;
-// the copies then stay valid even after the producer recycles the slots,
-// but any slot-lifetime storage a value references (see ReserveN) is only
-// valid until the cursor advances past it.
-func (l *Log[T]) PeekBatch(from uint64, out []T) int {
-	n := 0
-	for n < len(out) {
-		s := &l.slots[(from+uint64(n))&l.mask]
-		if s.pub.Load() != from+uint64(n)+1 {
-			break
-		}
-		out[n] = s.val
-		n++
-	}
-	return n
-}
-
 // awaitSpace blocks until the slot for seq is recyclable, i.e. every
-// consumer group's cursor has passed seq-cap. Past the spin/pause phases
-// the producer parks on the wait set; consumers advancing their cursor
-// wake it.
-func (l *Log[T]) awaitSpace(seq uint64) {
-	for spins := 0; seq >= l.minCursor()+uint64(len(l.slots)); spins++ {
+// consumer group's cursor has passed seq-cap, and returns the lowest cursor
+// it saw. Past the spin/pause phases the producer parks on the wait set;
+// consumers advancing their cursor wake it.
+func (l *Log[T]) awaitSpace(seq uint64) uint64 {
+	for spins := 0; ; spins++ {
+		low := l.minCursor()
+		if seq < low+uint64(len(l.slots)) {
+			return low
+		}
 		l.checkStop(spins)
 		if ParkDue(spins) {
 			g := l.waitQ.Prepare()
@@ -298,7 +312,15 @@ func (l *Log[T]) TryGet(seq uint64) (T, bool) {
 // again.
 func (l *Log[T]) TryConsumeBatch(g int, out []T) int {
 	cur := l.cursors[g].c.Load()
-	n := l.PeekBatch(cur, out)
+	n := 0
+	for n < len(out) {
+		s := &l.slots[(cur+uint64(n))&l.mask]
+		if s.pub.Load() != cur+uint64(n)+1 {
+			break
+		}
+		out[n] = s.val
+		n++
+	}
 	if n == 0 {
 		return 0
 	}
@@ -530,8 +552,10 @@ func pause(n int) {
 // schedulable CPU the counterpart thread cannot be running concurrently,
 // so every spin is stolen from it and the only useful move is to yield.
 // GOMAXPROCS can change after package init (go test -cpu, explicit
-// runtime.GOMAXPROCS calls), so Backoff re-samples it at each wait's
-// escalation boundary rather than trusting the init-time snapshot.
+// runtime.GOMAXPROCS calls), so Backoff re-samples it — see there for when.
+// Every waiter loads this word on every failed poll, so it is written only
+// when the answer changes: a store per wait would bounce its line between
+// all waiting cores.
 var multicore atomic.Bool
 
 func init() { multicore.Store(runtime.GOMAXPROCS(0) > 1) }
@@ -555,11 +579,15 @@ func init() { multicore.Store(runtime.GOMAXPROCS(0) > 1) }
 // every TryGet/TryConsumeBatch retry loop in the replication path shares
 // this one policy.
 func Backoff(spins int) {
-	if spins == busySpins {
-		// One wait escalated past its busy phase: re-sample the CPU count
-		// (a cheap read; GOMAXPROCS(0) takes no lock) so a process moved
-		// to one P after init still degrades to immediate yields.
-		multicore.Store(runtime.GOMAXPROCS(0) > 1)
+	if spins == pauseSpins {
+		// This wait reached the yield phase: re-sample the CPU count, so a
+		// process moved to one P after init degrades to immediate yields
+		// (and back). Once per such wait and no earlier, because
+		// runtime.GOMAXPROCS(0) takes the scheduler lock; a rendezvous with
+		// a counterpart that is merely mid-operation never gets here.
+		if mc := runtime.GOMAXPROCS(0) > 1; mc != multicore.Load() {
+			multicore.Store(mc)
+		}
 	}
 	if !multicore.Load() {
 		runtime.Gosched()

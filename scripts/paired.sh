@@ -1,0 +1,92 @@
+#!/usr/bin/env bash
+# Paired benchmark runs: the rule ROADMAP's standing invariant demands of a
+# perf claim (choosing-metrics §8). Runs one benchmark/ workload for 20 s in
+# two checkouts, PAIRS times, alternating which checkout goes first, and
+# prints per end-to-end metric both medians, both quartile pairs and how
+# many pairs the change won.
+#
+#   scripts/paired.sh PARENT_DIR CHANGE_DIR WORKLOAD PAIRS [FIRST_SEED]
+#
+# Pair i runs both sides at --seed FIRST_SEED+i-1 (default 1..PAIRS). Each
+# checkout builds its own benchmark/ through its own benchmark/run.sh; this
+# script changes nothing in either. Every run's JSON line is kept in
+# $PAIRED_OUT (default: a fresh temporary directory, printed at the end), so
+# "report every run made" is a cat away. Run nothing else on the host
+# meanwhile: on 2 CPUs a second process is the measurement.
+set -euo pipefail
+
+if [ $# -lt 4 ]; then
+	sed -n '2,16p' "$0" >&2
+	exit 2
+fi
+parent="$(cd "$1" && pwd)"
+change="$(cd "$2" && pwd)"
+workload="$3"
+pairs="$4"
+first="${5:-1}"
+out="${PAIRED_OUT:-$(mktemp -d)}"
+mkdir -p "$out"
+
+run() { # side dir seed
+	bash "$2/benchmark/run.sh" --workload "$workload" --seed "$3" --seconds 20 --trace 0 2>/dev/null | tail -n 1 >>"$out/$1.jsonl"
+}
+
+: >"$out/parent.jsonl"
+: >"$out/change.jsonl"
+for i in $(seq 1 "$pairs"); do
+	seed=$((first + i - 1))
+	if [ $((i % 2)) -eq 1 ]; then
+		run parent "$parent" "$seed"
+		run change "$change" "$seed"
+	else
+		run change "$change" "$seed"
+		run parent "$parent" "$seed"
+	fi
+	echo "pair $i/$pairs (seed $seed) done" >&2
+done
+
+# One line per run, flattened to "side pair metric value failed", then one
+# row per metric. Every end-to-end metric but ops_per_s is lower-is-better
+# (BENCHMARK.json).
+for side in parent change; do
+	awk -v side="$side" '{
+		failed = 0
+		if (match($0, /"failed": *[0-9]+/)) { f = substr($0, RSTART, RLENGTH); sub(/.*: */, "", f); failed = f }
+		s = $0
+		while (match(s, /"[a-z0-9_]+": *\{"unit": *"[^"]*", *"value": *[-0-9.e+]+/)) {
+			m = substr(s, RSTART, RLENGTH); s = substr(s, RSTART + RLENGTH)
+			name = m; sub(/^"/, "", name); sub(/".*/, "", name)
+			val = m; sub(/.*"value": */, "", val)
+			print side, NR, name, val, failed
+		}
+	}' "$out/$side.jsonl"
+done | awk -v workload="$workload" '
+function q(a, n, p,    h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo]) }
+function sorted(side, name, arr,    i, j, t, n) {
+	n = 0
+	for (i = 1; (side, i, name) in v; i++) arr[++n] = v[side, i, name]
+	for (i = 2; i <= n; i++) { t = arr[i]; for (j = i - 1; j >= 1 && arr[j] > t; j--) arr[j + 1] = arr[j]; arr[j + 1] = t }
+	return n
+}
+{ v[$1, $2, $3] = $4; if (!($3 in seen)) { seen[$3] = 1; names[++nn] = $3 }; fails[$1] += $5 }
+END {
+	printf "%s: parent vs change, median [q1, q3]\n", workload
+	printf "%-20s %-34s %-34s %-8s %s\n", "metric", "parent", "change", "delta", "change wins"
+	for (k = 1; k <= nn; k++) {
+		name = names[k]
+		n = sorted("parent", name, p); sorted("change", name, c)
+		wins = 0; ties = 0
+		for (i = 1; i <= n; i++) {
+			a = v["parent", i, name]; b = v["change", i, name]
+			if (a == b) ties++
+			else if ((name == "ops_per_s") ? (b > a) : (b < a)) wins++
+		}
+		pm = q(p, n, 0.5); cm = q(c, n, 0.5)
+		printf "%-20s %-34s %-34s %+6.1f%%  %d of %d%s\n", name,
+			sprintf("%.4g [%.4g, %.4g]", pm, q(p, n, 0.25), q(p, n, 0.75)),
+			sprintf("%.4g [%.4g, %.4g]", cm, q(c, n, 0.25), q(c, n, 0.75)),
+			pm ? 100 * (cm - pm) / pm : 0, wins, n, ties ? sprintf(" (%d ties)", ties) : ""
+	}
+	printf "failed operations: parent %d, change %d\n", fails["parent"], fails["change"]
+}'
+echo "runs kept in $out" >&2
