@@ -5,7 +5,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build test race bench bench-smoke benchmark bugbench vet
+.PHONY: build test race bench bench-smoke benchmark bugbench vet lint-waits
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# lint-waits holds the replication plane's wait protocol to its one copy
+# (ring.Await / ring.Backoff; DESIGN §12).
+lint-waits:
+	scripts/lint-waits.sh
 
 # bugbench runs the concurrency-bug corpus under the race detector: every
 # annotated entry (internal/bugbench) must reach its annotated verdict —

@@ -873,20 +873,10 @@ func BenchmarkLaggingSlaveWait(b *testing.B) {
 			go func() {
 				defer lagWG.Done()
 				n := uint64(0)
-				for spins := 0; !release.Ready(0); spins++ {
+				ring.Await(release.Parker(), nil, func() bool {
 					n++
-					if ring.ParkDue(spins) {
-						pk := release.Parker()
-						gen := pk.Prepare()
-						if release.Ready(0) {
-							pk.Cancel()
-							break
-						}
-						pk.Park(gen)
-						continue
-					}
-					ring.Backoff(spins)
-				}
+					return release.Ready(0)
+				})
 				polls.Add(n)
 			}()
 		}

@@ -73,7 +73,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&b, "mvee_faults_injected_total{kind=\"timeout\"} %d\n", snap.Faults.Timeouts)
 	fmt.Fprintf(&b, "mvee_faults_injected_total{kind=\"short\"} %d\n", snap.Faults.Shorts)
 
-	counter("mvee_ring_parks_total", "Ring waits that escalated to a futex park.", snap.Ring.Parks)
+	counter("mvee_ring_parks_total", "Replication-plane waits (ring, monitor, agent) that escalated to a futex park.", snap.Ring.Parks)
 	counter("mvee_ring_stop_trips_total", "Parking-contract watchdog violations.", snap.Ring.StopTrips)
 	counter("mvee_ring_append_batches_total", "Batched ring appends.", snap.Ring.AppendBatches)
 	counter("mvee_ring_append_items_total", "Items published through batched appends.", snap.Ring.AppendItems)

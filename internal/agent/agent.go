@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/futex"
+	"repro/internal/ring"
 	"repro/internal/shm"
 )
 
@@ -168,6 +170,15 @@ type stopFlag struct{ stopped atomic.Bool }
 
 func (s *stopFlag) check() {
 	if s.stopped.Load() {
+		panic(ErrStopped)
+	}
+}
+
+// await blocks a slave thread until ready reports true, waiting on pk
+// (ring.Await); a stopped exchange unwinds it with ErrStopped. Every
+// exchange's Stop wakes each pk its agents pass here.
+func (s *stopFlag) await(pk *futex.Parker, ready func() bool) {
+	if !ring.Await(pk, &s.stopped, ready) {
 		panic(ErrStopped)
 	}
 }

@@ -41,7 +41,7 @@ func newTOExchange(cfg Config, partial bool) *orderExchange {
 		cfg:     cfg,
 		log:     ring.NewLog[Entry](cfg.BufCap, max(cfg.Slaves, 1)),
 	}
-	ex.log.SetStop(ex.stop.stopped.Load)
+	ex.log.SetStop(&ex.stop.stopped)
 	ex.groups = make([]*poGroup, cfg.Slaves)
 	for g := range ex.groups {
 		ex.groups[g] = &poGroup{consumed: make(map[uint64]bool)}
@@ -59,9 +59,7 @@ func (ex *orderExchange) Kind() Kind {
 
 func (ex *orderExchange) Stop() {
 	ex.stop.stopped.Store(true)
-	// Wake anything parked on the shared buffer so it re-checks the stop
-	// flag and unwinds (see ring.Log.SetStop's contract).
-	ex.log.Interrupt()
+	ex.log.Interrupt() // the stop flag's owner wakes its waiters (ring.Await)
 }
 
 func (ex *orderExchange) MasterAgent() Agent {
@@ -131,37 +129,15 @@ func (s *toSlave) tryClaim(tid int) bool {
 	return claimed
 }
 
+// Before stalls until tid's op is at the head (the total order stalls
+// unrelated threads by design — Figure 4(a)); the master's next append and
+// every sibling's head advance wake the buffer's wait set.
 func (s *toSlave) Before(tid int, addr uint64) {
-	first := true
-	pk := s.ex.log.Parker()
-	for spins := 0; ; spins++ {
-		s.ex.stop.check()
-		if s.tryClaim(tid) {
-			return
-		}
-		if first {
-			s.stalls.Add(1)
-			first = false
-		}
-		// A thread whose turn is far off (the total order stalls unrelated
-		// threads by design — Figure 4(a)) parks on the buffer's wait set;
-		// the master's next append and every sibling's head advance wake
-		// it.
-		if ring.ParkDue(spins) {
-			g := pk.Prepare()
-			if s.ex.stop.stopped.Load() {
-				pk.Cancel()
-				continue
-			}
-			if s.tryClaim(tid) {
-				pk.Cancel()
-				return
-			}
-			pk.Park(g)
-			continue
-		}
-		ring.Backoff(spins)
+	if s.tryClaim(tid) {
+		return
 	}
+	s.stalls.Add(1)
+	s.ex.stop.await(s.ex.log.Parker(), func() bool { return s.tryClaim(tid) })
 }
 
 func (s *toSlave) After(tid int, addr uint64) {
@@ -196,65 +172,40 @@ type poSlave struct {
 	stalls  atomic.Uint64
 }
 
+// Before stalls until tid's next op has no unconsumed same-address
+// predecessor. Wakes come from the master's appends (ring publish) and from
+// sibling consumption (After wakes the set explicitly — see the comment
+// there).
 func (s *poSlave) Before(tid int, addr uint64) {
-	first := true
-	pk := s.ex.log.Parker()
-	for spins := 0; ; spins++ {
-		s.ex.stop.check()
-		if seq, ok := s.tryClaim(tid); ok {
-			s.pending[tid] = seq
-			return
-		}
-		if first {
-			s.stalls.Add(1)
-			first = false
-		}
-		// Park once spinning stops paying off. Wakes come from the
-		// master's appends (ring publish) and from sibling consumption
-		// (After wakes the set explicitly — see the comment there).
-		if ring.ParkDue(spins) {
-			g := pk.Prepare()
-			if s.ex.stop.stopped.Load() {
-				pk.Cancel()
-				continue
-			}
-			if seq, ok := s.tryClaim(tid); ok {
-				pk.Cancel()
-				s.pending[tid] = seq
-				return
-			}
-			pk.Park(g)
-			continue
-		}
-		ring.Backoff(spins)
+	if s.tryClaim(tid) {
+		return
 	}
+	s.stalls.Add(1)
+	s.ex.stop.await(s.ex.log.Parker(), func() bool { return s.tryClaim(tid) })
 }
 
-// tryClaim scans the window for tid's next op and checks its dependences.
-func (s *poSlave) tryClaim(tid int) (uint64, bool) {
+// tryClaim scans the window for tid's next op — the earliest unconsumed
+// entry recorded for it — and claims it (recording the sequence in pending)
+// iff no earlier unconsumed entry operates on the same address. It runs once
+// per poll of a stalled thread and must not allocate (§3.3).
+func (s *poSlave) tryClaim(tid int) bool {
 	s.st.mu.Lock()
 	defer s.st.mu.Unlock()
-	var blockers []uint64 // unconsumed seqs before the candidate
 	for seq := s.st.head; ; seq++ {
 		e, ok := s.ex.log.TryGet(seq)
 		if !ok {
-			return 0, false // candidate not yet recorded
+			return false // candidate not yet recorded
 		}
-		if s.st.consumed[seq] {
+		if s.st.consumed[seq] || int(e.Tid) != tid {
 			continue
 		}
-		if int(e.Tid) == tid {
-			// Candidate found: executable iff no earlier unconsumed
-			// entry operates on the same address.
-			for _, b := range blockers {
-				be, _ := s.ex.log.TryGet(b)
-				if be.Addr == e.Addr {
-					return 0, false
-				}
+		for b := s.st.head; b < seq; b++ {
+			if be, _ := s.ex.log.TryGet(b); be.Addr == e.Addr && !s.st.consumed[b] {
+				return false
 			}
-			return seq, true
 		}
-		blockers = append(blockers, seq)
+		s.pending[tid] = seq
+		return true
 	}
 }
 

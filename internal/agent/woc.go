@@ -75,7 +75,7 @@ func (ex *wocExchange) buf(tid int) *ring.Log[WEntry] {
 		return b
 	}
 	b := ring.NewLog[WEntry](ex.cfg.BufCap, max(ex.cfg.Slaves, 1))
-	b.SetStop(ex.stop.stopped.Load)
+	b.SetStop(&ex.stop.stopped)
 	if !ex.bufs[tid].CompareAndSwap(nil, b) {
 		return ex.bufs[tid].Load()
 	}
@@ -86,8 +86,8 @@ func (ex *wocExchange) Kind() Kind { return WallOfClocks }
 
 func (ex *wocExchange) Stop() {
 	ex.stop.stopped.Store(true)
-	// Wake everything parked on a sync buffer or a wall so it re-checks
-	// the stop flag and unwinds (see ring.Log.SetStop's contract).
+	// The stop flag's owner wakes its waiters (ring.Await): every sync
+	// buffer and every wall.
 	for i := range ex.bufs {
 		if b := ex.bufs[i].Load(); b != nil {
 			b.Interrupt()
@@ -167,57 +167,31 @@ type wocSlave struct {
 }
 
 func (s *wocSlave) Before(tid int, addr uint64) {
-	// Refill this thread's ticket batch if it ran dry.
-	if s.bi[tid] >= s.bn[tid] {
-		buf := s.ex.buf(tid)
-		batch := s.pre[tid*wocBatch : (tid+1)*wocBatch]
-		for spins := 0; ; spins++ {
-			s.ex.stop.check()
-			if n := buf.TryConsumeBatch(s.group, batch); n > 0 {
-				s.bi[tid], s.bn[tid] = 0, n
-				break
-			}
-			if spins == 0 {
-				s.stalls.Add(1)
-			}
-			// A slave thread far behind its master counterpart parks on
-			// the (SPSC) buffer's wait set; the master's next append wakes
-			// it.
-			if ring.ParkDue(spins) {
-				pk := buf.Parker()
-				g := pk.Prepare()
-				if buf.Ready(buf.Cursor(s.group)) || s.ex.stop.stopped.Load() {
-					pk.Cancel()
-					continue
-				}
-				pk.Park(g)
-				continue
-			}
-			ring.Backoff(spins)
-		}
+	// Refill this thread's ticket batch if it ran dry; the master's next
+	// append wakes the (SPSC) buffer's wait set.
+	if s.bi[tid] >= s.bn[tid] && !s.refill(tid) {
+		s.stalls.Add(1)
+		s.ex.stop.await(s.ex.buf(tid).Parker(), func() bool { return s.refill(tid) })
 	}
 	e := s.pre[tid*wocBatch+s.bi[tid]]
-	// Wait for the local clock to reach the ticket's time. Inline wait (no
-	// closure: this runs per sync op and must not allocate). Past the
-	// spin/pause/yield phases the thread parks on the group's wall wait
-	// set; each sibling Tick (After) wakes it.
+	// Wait for the local clock to reach the ticket's time; each sibling Tick
+	// (After) wakes the group's wall wait set.
 	if s.wall.Now(int(e.Clock)) < e.Time {
 		s.stalls.Add(1)
-	}
-	for spins := 0; s.wall.Now(int(e.Clock)) < e.Time; spins++ {
-		s.ex.stop.check()
-		if ring.ParkDue(spins) {
-			g := s.wallPark.Prepare()
-			if s.wall.Now(int(e.Clock)) >= e.Time || s.ex.stop.stopped.Load() {
-				s.wallPark.Cancel()
-				continue
-			}
-			s.wallPark.Park(g)
-			continue
-		}
-		ring.Backoff(spins)
+		s.ex.stop.await(s.wallPark, func() bool { return s.wall.Now(int(e.Clock)) >= e.Time })
 	}
 	s.cur[tid] = e
+}
+
+// refill consumes the next run of tickets from thread tid's buffer into its
+// batch and reports whether there were any.
+func (s *wocSlave) refill(tid int) bool {
+	n := s.ex.buf(tid).TryConsumeBatch(s.group, s.pre[tid*wocBatch:(tid+1)*wocBatch])
+	if n == 0 {
+		return false // a failed poll stores nothing: siblings' indices share these lines
+	}
+	s.bi[tid], s.bn[tid] = 0, n
+	return true
 }
 
 func (s *wocSlave) After(tid int, addr uint64) {

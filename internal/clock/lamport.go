@@ -50,10 +50,8 @@ func (c *Lamport) Advance(t uint64) {
 }
 
 // Waiting for a clock value is the caller's job, not this package's: the
-// replication paths poll Now inline (no closure — the per-call path must
-// not allocate) and park on a futex.Parker past ring.ParkDue, which a
-// yield-callback API here could neither express nor stay allocation-free
-// doing. The old closure-taking WaitFor was removed for that reason.
+// replication paths test Now inline and hand the comparison to ring.Await
+// with the wait set their ticker wakes.
 
 // String implements fmt.Stringer.
 func (c *Lamport) String() string { return fmt.Sprintf("L(%d)", c.Now()) }

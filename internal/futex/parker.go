@@ -11,13 +11,14 @@ import (
 // created and torn down per address), a Parker is the MVEE's own waiter
 // queue for one producer word it already polls — a ring's publication
 // word, a Lamport "now serving" clock, a wall clock. The consumer spins a
-// while (ring.Backoff), then parks here; the producer, having stored the
-// word, calls Wake, which is a single atomic load when nobody is parked —
-// so the replication fast path pays one predictable branch for the right
-// to cost a lagging slave zero CPU.
+// while, then parks here; the producer, having stored the word, calls Wake,
+// which is a single atomic load when nobody is parked — so the replication
+// fast path pays one predictable branch for the right to cost a lagging
+// slave zero CPU. The replication plane's one user of the protocol is
+// ring.Await; DESIGN §12 ("How a replication-plane thread waits") has the
+// spin schedule and the no-lost-wakeup argument.
 //
-// The no-lost-wakeup protocol is FUTEX_WAIT's, adapted to arbitrary wait
-// conditions:
+// The protocol is FUTEX_WAIT's, adapted to arbitrary wait conditions:
 //
 //	g := p.Prepare()            // announce; returns the wake generation
 //	if condition() || stopped { // re-check AFTER announcing
@@ -26,13 +27,8 @@ import (
 //	}
 //	p.Park(g)                   // sleeps only if no Wake since Prepare
 //
-// Prepare's announcement is an atomic add and the producer re-reads the
-// waiter count after storing the condition's data (both sequentially
-// consistent), so either the waiter's re-check sees the new state, or the
-// producer's Wake sees the waiter — exactly the store-buffer argument that
-// makes FUTEX_WAIT's compare-and-block race-free. A Wake that lands
-// between Prepare and Park bumps the generation, and Park returns without
-// sleeping.
+// A Wake that lands between Prepare and Park bumps the generation, and Park
+// returns without sleeping.
 //
 // Parking and waking are allocation-free (sync.Cond.Wait recycles its
 // queue nodes), which is what lets waits that occasionally escalate to a

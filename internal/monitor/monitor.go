@@ -429,7 +429,7 @@ func (m *Monitor) ring(tid int) *ring.Log[Record] {
 		return r
 	}
 	r := ring.NewLog[Record](m.ringCap, m.ringGroup)
-	r.SetStop(m.killed.Load)
+	r.SetStop(&m.killed)
 	if !m.rings[tid].CompareAndSwap(nil, r) {
 		return m.rings[tid].Load()
 	}
@@ -451,7 +451,7 @@ func (m *Monitor) inbox(g, tid int) *ring.Log[digest] {
 		return ib
 	}
 	ib := ring.NewLog[digest](inboxCap, 1)
-	ib.SetStop(m.killed.Load)
+	ib.SetStop(&m.killed)
 	if !m.inboxes[g][tid].CompareAndSwap(nil, ib) {
 		return m.inboxes[g][tid].Load()
 	}
@@ -584,10 +584,14 @@ func (m *Monitor) checkKilled() {
 	}
 }
 
-// relax backs a polling loop off using the ring package's adaptive backoff
-// (busy spin → pause → scheduler yield; immediate yield on a single-CPU
-// process), so every wait in the replication path shares one policy.
-func relax(spins int) { ring.Backoff(spins) }
+// await blocks until ready reports true, waiting on pk (ring.Await); a killed
+// session unwinds it with ErrKilled. Kill wakes every pk passed here
+// (wakeParked).
+func (m *Monitor) await(pk *futex.Parker, ready func() bool) {
+	if !ring.Await(pk, &m.killed, ready) {
+		panic(ErrKilled)
+	}
+}
 
 // Invoke performs one system call on behalf of thread tid of variant v,
 // running against variant v's ROOT process. Multi-process programs go
@@ -721,22 +725,10 @@ func (m *Monitor) awaitDigests(tid int, call *kernel.Call, cls class, exit bool)
 		// The master is the inbox's only consumer, so its read position is
 		// the inbox cursor: a word on a line only this thread writes.
 		pos := ib.Cursor(0)
-		// Poll the publication word only. Past the spin/pause/yield phases
-		// the master parks on the inbox's wait set; the slave's
-		// submitDigest commit wakes it.
-		for spins := 0; !ib.Ready(pos); spins++ {
-			m.checkKilled()
-			if ring.ParkDue(spins) {
-				pk := ib.Parker()
-				g := pk.Prepare()
-				if ib.Ready(pos) || m.killed.Load() {
-					pk.Cancel()
-					continue
-				}
-				pk.Park(g)
-				continue
-			}
-			relax(spins)
+		// Poll the publication word only; the slave's submitDigest commit
+		// wakes the inbox's wait set.
+		if !ib.Ready(pos) {
+			m.await(ib.Parker(), func() bool { return ib.Ready(pos) })
 		}
 		if dv := m.validateDigest(g+1, tid, call, cls, exit, ib.Slot(pos)); dv != nil {
 			m.Kill(dv)
@@ -787,22 +779,11 @@ func (m *Monitor) validateDigest(v, tid int, call *kernel.Call, cls class, exit 
 // reaches t — the §4.1 wait, shared by the master (t is the ticket it just
 // took) and the slaves (t is the record's stamp: the master's ticket, served
 // by the slave's own clock). It runs per ordered call and must not allocate.
-// The common, uncontended case exits on the first load; a thread whose turn
-// is far off parks on the clock's wait set and is woken by the passTurn that
-// hands it the turn.
+// The common, uncontended case exits on the first load; otherwise the
+// passTurn that hands this thread the turn wakes the clock's wait set.
 func (m *Monitor) awaitTurn(v int, t uint64) {
-	for spins := 0; m.clocks[v].Now() < t; spins++ {
-		m.checkKilled()
-		if ring.ParkDue(spins) {
-			g := m.clockParks[v].Prepare()
-			if m.clocks[v].Now() >= t || m.killed.Load() {
-				m.clockParks[v].Cancel()
-				continue
-			}
-			m.clockParks[v].Park(g)
-			continue
-		}
-		relax(spins)
+	if m.clocks[v].Now() < t {
+		m.await(&m.clockParks[v], func() bool { return m.clocks[v].Now() >= t })
 	}
 }
 
@@ -1102,24 +1083,8 @@ func (m *Monitor) nextRecord(v, tid int) *Record {
 	r := m.ring(tid)
 	if !r.Ready(next) {
 		r.AdvanceTo(g, next)
-		for spins := 0; !r.Ready(next); spins++ {
-			m.checkKilled()
-			// A slave that has drained the ring and found the master still
-			// busy elsewhere is the paper's lagging-slave case: park on the
-			// ring's wait set (the master's next commit wakes it) instead
-			// of yield-storming the scheduler.
-			if ring.ParkDue(spins) {
-				pk := r.Parker()
-				pg := pk.Prepare()
-				if r.Ready(next) || m.killed.Load() {
-					pk.Cancel()
-					continue
-				}
-				pk.Park(pg)
-				continue
-			}
-			relax(spins)
-		}
+		// The master's next commit wakes the ring's wait set.
+		m.await(r.Parker(), func() bool { return r.Ready(next) })
 	}
 	return r.Slot(next)
 }

@@ -13,7 +13,7 @@ import "sync/atomic"
 // buffers), and the admin plane wants "is this fleet parking or spinning?",
 // not a per-ring breakdown. Deltas between snapshots give rates.
 var (
-	parkCount     atomic.Uint64 // waits that escalated to a futex park
+	parkCount     atomic.Uint64 // Await calls' parks: every replication-plane wait, not only a Log's own
 	stopTrips     atomic.Uint64 // parking-contract watchdog violations
 	appendBatches atomic.Uint64 // AppendBatch calls (non-empty)
 	appendItems   atomic.Uint64 // items published through AppendBatch

@@ -10,17 +10,12 @@ import (
 
 func TestLaggingConsumerParksThenWakes(t *testing.T) {
 	l := NewLog[int](8, 1)
+	since := ReadMetrics().Parks
 	got := make(chan int, 1)
 	go func() {
 		got <- l.Get(3) // published only later: the consumer must park
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for l.Parker().Waiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("consumer never parked on the wait set")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitParked(t, l.Parker(), since)
 	for i := 0; i < 4; i++ {
 		l.Append(10 + i)
 	}
@@ -41,18 +36,13 @@ func TestBackpressuredProducerParksThenWakes(t *testing.T) {
 	l := NewLog[int](2, 1)
 	l.Append(0)
 	l.Append(1)
+	since := ReadMetrics().Parks
 	done := make(chan struct{})
 	go func() {
 		l.Append(2) // ring full: the producer must park on back-pressure
 		close(done)
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for l.Parker().Waiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("producer never parked on back-pressure")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitParked(t, l.Parker(), since)
 	l.Advance(0, 0) // cursor advance must wake the parked producer
 	select {
 	case <-done:
@@ -66,9 +56,10 @@ func TestBackpressuredProducerParksThenWakes(t *testing.T) {
 func TestInterruptUnblocksParkedWaiters(t *testing.T) {
 	l := NewLog[int](2, 1)
 	var stopped atomic.Bool
-	l.SetStop(stopped.Load)
+	l.SetStop(&stopped)
 	l.Append(0)
 	l.Append(1)
+	since := ReadMetrics().Parks
 	unwound := make(chan struct{})
 	go func() {
 		defer func() {
@@ -78,13 +69,7 @@ func TestInterruptUnblocksParkedWaiters(t *testing.T) {
 		}()
 		l.Append(2) // parks: ring full, nobody consuming
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for l.Parker().Waiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("producer never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitParked(t, l.Parker(), since)
 	stopped.Store(true)
 	l.Interrupt()
 	select {
@@ -109,27 +94,13 @@ func TestParkWakeStressLaggingConsumer(t *testing.T) {
 			var batch [16]int
 			next := 0
 			for next < total {
-				n := l.TryConsumeBatch(g, batch[:])
-				if n == 0 {
-					spins := 0
-					for {
-						if l.Ready(l.Cursor(g)) {
-							break
-						}
-						if ParkDue(spins) {
-							gen := l.Parker().Prepare()
-							if l.Ready(l.Cursor(g)) {
-								l.Parker().Cancel()
-								break
-							}
-							l.Parker().Park(gen)
-						} else {
-							Backoff(spins)
-						}
-						spins++
-					}
-					continue
-				}
+				// A consuming ready: Await must hand back the run it consumed,
+				// whichever phase of the wait found it.
+				var n int
+				Await(l.Parker(), nil, func() bool {
+					n = l.TryConsumeBatch(g, batch[:])
+					return n > 0
+				})
 				for i := 0; i < n; i++ {
 					if batch[i] != next {
 						errc <- fmt.Errorf("group %d: got %d, want %d", g, batch[i], next)

@@ -24,14 +24,8 @@
 //   - AppendBatch and TryConsumeBatch amortize the cross-core traffic over
 //     k events: one producer fetch-add and one back-pressure wait per
 //     batch, and one cursor compare-and-swap per consumed run.
-//   - Blocking operations back off adaptively: a short busy spin (the
-//     common case — the counterpart thread is mid-operation on another
-//     core), then a procyield-style pause that keeps the OS thread but
-//     stays off the interconnect, then scheduler yields, and finally a
-//     true park on the log's futex.Parker wait set — a consumer lagging
-//     far behind (or a producer stalled on back-pressure) sleeps at zero
-//     CPU until the counterpart's next publish or cursor advance wakes
-//     it, instead of yield-storming the scheduler.
+//   - Every blocking operation waits through Await (DESIGN §12, "How a
+//     replication-plane thread waits").
 package ring
 
 import (
@@ -44,10 +38,9 @@ import (
 	"repro/internal/futex"
 )
 
-// ErrStopped is panicked by blocking Log operations after SetStop's
-// callback reports shutdown, so that threads parked on a dead ring unwind
-// instead of spinning forever. Callers that install a stop callback must
-// recover it.
+// ErrStopped is panicked by blocking Log operations once SetStop's flag is
+// set, so that threads waiting on a dead ring unwind instead of waiting
+// forever. Callers that install a stop flag must recover it.
 var ErrStopped = errors.New("ring: stopped")
 
 // cacheLine is the assumed coherence granule. 64 bytes covers x86-64 and
@@ -68,7 +61,7 @@ type paddedCursor struct {
 type Log[T any] struct {
 	slots []slot[T]
 	mask  uint64
-	stop  func() bool // optional shutdown signal; see SetStop
+	stop  *atomic.Bool // optional shutdown flag; see SetStop
 
 	_    [cacheLine]byte
 	prod atomic.Uint64 // next sequence number to allocate
@@ -85,13 +78,13 @@ type Log[T any] struct {
 	_         [cacheLine - 20]byte
 	cursors   []paddedCursor // per consumer group: next sequence to consume
 
-	// waitQ parks waiters that have spun past the pause phase: consumers
-	// waiting on a publication, producers waiting on back-pressure. Every
-	// state change (publish, cursor advance) wakes it — one atomic load
-	// when nobody is parked. One wait set per log is deliberate: wakes
-	// broadcast and waiters re-check, so sharing costs only spurious
-	// re-checks, while per-slot wait sets would cost a producer one load
-	// per slot instead of one per operation.
+	// waitQ is where Await parks consumers waiting on a publication and
+	// producers waiting on back-pressure. Every state change (publish,
+	// cursor advance) wakes it — one atomic load when nobody is parked.
+	// One wait set per log is deliberate: wakes broadcast and waiters
+	// re-check, so sharing costs only spurious re-checks, while per-slot
+	// wait sets would cost a producer one load per slot instead of one per
+	// operation.
 	waitQ futex.Parker
 }
 
@@ -234,26 +227,17 @@ func (l *Log[T]) Commit(seq uint64) {
 
 // awaitSpace blocks until the slot for seq is recyclable, i.e. every
 // consumer group's cursor has passed seq-cap, and returns the lowest cursor
-// it saw. Past the spin/pause phases the producer parks on the wait set;
-// consumers advancing their cursor wake it.
+// it saw. Consumers advancing their cursor wake a parked producer.
 func (l *Log[T]) awaitSpace(seq uint64) uint64 {
-	for spins := 0; ; spins++ {
-		low := l.minCursor()
-		if seq < low+uint64(len(l.slots)) {
-			return low
-		}
-		l.checkStop(spins)
-		if ParkDue(spins) {
-			g := l.waitQ.Prepare()
-			if seq < l.minCursor()+uint64(len(l.slots)) || l.stopFired() {
-				l.waitQ.Cancel()
-				continue
-			}
-			l.park(g)
-			continue
-		}
-		Backoff(spins)
+	low := l.minCursor()
+	if seq < low+uint64(len(l.slots)) {
+		return low
 	}
+	l.await(func() bool {
+		low = l.minCursor()
+		return seq < low+uint64(len(l.slots))
+	})
+	return low
 }
 
 // Get returns the value with sequence number seq, blocking until it has
@@ -261,20 +245,18 @@ func (l *Log[T]) awaitSpace(seq uint64) uint64 {
 // yet overwritten, i.e. seq >= Cursor(g) for their group.
 func (l *Log[T]) Get(seq uint64) T {
 	s := &l.slots[seq&l.mask]
-	for spins := 0; s.pub.Load() != seq+1; spins++ {
-		l.checkStop(spins)
-		if ParkDue(spins) {
-			g := l.waitQ.Prepare()
-			if s.pub.Load() == seq+1 || l.stopFired() {
-				l.waitQ.Cancel()
-				continue
-			}
-			l.park(g)
-			continue
-		}
-		Backoff(spins)
+	if s.pub.Load() != seq+1 {
+		l.await(func() bool { return s.pub.Load() == seq+1 })
 	}
 	return s.val
+}
+
+// await is the Log's own wait: Await on its wait set and stop flag, with
+// ErrStopped as the way out of a stopped log.
+func (l *Log[T]) await(ready func() bool) {
+	if !Await(&l.waitQ, l.stop, ready) {
+		panic(ErrStopped)
+	}
 }
 
 // Ready reports whether the value with sequence number seq has been
@@ -378,28 +360,20 @@ func (l *Log[T]) minCursor() uint64 {
 	return min
 }
 
-// SetStop installs a shutdown callback. Once it returns true, blocked
-// Append and Get calls panic with ErrStopped rather than spinning forever.
-//
-// Blocked operations that have escalated past spinning PARK (see Backoff);
-// a parked thread cannot poll the callback. Owners that install a stop
-// callback must therefore call Interrupt when the callback's condition
-// flips, so parked waiters wake up, re-poll it, and unwind.
-func (l *Log[T]) SetStop(f func() bool) { l.stop = f }
+// SetStop installs the owner's shutdown flag. Once it is set, blocked
+// Append, ReserveN and Get calls panic with ErrStopped rather than waiting
+// forever. A parked thread cannot poll the flag, so the owner must call
+// Interrupt after setting it (DESIGN §12, "How a replication-plane thread
+// waits"; SetDebugStopWatch checks it).
+func (l *Log[T]) SetStop(stop *atomic.Bool) { l.stop = stop }
 
-// stopFired reports the stop callback's current answer (unconditionally,
-// unlike checkStop's panic at poll-due spins). Used to re-check shutdown
-// inside the park protocol's Prepare window.
-func (l *Log[T]) stopFired() bool { return l.stop != nil && l.stop() }
-
-// The parking-contract debug watch (ROADMAP): an owner that installs
-// SetStop but does not Interrupt when the stop condition flips strands
-// parked waiters — they cannot poll the callback while asleep. With the
-// watch armed (tests; off by default), every park inside a stop-equipped
-// Log carries a watchdog: if the watchdog expires with the stop condition
-// fired and waiters still parked, the violation handler runs. The default
-// handler panics; tests install a capturing handler to catch bad owners
-// without taking the process down.
+// The parking-contract debug watch: an owner that sets a stop flag but wakes
+// nobody strands parked waiters — they cannot poll the flag while asleep.
+// With the watch armed (tests; off by default), every park Await makes with a
+// stop flag carries a watchdog: if the watchdog expires with the flag set and
+// waiters still parked, the violation handler runs. The default handler
+// panics; tests install a capturing handler to catch bad owners without
+// taking the process down.
 var (
 	stopWatchNanos    atomic.Int64
 	stopViolationHook atomic.Pointer[func(string)]
@@ -407,9 +381,9 @@ var (
 
 // SetDebugStopWatch arms (d > 0) or disarms (d <= 0) the parking-contract
 // watch and returns the previous setting. The duration is how long a
-// parked waiter may coexist with a fired stop condition before the owner
-// is reported; pick it well above the owner's legitimate stop→Interrupt
-// latency (a few milliseconds in-process).
+// parked waiter may coexist with a set stop flag before the owner is
+// reported; pick it well above the owner's legitimate stop→wake latency (a
+// few milliseconds in-process).
 func SetDebugStopWatch(d time.Duration) time.Duration {
 	return time.Duration(stopWatchNanos.Swap(int64(d)))
 }
@@ -434,104 +408,58 @@ func reportStopViolation(msg string) {
 	panic(msg)
 }
 
-// park sleeps on the log's wait set; with the debug stop watch armed and a
-// stop callback installed, a watchdog checks for the stranded-waiter
-// contract violation and then wakes the set so the waiter re-polls the
-// callback and unwinds via ErrStopped. (The unconditional wake also keeps
-// the watch alive: a rescued-but-still-waiting waiter re-parks through
-// here and arms a fresh watchdog.)
+// park sleeps on pk and counts the park; with the debug stop watch armed and
+// a stop flag given, a watchdog checks for the stranded-waiter contract
+// violation and then wakes the set so the waiter re-checks the flag and
+// unwinds. (The unconditional wake also keeps the watch alive: a
+// rescued-but-still-waiting waiter re-parks through here and arms a fresh
+// watchdog.)
 //
 // The violation check is two-phase to avoid blaming a compliant owner: a
-// single sample at expiry races the legitimate stop→Interrupt handoff
-// (stop can flip an instant before the timer fires, with the Interrupt'd
-// waiters still inside Park before their waiter-count decrement). The
-// watchdog therefore re-checks after a full extra watch period — a
-// compliant owner's Interrupt has long since drained the waiters by then,
-// while a violator's waiters are still parked because nothing else can
-// wake them.
-func (l *Log[T]) park(g uint64) {
+// single sample at expiry races the legitimate stop→wake handoff (the flag
+// can flip an instant before the timer fires, with the woken waiters still
+// inside Park before their waiter-count decrement). The watchdog therefore
+// re-checks after a full extra watch period — a compliant owner's wake has
+// long since drained the waiters by then, while a violator's waiters are
+// still parked because nothing else can wake them.
+func park(pk *futex.Parker, stop *atomic.Bool, g uint64) {
 	parkCount.Add(1)
-	d := stopWatchNanos.Load()
-	if d <= 0 || l.stop == nil {
-		l.waitQ.Park(g)
+	d := time.Duration(stopWatchNanos.Load())
+	if d <= 0 || stop == nil {
+		pk.Park(g)
 		return
 	}
-	tm := time.AfterFunc(time.Duration(d), func() {
-		if l.stopFired() && l.waitQ.Waiters() > 0 {
-			time.Sleep(time.Duration(d)) // grace: let a compliant Interrupt drain
-			if l.stopFired() && l.waitQ.Waiters() > 0 {
-				reportStopViolation("ring: stop condition fired while waiters were parked and no Interrupt arrived — the SetStop owner violated the parking contract (see Log.SetStop)")
+	tm := time.AfterFunc(d, func() {
+		if stop.Load() && pk.Waiters() > 0 {
+			time.Sleep(d) // grace: let a compliant wake drain
+			if stop.Load() && pk.Waiters() > 0 {
+				reportStopViolation("ring: stop flag set while waiters were parked and no wake arrived — the flag's owner violated the parking contract (see Await)")
 			}
 		}
-		l.waitQ.Wake()
+		pk.Wake()
 	})
-	l.waitQ.Park(g)
+	pk.Park(g)
 	tm.Stop()
 }
 
-// Parker exposes the log's wait set, so external poll loops over the
-// log's state (a monitor waiting on a record, a slave agent waiting on a
-// ticket) can park on the same queue the log's own blocking operations
-// use. The protocol is futex.Parker's: Prepare, re-check the condition
-// (including any kill flag), then Park or Cancel; every publish and every
-// cursor advance wakes the set.
+// Parker exposes the log's wait set, so waits over the log's state that the
+// log does not implement itself (a monitor waiting on a record, a slave
+// agent waiting on a ticket) can Await on the same queue the log's own
+// blocking operations use; every publish and every cursor advance wakes it.
 func (l *Log[T]) Parker() *futex.Parker { return &l.waitQ }
 
 // Interrupt wakes every thread parked on the log so it re-checks its wait
-// condition. Owners must call it when the SetStop callback's condition
-// flips (a killed session, a stopped exchange); it is also safe — just
-// spurious — at any other time.
+// condition. Owners must call it after setting the SetStop flag (a killed
+// session, a stopped exchange); it is also safe — just spurious — at any
+// other time.
 func (l *Log[T]) Interrupt() { l.waitQ.Wake() }
 
-// stopPollDue reports whether a blocked operation polls its stop callback
-// at this spin count. The schedule matters for teardown latency: the first
-// poll must land at the end of the initial busy-spin phase (spin
-// busySpins-1), before the loop escalates to pauses and scheduler yields —
-// a dead session must not burn tens of extra iterations before noticing.
-// Later polls happen every busySpins iterations, which bounds the polling
-// cost to a flag load per escalation step.
-func stopPollDue(spins int) bool {
-	return spins&(busySpins-1) == busySpins-1
-}
-
-func (l *Log[T]) checkStop(spins int) {
-	if l.stop != nil && stopPollDue(spins) && l.stop() {
-		panic(ErrStopped)
-	}
-}
-
-// Backoff phases, in spin-iteration counts. The boundaries are powers of
-// two so stopPollDue can mask instead of divide.
+// Backoff phases, in poll counts.
 const (
 	busySpins  = 16  // phase 1: pure busy loop (counterpart is mid-operation)
 	pauseSpins = 64  // phase 2: procyield-style pause, still on-CPU
 	parkSpins  = 128 // phase 4: park on a futex.Parker (phase 3 = yields)
 )
-
-// ParkDue reports whether a wait at the given spin count should stop
-// polling and park on the resource's futex.Parker. Poll loops shared with
-// Backoff use it as the escalation test:
-//
-//	for spins := 0; !ready(); spins++ {
-//		if ring.ParkDue(spins) {
-//			g := p.Prepare()
-//			if ready() || stopped() {
-//				p.Cancel()
-//				continue
-//			}
-//			p.Park(g)
-//			continue
-//		}
-//		ring.Backoff(spins)
-//	}
-//
-// The threshold sits past Backoff's busy and pause phases and a few
-// scheduler yields: a consumer merely rendezvousing with a mid-operation
-// producer never parks, while one that is genuinely behind (a lagging
-// slave) stops costing CPU entirely instead of yield-storming.
-func ParkDue(spins int) bool {
-	return spins >= parkSpins
-}
 
 // pauseSink gives the pause loop a data dependency the compiler cannot
 // delete. It is only ever loaded, so the cache line stays shared and the
@@ -560,24 +488,10 @@ var multicore atomic.Bool
 
 func init() { multicore.Store(runtime.GOMAXPROCS(0) > 1) }
 
-// Backoff waits out one failed poll at the given spin count, with
-// increasing politeness: a few busy spins (the counterpart is likely
-// mid-operation on another core), then procyield-style pauses that stay
-// off the interconnect, then scheduler yields. On a single-CPU process it
-// yields immediately — spinning there only delays the thread being waited
-// on. The MVEE's consumers are latency sensitive (a slave thread waiting
-// on its ticket sits on the program's critical path), which is why the
-// escalation is gradual rather than jumping straight to the scheduler.
-//
-// The yield phase is a short bridge, not the terminal state: once ParkDue
-// reports true the wait should park on the resource's futex.Parker and
-// cost nothing until the producer wakes it. Backoff itself never parks —
-// it has no parker to park on — so pure-Backoff loops keep yielding,
-// which only the park-aware call sites above avoid.
-//
-// Backoff is exported for the ring's polling consumers (monitor, agents):
-// every TryGet/TryConsumeBatch retry loop in the replication path shares
-// this one policy.
+// Backoff waits out one failed poll, the spins-th of its wait: Await's
+// schedule below parkSpins, and the whole schedule of a poll loop that has no
+// wait set to park on (it keeps yielding). On a single-CPU process every
+// phase is a scheduler yield.
 func Backoff(spins int) {
 	if spins == pauseSpins {
 		// This wait reached the yield phase: re-sample the CPU count, so a
@@ -600,5 +514,42 @@ func Backoff(spins int) {
 		pause(8 * (spins - busySpins + 1)) // linearly growing pause
 	default:
 		runtime.Gosched()
+	}
+}
+
+// Await blocks until ready reports true, and returns true; or until *stop is
+// set, and returns false (a nil stop never is). It is the one wait of the
+// replication plane — ring back-pressure and publication, the monitor's
+// rendezvous and ordering ticket, the agents' tickets — and DESIGN §12, "How a
+// replication-plane thread waits", is its specification: why the schedule is
+// gradual, why no wakeup is lost, who must Wake pk (whoever makes ready true,
+// and whoever sets *stop).
+//
+// ready may consume what it finds (a claim, a TryConsumeBatch), so Await
+// returns the moment ready first reports true and never calls it again.
+// Await does not allocate, and neither pk nor ready's closure escapes
+// through it.
+func Await(pk *futex.Parker, stop *atomic.Bool, ready func() bool) bool {
+	for spins := 0; ; spins++ {
+		if ready() {
+			return true
+		}
+		if stop != nil && stop.Load() {
+			return false
+		}
+		if spins < parkSpins {
+			Backoff(spins)
+			continue
+		}
+		g := pk.Prepare()
+		if ready() {
+			pk.Cancel()
+			return true
+		}
+		if stop != nil && stop.Load() {
+			pk.Cancel()
+			return false
+		}
+		park(pk, stop, g)
 	}
 }

@@ -367,46 +367,16 @@ func TestTryConsumeBatchStopsAtUnpublished(t *testing.T) {
 	}
 }
 
-// Regression: the stop callback must be polled at the end of the initial
-// busy-spin phase, not only deep into the escalated backoff. Before the
-// fix, the first poll landed at spin 63 — a dead session could spin ~64
-// iterations (including scheduler yields) longer than needed.
-func TestStopPolledDuringBusySpinEscalation(t *testing.T) {
-	first := -1
-	for s := 0; s < 1024 && first < 0; s++ {
-		if stopPollDue(s) {
-			first = s
-		}
-	}
-	if first != busySpins-1 {
-		t.Fatalf("first stop poll at spin %d, want %d (end of busy-spin phase)", first, busySpins-1)
-	}
-	// And it keeps being polled periodically through the escalation path.
-	polls := 0
-	for s := 0; s < 256; s++ {
-		if stopPollDue(s) {
-			polls++
-		}
-	}
-	if want := 256 / busySpins; polls != want {
-		t.Fatalf("%d polls in 256 spins, want %d", polls, want)
-	}
-}
-
 func TestStopUnblocksFullRingAppendPromptly(t *testing.T) {
 	l := NewLog[int](2, 1)
-	calls := 0
-	l.SetStop(func() bool { calls++; return true })
+	var stop atomic.Bool
+	stop.Store(true)
+	l.SetStop(&stop)
 	l.Append(0)
 	l.Append(1)
 	defer func() {
 		if recover() != ErrStopped {
 			t.Fatal("Append on a stopped full ring did not panic ErrStopped")
-		}
-		// The stop flag must have been consulted exactly once: at the first
-		// due poll, before any further backoff escalation.
-		if calls != 1 {
-			t.Fatalf("stop callback polled %d times before unwinding, want 1", calls)
 		}
 	}()
 	l.Append(2)

@@ -1,9 +1,12 @@
 package ring
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/futex"
 )
 
 // withStopWatch arms the debug stop watch and a capturing violation
@@ -18,6 +21,18 @@ func withStopWatch(t *testing.T, d time.Duration) *atomic.Int32 {
 		SetStopViolationHandler(nil)
 	})
 	return &fired
+}
+
+// awaitParked blocks until a thread is asleep on pk — announced (Waiters)
+// and past its Prepare-window re-checks (a park counted since the caller read
+// ReadMetrics().Parks as since, before starting the waiter).
+func awaitParked(t *testing.T, pk *futex.Parker, since uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); pk.Waiters() == 0 || ReadMetrics().Parks == since; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("no thread parked on the wait set")
+		}
+	}
 }
 
 // stopWaiters are the two kinds of parked waiter the contract covers: a
@@ -37,8 +52,8 @@ var stopWaiters = []struct {
 	}},
 }
 
-// A bad owner: installs SetStop, flips the condition, never Interrupts.
-// The parked waiter would sleep forever (it cannot poll the callback);
+// A bad owner: installs SetStop, sets the flag, never Interrupts.
+// The parked waiter would sleep forever (it cannot poll the flag);
 // the debug watch must catch the contract violation, and its rescue wake
 // must still unwind the waiter through ErrStopped.
 func TestStopWithoutInterruptTripsDebugWatch(t *testing.T) {
@@ -47,19 +62,17 @@ func TestStopWithoutInterruptTripsDebugWatch(t *testing.T) {
 			fired := withStopWatch(t, 10*time.Millisecond)
 			l := NewLog[int](4, 1)
 			var stop atomic.Bool
-			l.SetStop(stop.Load)
+			l.SetStop(&stop)
 
+			since := ReadMetrics().Parks
 			unwound := make(chan any, 1)
 			go func() {
 				defer func() { unwound <- recover() }()
 				w.wait(l) // the waiter spins, then parks
 			}()
-			// Let the waiter actually reach the park (a fixed sleep races the
-			// pre-park spin when the scheduler is slow, e.g. under -race), then
-			// flip stop WITHOUT Interrupt — the mistake the contract forbids.
-			for l.waitQ.Waiters() == 0 {
-				time.Sleep(time.Millisecond)
-			}
+			// Let the waiter actually reach the park, then set stop WITHOUT
+			// Interrupt — the mistake the contract forbids.
+			awaitParked(t, &l.waitQ, since)
 			stop.Store(true)
 
 			select {
@@ -83,19 +96,21 @@ func TestStopWithoutInterruptTripsDebugWatch(t *testing.T) {
 func TestStopWithInterruptPassesDebugWatch(t *testing.T) {
 	for _, w := range stopWaiters {
 		t.Run(w.name, func(t *testing.T) {
-			fired := withStopWatch(t, 50*time.Millisecond)
+			const watch = 50 * time.Millisecond // well above a loaded host's scheduling hiccups
+			fired := withStopWatch(t, watch)
 			l := NewLog[int](4, 1)
 			var stop atomic.Bool
-			l.SetStop(stop.Load)
+			l.SetStop(&stop)
 
+			since := ReadMetrics().Parks
 			unwound := make(chan any, 1)
 			go func() {
 				defer func() { unwound <- recover() }()
 				w.wait(l)
 			}()
-			time.Sleep(20 * time.Millisecond)
+			awaitParked(t, &l.waitQ, since) // so the park under test carries a watchdog
 			stop.Store(true)
-			l.Interrupt() // the contract: wake parked waiters when the condition flips
+			l.Interrupt() // the contract: wake parked waiters once the flag is set
 
 			select {
 			case r := <-unwound:
@@ -105,9 +120,9 @@ func TestStopWithInterruptPassesDebugWatch(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("waiter did not unwind after Interrupt")
 			}
-			// Give the (disarmed-by-unwind) watchdog window time to pass, then
-			// assert no false positive.
-			time.Sleep(80 * time.Millisecond)
+			// A watchdog that fired during the handoff reports, if at all, one
+			// watch period (expiry) plus one (grace) after the park began.
+			time.Sleep(2 * watch)
 			if fired.Load() != 0 {
 				t.Fatal("false positive: a compliant owner tripped the stop watch")
 			}
