@@ -42,10 +42,12 @@ bench:
 benchmark:
 	bash benchmark/run.sh
 
-# bench-smoke is the CI gate, two runs and no JSON rewrite. The first proves
-# the agent and serving benchmarks still build and run (one iteration);
+# bench-smoke is the CI gate, three runs and no JSON rewrite. The first two
+# prove the agent and serving benchmarks, and internal/core's
+# BenchmarkSyncThenSyscall (the sync-ops-then-a-syscall shape benchmark/ cannot
+# carry yet), still build and run (one iteration);
 # EventedKeepAlive self-gates the replicated records/request quotient (< 4).
-# The second holds the alloc invariants behind one awk gate — 0 allocs/op on
+# The last holds the alloc invariants behind one awk gate — 0 allocs/op on
 # every cell of ReplicationHotPath, ChaosOverhead (the chaos seam must be
 # free when no fault fires), ConnectPath (the recv lands in a reusable
 # scratch buffer via Call.Buf) and DeadlockDetectorOverhead — at 2000
@@ -53,5 +55,6 @@ benchmark:
 # actually exercises the injector consult, not just the first call.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAgentMicro|BenchmarkWallClockAssignment|BenchmarkPollServer|BenchmarkEventedKeepAlive' -benchmem -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkSyncThenSyscall' -benchtime=1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkChaosOverhead|BenchmarkConnectPath|BenchmarkDeadlockDetectorOverhead|BenchmarkReplicationHotPath' -benchmem -benchtime=2000x . | \
 	awk '{ print } / allocs\/op/ { if ($$(NF-1) != 0) bad = 1 } END { exit bad }'

@@ -75,9 +75,11 @@ type Agent interface {
 	After(tid int, addr uint64)
 	// Ops returns the number of sync ops recorded or replayed so far.
 	Ops() uint64
-	// Stalls returns how many times a slave thread had to wait before a
-	// sync op (always 0 for masters). It is a coarse efficiency signal:
-	// the TO agent stalls more than PO, which stalls more than WoC.
+	// Stalls returns how many times a slave thread had nothing to replay
+	// (always 0 for masters): a Before that found NO recorded op it may
+	// take, or that had to wait for wall time. A WoC thread that has tickets
+	// and waits for a fuller batch is not stalled. It is a coarse efficiency
+	// signal: the TO agent stalls more than PO, which stalls more than WoC.
 	Stalls() uint64
 }
 

@@ -38,24 +38,31 @@ func withStopWatch(t *testing.T, d time.Duration) *atomic.Int32 {
 	return &fired
 }
 
-// slaveWaits are the agents' four waits, each reached by a slave thread the
-// master has recorded nothing (or not enough) for. park starts the waiter's
-// Before and returns the wait set it will sleep on.
+// slaveWaits are the agents' waits, each reached by a slave thread the
+// master has recorded nothing (or not enough) for. park prepares the wait
+// for slave s and returns the thread whose Before will sleep, and the wait
+// set it will sleep on.
 var slaveWaits = []struct {
 	name string
 	kind Kind
-	park func(ex Exchange) (tid int, pk *futex.Parker)
+	park func(ex Exchange, s Agent) (tid int, pk *futex.Parker)
 }{
-	{"toSlave.Before", TotalOrder, func(ex Exchange) (int, *futex.Parker) {
+	{"toSlave.Before", TotalOrder, func(ex Exchange, _ Agent) (int, *futex.Parker) {
 		return 0, ex.(*orderExchange).log.Parker()
 	}},
-	{"poSlave.Before", PartialOrder, func(ex Exchange) (int, *futex.Parker) {
+	{"poSlave.Before", PartialOrder, func(ex Exchange, _ Agent) (int, *futex.Parker) {
 		return 0, ex.(*orderExchange).log.Parker()
 	}},
-	{"wocSlave.Before/refill", WallOfClocks, func(ex Exchange) (int, *futex.Parker) {
+	{"wocSlave.Before/refill", WallOfClocks, func(ex Exchange, _ Agent) (int, *futex.Parker) {
 		return 0, ex.(*wocExchange).buf(0).Parker()
 	}},
-	{"wocSlave.Before/wall", WallOfClocks, func(ex Exchange) (int, *futex.Parker) {
+	{"wocSlave.Before/batch wait", WallOfClocks, func(ex Exchange, s Agent) (int, *futex.Parker) {
+		// The thread asks for a whole batch: Stop finds it in that wait, or
+		// past its patience and asleep waiting for one ticket.
+		s.(*wocSlave).threads[0].want = 8
+		return 0, ex.(*wocExchange).buf(0).Parker()
+	}},
+	{"wocSlave.Before/wall", WallOfClocks, func(ex Exchange, _ Agent) (int, *futex.Parker) {
 		// Threads 0 and 1 take the same clock's times 0 and 1; slave thread
 		// 1, running alone, has its ticket and waits for the wall.
 		m := ex.MasterAgent()
@@ -87,8 +94,8 @@ func TestStopWakesEveryAgentWait(t *testing.T) {
 				}
 				fired := withStopWatch(t, watch)
 				ex := NewExchange(w.kind, Config{Slaves: 1, MaxThreads: 2, BufCap: 8, WallSize: 64})
-				tid, pk := w.park(ex)
 				s := ex.SlaveAgent(0)
+				tid, pk := w.park(ex, s)
 				since := ring.ReadMetrics().Parks
 				unwound := make(chan any, 1)
 				go func() {
@@ -133,8 +140,8 @@ func TestStopWakesEveryAgentWait(t *testing.T) {
 func TestWallWaitParkIsCounted(t *testing.T) {
 	ex := NewExchange(WallOfClocks, Config{Slaves: 1, MaxThreads: 2, BufCap: 8, WallSize: 64})
 	defer ex.Stop()
-	tid, pk := slaveWaits[3].park(ex)
 	s := ex.SlaveAgent(0)
+	tid, pk := slaveWaits[len(slaveWaits)-1].park(ex, s)
 	since := ring.ReadMetrics().Parks
 	done := make(chan struct{})
 	go func() {
@@ -180,7 +187,7 @@ func TestWoCRefillInsidePrepareWindowKeepsEveryTicket(t *testing.T) {
 	var next atomic.Uint64 // the ticket the slave must replay next
 	replay := func() error {
 		s.Before(0, 0x9000)
-		if got := s.cur[0].Time; got != next.Load() {
+		if got := s.threads[0].pre[s.threads[0].bi].Time; got != next.Load() {
 			return fmt.Errorf("slave op %d replayed ticket %d", next.Load(), got)
 		}
 		s.After(0, 0x9000)
@@ -189,7 +196,7 @@ func TestWoCRefillInsidePrepareWindowKeepsEveryTicket(t *testing.T) {
 	}
 
 	const windowPoll = 128 + 2 // ring's parkSpins polls, the protocol's first, then the window's
-	polls := 0
+	polls, r := 0, s.refill(0)
 	ex.(*wocExchange).stop.await(pk, func() bool {
 		switch polls++; {
 		case polls == windowPoll:
@@ -200,7 +207,7 @@ func TestWoCRefillInsidePrepareWindowKeepsEveryTicket(t *testing.T) {
 		case polls > windowPoll:
 			t.Fatal("refill was asked again after it consumed a batch")
 		}
-		return s.refill(0)
+		return r.poll()
 	})
 	for i := 0; i < 16; i++ {
 		if err := replay(); err != nil {
@@ -216,13 +223,8 @@ func TestWoCRefillInsidePrepareWindowKeepsEveryTicket(t *testing.T) {
 			pk.Wake()
 		}
 	}()
-	unwind := func() {
-		if r := recover(); r != nil && r != ErrStopped {
-			panic(r)
-		}
-	}
 	go func() { // the master thread
-		defer unwind()
+		defer unwindStopped()
 		rng := rand.New(rand.NewSource(19))
 		for sent := 0; sent < total; {
 			for spins := 0; pk.Waiters() == 0 && spins < 1e6; spins++ {
@@ -235,7 +237,7 @@ func TestWoCRefillInsidePrepareWindowKeepsEveryTicket(t *testing.T) {
 	}()
 	errc := make(chan error, 1)
 	go func() { // the slave thread
-		defer unwind()
+		defer unwindStopped()
 		for i := 0; i < total; i++ {
 			if err := replay(); err != nil {
 				errc <- err

@@ -2,7 +2,9 @@ package agent
 
 import (
 	"sync"
-	"time"
+	"sync/atomic"
+
+	"repro/internal/ring"
 )
 
 // This file adds offline record/replay support to the wall-of-clocks
@@ -15,12 +17,11 @@ import (
 // into memory. Create it with NewCapturingExchange; call Stop after the
 // session finished to collect the per-thread ticket streams.
 type Capture struct {
-	ex    *wocExchange
-	group int
-	mu    sync.Mutex
-	ops   [][]WEntry
-	stop  chan struct{}
-	done  sync.WaitGroup
+	ex      *wocExchange
+	group   int
+	stopped atomic.Bool // the tapes' stop flag: Stop sets it and wakes the exchange's wait sets
+	ops     [][]WEntry  // ops[tid] is written by thread tid's tape, read after done
+	done    sync.WaitGroup
 }
 
 // NewCapturingExchange returns a wall-of-clocks exchange for cfg.Slaves
@@ -33,67 +34,26 @@ func NewCapturingExchange(cfg Config) (Exchange, *Capture) {
 	live := cfg.Slaves
 	cfg.Slaves = live + 1 // the tape is the last consumer group
 	ex := newWoCExchange(cfg)
-	c := &Capture{
-		ex:    ex,
-		group: live,
-		ops:   make([][]WEntry, cfg.MaxThreads),
-		stop:  make(chan struct{}),
-	}
-	for tid := 0; tid < cfg.MaxThreads; tid++ {
-		c.done.Add(1)
-		go c.drain(tid)
-	}
-	return ex, c
+	ex.tape = &Capture{ex: ex, group: live, ops: make([][]WEntry, cfg.MaxThreads)}
+	return ex, ex.tape
 }
 
-// drain consumes buffer tid on the tape group as entries appear.
-func (c *Capture) drain(tid int) {
-	defer c.done.Done()
-	// Batched consumption: one cursor move per run of published tickets.
-	// Buffers are created lazily by the variants; until thread tid's first
-	// sync op there is nothing to drain.
-	var batch [wocBatch]WEntry
-	var local []WEntry
-	take := func() bool {
-		buf := c.ex.bufs[tid].Load()
-		if buf == nil {
-			return false
-		}
-		n := buf.TryConsumeBatch(c.group, batch[:])
-		if n == 0 {
-			return false
-		}
-		local = append(local, batch[:n]...)
-		return true
-	}
-	for {
-		if take() {
-			continue
-		}
-		select {
-		case <-c.stop:
-			// Final sweep: collect anything published after the last poll.
-			for take() {
-			}
-			c.mu.Lock()
-			c.ops[tid] = local
-			c.mu.Unlock()
-			return
-		default:
-			// Poll gently: the tape must not steal the (possibly
-			// single) CPU from the variants it is recording.
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
+// start runs thread tid's tape; the exchange calls it when it creates the
+// thread's buffer, so threads that never record cost nothing.
+func (c *Capture) start(tid int, buf *ring.Log[WEntry]) {
+	c.done.Add(1)
+	go func() {
+		defer c.done.Done()
+		c.ops[tid] = ring.Drain(buf, c.group, &c.stopped)
+	}()
 }
 
 // Stop ends the capture and returns the recorded per-thread ticket
 // streams. Call it only after the recorded session has finished.
 func (c *Capture) Stop() [][]WEntry {
-	close(c.stop)
+	c.stopped.Store(true)
+	c.ex.wakeParked()
 	c.done.Wait()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.ops
 }
 

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -49,6 +50,7 @@ type wocExchange struct {
 	// (rare) parked waiters a re-check.
 	wallParks []futex.Parker
 	stop      stopFlag
+	tape      *Capture // non-nil when recording: one more consumer group (trace.go)
 }
 
 func newWoCExchange(cfg Config) *wocExchange {
@@ -79,6 +81,9 @@ func (ex *wocExchange) buf(tid int) *ring.Log[WEntry] {
 	if !ex.bufs[tid].CompareAndSwap(nil, b) {
 		return ex.bufs[tid].Load()
 	}
+	if ex.tape != nil {
+		ex.tape.start(tid, b)
+	}
 	return b
 }
 
@@ -86,8 +91,13 @@ func (ex *wocExchange) Kind() Kind { return WallOfClocks }
 
 func (ex *wocExchange) Stop() {
 	ex.stop.stopped.Store(true)
-	// The stop flag's owner wakes its waiters (ring.Await): every sync
-	// buffer and every wall.
+	ex.wakeParked()
+}
+
+// wakeParked wakes every wait set of the exchange — every sync buffer and
+// every wall — as the owner of a stop flag must once it has set it
+// (ring.Await): the exchange's own, or a Capture's.
+func (ex *wocExchange) wakeParked() {
 	for i := range ex.bufs {
 		if b := ex.bufs[i].Load(); b != nil {
 			b.Interrupt()
@@ -99,53 +109,76 @@ func (ex *wocExchange) Stop() {
 }
 
 func (ex *wocExchange) MasterAgent() Agent {
-	return &wocMaster{ex: ex, held: make([]int32, ex.cfg.MaxThreads)}
+	return &wocMaster{ex: ex, threads: make([]wocMasterThread, ex.cfg.MaxThreads)}
 }
 
 func (ex *wocExchange) SlaveAgent(g int) Agent {
-	return &wocSlave{
+	s := &wocSlave{
 		ex:       ex,
 		group:    g,
 		wall:     ex.walls[g],
 		wallPark: &ex.wallParks[g],
-		cur:      make([]WEntry, ex.cfg.MaxThreads),
-		pre:      make([]WEntry, ex.cfg.MaxThreads*wocBatch),
-		bi:       make([]int, ex.cfg.MaxThreads),
-		bn:       make([]int, ex.cfg.MaxThreads),
+		threads:  make([]wocSlaveThread, ex.cfg.MaxThreads),
 	}
+	for i := range s.threads {
+		s.threads[i].want = 1
+	}
+	return s
 }
+
+// cacheLine is the assumed coherence granule (see ring): the per-thread
+// structs below are sized in multiples of it, so no two threads of a variant
+// write one line (TestWoCThreadStateDoesNotShareLines).
+const cacheLine = 64
+
+// bump counts one event on a per-thread counter. Its thread is the only
+// writer, so a load and a store do: no locked add, and no line every thread
+// of the variant hits on every sync op.
+func bump(c *atomic.Uint64) { c.Store(c.Load() + 1) }
 
 // wocMaster records (clock, time) tickets into its per-thread buffers.
 type wocMaster struct {
-	ex   *wocExchange
-	held []int32 // per tid: clock locked in Before
+	ex      *wocExchange
+	threads []wocMasterThread
+}
+
+// wocMasterThread is what master thread tid writes on every sync op, alone on
+// its line.
+type wocMasterThread struct {
+	held int32 // clock locked in Before
 	ops  atomic.Uint64
+	_    [cacheLine - 16]byte
 }
 
 func (m *wocMaster) Before(tid int, addr uint64) {
 	m.ex.stop.check()
 	cid := m.ex.wall.ClockOf(addr)
 	m.ex.locks[cid].Lock()
-	m.held[tid] = int32(cid)
+	m.threads[tid].held = int32(cid)
 }
 
 func (m *wocMaster) After(tid int, addr uint64) {
-	cid := int(m.held[tid])
-	t := m.ex.wall.Tick(cid) // returns pre-increment time, i.e. the ticket
-	m.ex.buf(tid).Append(WEntry{Clock: uint32(cid), Time: t})
+	t := &m.threads[tid]
+	cid := int(t.held)
+	ticket := m.ex.wall.Tick(cid) // the pre-increment time
+	m.ex.buf(tid).Append(WEntry{Clock: uint32(cid), Time: ticket})
 	m.ex.locks[cid].Unlock()
-	m.ops.Add(1)
+	bump(&t.ops)
 }
 
-func (m *wocMaster) Ops() uint64    { return m.ops.Load() }
+func (m *wocMaster) Ops() (n uint64) {
+	for i := range m.threads {
+		n += m.threads[i].ops.Load()
+	}
+	return n
+}
 func (m *wocMaster) Stalls() uint64 { return 0 }
 
 // wocBatch is how many tickets a slave thread prefetches from its
-// per-thread buffer in one consume: one cursor move per batch instead of
-// one per sync op. Prefetching is safe precisely because each buffer is
-// SPSC per (group, thread): tickets are pure values consumed strictly in
-// program order by their one thread, so eager cursor advancement only
-// hands the master a little extra ring slack.
+// per-thread buffer at most in one consume. Prefetching is safe precisely
+// because each buffer is SPSC per (group, thread): tickets are pure values
+// consumed strictly in program order by their one thread, so eager cursor
+// advancement only hands the master a little extra ring slack.
 const wocBatch = 16
 
 // wocSlave replays tickets: thread tid reads the next entry from its own
@@ -157,51 +190,150 @@ type wocSlave struct {
 	group    int
 	wall     *clock.Wall
 	wallPark *futex.Parker // this group's wall wait set (see wocExchange)
-	cur      []WEntry      // per tid: entry claimed in Before
-	// pre[tid*wocBatch:] is thread tid's prefetched ticket batch;
-	// bi/bn[tid] is the consumption window into it.
-	pre    []WEntry
-	bi, bn []int
-	ops    atomic.Uint64
-	stalls atomic.Uint64
+	threads  []wocSlaveThread
+}
+
+// wocSlaveThread is everything slave thread tid writes, on lines of its own:
+// one for the words below, four for the prefetched batch.
+type wocSlaveThread struct {
+	bi, bn int32 // consumption window into pre; pre[bi] is the ticket Before claimed
+	// want is how many tickets the next dry refill waits for (1 … min(wocBatch,
+	// buffer capacity)). hold and strikes are learn's memory of waits that ran
+	// out: while hold > 0, that many more refills may not grow want; below 0 it
+	// counts the refills since (down to -wocForgive); the next hold-off lasts
+	// 2<<strikes refills.
+	want, hold, strikes int32
+	expired             uint32 // batch waits that ran out with tickets on hand
+	ops, stalls         atomic.Uint64
+	_                   [cacheLine - 40]byte
+	pre                 [wocBatch]WEntry
 }
 
 func (s *wocSlave) Before(tid int, addr uint64) {
-	// Refill this thread's ticket batch if it ran dry; the master's next
-	// append wakes the (SPSC) buffer's wait set.
-	if s.bi[tid] >= s.bn[tid] && !s.refill(tid) {
-		s.stalls.Add(1)
-		s.ex.stop.await(s.ex.buf(tid).Parker(), func() bool { return s.refill(tid) })
+	t := &s.threads[tid]
+	if t.bi >= t.bn {
+		r := s.refill(tid)
+		s.ex.stop.await(r.buf.Parker(), r.poll)
 	}
-	e := s.pre[tid*wocBatch+s.bi[tid]]
+	e := &t.pre[t.bi]
 	// Wait for the local clock to reach the ticket's time; each sibling Tick
 	// (After) wakes the group's wall wait set.
 	if s.wall.Now(int(e.Clock)) < e.Time {
-		s.stalls.Add(1)
+		bump(&t.stalls)
 		s.ex.stop.await(s.wallPark, func() bool { return s.wall.Now(int(e.Clock)) >= e.Time })
 	}
-	s.cur[tid] = e
 }
 
-// refill consumes the next run of tickets from thread tid's buffer into its
-// batch and reports whether there were any.
-func (s *wocSlave) refill(tid int) bool {
-	n := s.ex.buf(tid).TryConsumeBatch(s.group, s.pre[tid*wocBatch:(tid+1)*wocBatch])
-	if n == 0 {
-		return false // a failed poll stores nothing: siblings' indices share these lines
+// wocRefill is one wait of a thread whose batch ran dry; poll is its ready
+// for Await. It waits for t.want tickets first — polling the publication
+// word of the LAST slot it wants, lines away from the one the master is
+// writing — and, once that patience has run out, for any (DESIGN §4, "Tickets
+// travel by the batch"). The patience ends inside Await's busy/pause phases
+// and the predicate never goes back: a thread that reaches the Prepare window
+// waits for one ticket, which is what the master's next append wakes it for.
+type wocRefill struct {
+	t        *wocSlaveThread
+	buf      *ring.Log[WEntry]
+	group    int
+	want     int
+	last     uint64 // sequence of the want-th ticket from the cursor
+	patience int    // polls left for it
+	dry      bool   // a poll for any ticket found none
+}
+
+func (s *wocSlave) refill(tid int) wocRefill {
+	r := wocRefill{t: &s.threads[tid], buf: s.ex.buf(tid), group: s.group}
+	r.want = int(r.t.want)
+	r.last = r.buf.Cursor(r.group) + uint64(r.want) - 1
+	r.patience = wocPatience[bits.Len(uint(r.want-1))]
+	return r
+}
+
+// wocPatience is how many polls a wait for 1, 2, ≤4, ≤8, ≤16 tickets lasts:
+// some 0.2 µs a ticket asked for under Await's schedule (0.35, 0.85, 1.6 and
+// 3.1 µs on the reference host). That is the time by which a master recording
+// a ticket every 0.4 µs falls behind a slave replaying one every 0.2 µs — the
+// sync_fine round's pace — so a thread that has caught up still gets its
+// batch; a stream too sparse for it learns to ask for less. All of it lies
+// inside Await's busy and pause phases, which end at 64 polls.
+var wocPatience = [...]int{0, 28, 36, 44, 56}
+
+func (r *wocRefill) poll() bool {
+	if r.patience > 0 && !r.buf.Ready(r.last) {
+		r.patience--
+		return false
 	}
-	s.bi[tid], s.bn[tid] = 0, n
+	r.patience = 0
+	n := r.buf.TryConsumeBatch(r.group, r.t.pre[:])
+	if n == 0 {
+		if !r.dry {
+			r.dry = true
+			bump(&r.t.stalls) // a stall is a Before that found no ticket, not one that waited for a fuller batch
+		}
+		return false
+	}
+	r.t.bi, r.t.bn = 0, int32(n)
+	r.t.learn(n, min(wocBatch, r.buf.Cap()), n < r.want && !r.dry)
 	return true
 }
 
-func (s *wocSlave) After(tid int, addr uint64) {
-	e := s.cur[tid]
-	s.bi[tid]++
-	s.wall.Tick(int(e.Clock))
-	// The tick may be exactly the time a parked sibling is waiting for.
-	s.wallPark.Wake()
-	s.ops.Add(1)
+// learn sets what the next dry refill asks for from what this one found.
+// A request that was met doubles. A wait that ran out while tickets were
+// there — the master recorded found of them and then stopped, typically at a
+// rendezvous with this very thread — delayed them for nothing: ask for what
+// was found, and do not grow again for 2<<strikes refills, twice as long after
+// each such expiry (up to 1024), so a stream of short bursts stops paying. A
+// wait that ran out with NO ticket on hand cost nothing (the thread would
+// have waited anyway) and proves nothing (on a busy host the master is simply
+// off its CPU), so it changes nothing; and wocForgive refills past a hold-off
+// without an expiry clear the strikes, so a dense stream's occasional expiry
+// costs it a few refills, not its batches.
+func (t *wocSlaveThread) learn(found, limit int, expired bool) {
+	switch {
+	case expired:
+		t.expired++
+		t.want = int32(found)
+		t.hold = 2 << t.strikes
+		t.strikes = min(t.strikes+1, wocMaxStrikes)
+	case t.hold > 0:
+		t.hold--
+	default:
+		if t.hold > -wocForgive {
+			t.hold--
+		} else {
+			t.strikes = 0
+		}
+		if found >= int(t.want) {
+			t.want = int32(min(2*int(t.want), limit))
+		}
+	}
 }
 
-func (s *wocSlave) Ops() uint64    { return s.ops.Load() }
-func (s *wocSlave) Stalls() uint64 { return s.stalls.Load() }
+const (
+	wocMaxStrikes = 9  // the longest hold-off is 2<<9 = 1024 refills
+	wocForgive    = 64 // refills past a hold-off without an expiry that clear the strikes
+)
+
+func (s *wocSlave) After(tid int, addr uint64) {
+	t := &s.threads[tid]
+	cid := int(t.pre[t.bi].Clock)
+	t.bi++
+	s.wall.Tick(cid)
+	// The tick may be exactly the time a parked sibling is waiting for.
+	s.wallPark.Wake()
+	bump(&t.ops)
+}
+
+func (s *wocSlave) Ops() (n uint64) {
+	for i := range s.threads {
+		n += s.threads[i].ops.Load()
+	}
+	return n
+}
+
+func (s *wocSlave) Stalls() (n uint64) {
+	for i := range s.threads {
+		n += s.threads[i].stalls.Load()
+	}
+	return n
+}

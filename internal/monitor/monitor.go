@@ -405,11 +405,11 @@ func New(kern *kernel.Kernel, procs []*kernel.Proc, cfg Config) *Monitor {
 		m.outArenas = make([]spillArena, cfg.MaxThreads)
 	}
 	m.btickets = make([][]uint64, cfg.MaxThreads)
+	if cfg.Capture {
+		m.capture = &RecordCapture{m: m, recs: make([][]Record, cfg.MaxThreads)}
+	}
 	if m.replay {
 		m.prefillReplay(cfg.Replay)
-	}
-	if cfg.Capture {
-		m.capture = m.startCapture()
 	}
 	m.inboxes = make([][]atomic.Pointer[ring.Log[digest]], len(procs)-1)
 	m.darenas = make([][]spillArena, len(procs)-1)
@@ -432,6 +432,9 @@ func (m *Monitor) ring(tid int) *ring.Log[Record] {
 	r.SetStop(&m.killed)
 	if !m.rings[tid].CompareAndSwap(nil, r) {
 		return m.rings[tid].Load()
+	}
+	if m.capture != nil {
+		m.capture.start(tid, r)
 	}
 	return r
 }
@@ -521,7 +524,8 @@ func (m *Monitor) Kill(d *Divergence) {
 // rings, digest inboxes, ordering-clock waits) so it re-checks the kill
 // flag and unwinds. The killed flag is already set when this runs, and
 // every park site re-checks it inside the Prepare window, so a thread that
-// parks after this sweep never sleeps through the kill.
+// parks after this sweep never sleeps through the kill. RecordCapture.Stop
+// uses the same sweep for the tapes' flag.
 func (m *Monitor) wakeParked() {
 	for i := range m.rings {
 		if r := m.rings[i].Load(); r != nil {

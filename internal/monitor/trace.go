@@ -2,7 +2,9 @@ package monitor
 
 import (
 	"sync"
-	"time"
+	"sync/atomic"
+
+	"repro/internal/ring"
 )
 
 // Offline record/replay support (RecPlay [35] style, §6): during recording,
@@ -12,79 +14,33 @@ import (
 
 // RecordCapture drains the per-thread syscall buffers into memory.
 type RecordCapture struct {
-	m     *Monitor
-	group int
-	mu    sync.Mutex
-	recs  [][]Record
-	stop  chan struct{}
-	done  sync.WaitGroup
+	m       *Monitor
+	stopped atomic.Bool // the tapes' stop flag: Stop sets it and wakes the monitor's wait sets
+	recs    [][]Record  // recs[tid] is written by thread tid's tape, read after done
+	done    sync.WaitGroup
 }
 
-// startCapture begins draining; called from New when cfg.Capture is set.
-func (m *Monitor) startCapture() *RecordCapture {
-	c := &RecordCapture{
-		m:     m,
-		group: m.tapeGroup,
-		recs:  make([][]Record, m.cfg.MaxThreads),
-		stop:  make(chan struct{}),
-	}
-	for tid := 0; tid < m.cfg.MaxThreads; tid++ {
-		c.done.Add(1)
-		go c.drain(tid)
-	}
-	return c
-}
-
-func (c *RecordCapture) drain(tid int) {
-	defer c.done.Done()
-	var local []Record
-	// Batched consumption: one cursor move per run of published records.
-	// The tape owns the copies outright (the monitor disables the payload
-	// arenas under capture), so consuming eagerly is safe. A copy carries
-	// its slot's leftovers (see payloadBox): with n <= InlinePayload its
-	// spill is an earlier record's payload — one this tape holds anyway —
-	// and only Payload() says what the record carries. Rings are
-	// created lazily by the variants; until thread tid makes its first
-	// monitored call there is nothing to drain (and polling the atomic
-	// pointer creates nothing).
-	var batch [slaveBatch]Record
-	take := func() bool {
-		buf := c.m.rings[tid].Load()
-		if buf == nil {
-			return false
-		}
-		n := buf.TryConsumeBatch(c.group, batch[:])
-		if n == 0 {
-			return false
-		}
-		local = append(local, batch[:n]...)
-		return true
-	}
-	for {
-		if take() {
-			continue
-		}
-		select {
-		case <-c.stop:
-			for take() {
-			}
-			c.mu.Lock()
-			c.recs[tid] = local
-			c.mu.Unlock()
-			return
-		default:
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
+// start runs thread tid's tape; Monitor.ring calls it when it creates the
+// thread's ring, so threads that never make a monitored call cost nothing.
+// The tape owns its copies outright (the monitor disables the payload arenas
+// under capture), so consuming eagerly is safe. A copy carries its slot's
+// leftovers (see payloadBox): with n <= InlinePayload its spill is an earlier
+// record's payload — one this tape holds anyway — and only Payload() says
+// what the record carries.
+func (c *RecordCapture) start(tid int, r *ring.Log[Record]) {
+	c.done.Add(1)
+	go func() {
+		defer c.done.Done()
+		c.recs[tid] = ring.Drain(r, c.m.tapeGroup, &c.stopped)
+	}()
 }
 
 // Stop ends the capture and returns the per-thread record streams. Call it
 // only after the recorded session has finished.
 func (c *RecordCapture) Stop() [][]Record {
-	close(c.stop)
+	c.stopped.Store(true)
+	c.m.wakeParked()
 	c.done.Wait()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.recs
 }
 

@@ -315,6 +315,32 @@ func (l *Log[T]) TryConsumeBatch(g int, out []T) int {
 	return n
 }
 
+// Drain is a tape: it consumes group g of l until *stop is set, sweeps up what
+// was published before that, and returns everything in order. It waits like
+// any other consumer of the log (Await on the log's wait set) — so it keeps
+// up with the producer instead of capping it at a ring per poll interval —
+// but for a quarter ring at a time: nobody reads a tape before it stops, so it
+// has no reason to follow the producer slot by slot, polling the line being
+// written, and a quarter leaves the producer three to fill before it would
+// block. Whoever sets *stop must Interrupt the log.
+func Drain[T any](l *Log[T], g int, stop *atomic.Bool) []T {
+	var tape []T
+	run := make([]T, max(l.Cap()/4, 1))
+	quarter := func() bool {
+		if !l.Ready(l.Cursor(g) + uint64(len(run)) - 1) {
+			return false
+		}
+		tape = append(tape, run[:l.TryConsumeBatch(g, run)]...)
+		return true
+	}
+	for Await(&l.waitQ, stop, quarter) {
+	}
+	for n := l.TryConsumeBatch(g, run); n > 0; n = l.TryConsumeBatch(g, run) {
+		tape = append(tape, run[:n]...)
+	}
+	return tape
+}
+
 // Cursor returns the next sequence number consumer group g will consume.
 func (l *Log[T]) Cursor(g int) uint64 { return l.cursors[g].c.Load() }
 

@@ -13,10 +13,18 @@
 # $PAIRED_OUT (default: a fresh temporary directory, printed at the end), so
 # "report every run made" is a cat away. Run nothing else on the host
 # meanwhile: on 2 CPUs a second process is the measurement.
+#
+# A run that exits non-zero (a build error, a failed round's exit 1, the
+# watchdog backstop's exit 3) does not end the session. Every run's exit
+# status and stderr tail go to runs.tsv (pair, side, seed, exit, stderr tail);
+# a failed run's line i of SIDE.jsonl is a placeholder carrying the same, its
+# output is kept as SIDE.i.stdout / SIDE.i.stderr, "pair i side S: exit N" is
+# printed, the remaining pairs run, and the summary leaves the pair out and
+# says so.
 set -euo pipefail
 
 if [ $# -lt 4 ]; then
-	sed -n '2,16p' "$0" >&2
+	sed -n '2,23p' "$0" >&2
 	exit 2
 fi
 parent="$(cd "$1" && pwd)"
@@ -27,27 +35,39 @@ first="${5:-1}"
 out="${PAIRED_OUT:-$(mktemp -d)}"
 mkdir -p "$out"
 
-run() { # side dir seed
-	bash "$2/benchmark/run.sh" --workload "$workload" --seed "$3" --seconds 20 --trace 0 2>/dev/null | tail -n 1 >>"$out/$1.jsonl"
+run() { # pair side dir seed
+	local base="$out/$2.$1" line tail status=0
+	bash "$3/benchmark/run.sh" --workload "$workload" --seed "$4" --seconds 20 --trace 0 >"$base.stdout" 2>"$base.stderr" || status=$?
+	line="$(tail -n 1 "$base.stdout")"
+	tail="$(tail -n 3 "$base.stderr" | tr '\n\t"\\' '  ..' | cut -c1-300)"
+	printf '%s\t%s\t%s\t%s\t%s\n' "$1" "$2" "$4" "$status" "$tail" >>"$out/runs.tsv"
+	if [ "$status" -eq 0 ] && [ "${line:0:1}" = "{" ]; then
+		rm -f "$base.stdout" "$base.stderr"
+	else
+		echo "pair $1 side $2: exit $status" >&2
+		line="{\"pair\": $1, \"exit\": $status, \"stderr_tail\": \"$tail\"}"
+	fi
+	echo "$line" >>"$out/$2.jsonl"
 }
 
+: >"$out/runs.tsv"
 : >"$out/parent.jsonl"
 : >"$out/change.jsonl"
 for i in $(seq 1 "$pairs"); do
 	seed=$((first + i - 1))
 	if [ $((i % 2)) -eq 1 ]; then
-		run parent "$parent" "$seed"
-		run change "$change" "$seed"
+		run "$i" parent "$parent" "$seed"
+		run "$i" change "$change" "$seed"
 	else
-		run change "$change" "$seed"
-		run parent "$parent" "$seed"
+		run "$i" change "$change" "$seed"
+		run "$i" parent "$parent" "$seed"
 	fi
 	echo "pair $i/$pairs (seed $seed) done" >&2
 done
 
 # One line per run, flattened to "side pair metric value failed", then one
-# row per metric. Every end-to-end metric but ops_per_s is lower-is-better
-# (BENCHMARK.json).
+# row per metric over the pairs both sides completed. Every end-to-end metric
+# but ops_per_s is lower-is-better (BENCHMARK.json).
 for side in parent change; do
 	awk -v side="$side" '{
 		failed = 0
@@ -60,24 +80,30 @@ for side in parent change; do
 			print side, NR, name, val, failed
 		}
 	}' "$out/$side.jsonl"
-done | awk -v workload="$workload" '
+done | awk -v workload="$workload" -v pairs="$pairs" '
 function q(a, n, p,    h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo]) }
-function sorted(side, name, arr,    i, j, t, n) {
+function sorted(side, name, arr,    i, j, k, t, n) {
 	n = 0
-	for (i = 1; (side, i, name) in v; i++) arr[++n] = v[side, i, name]
+	for (k = 1; k <= nc; k++) arr[++n] = v[side, complete[k], name]
 	for (i = 2; i <= n; i++) { t = arr[i]; for (j = i - 1; j >= 1 && arr[j] > t; j--) arr[j + 1] = arr[j]; arr[j + 1] = t }
 	return n
 }
-{ v[$1, $2, $3] = $4; if (!($3 in seen)) { seen[$3] = 1; names[++nn] = $3 }; fails[$1] += $5 }
+{ v[$1, $2, $3] = $4; ran[$1, $2] = 1; if (!($3 in seen)) { seen[$3] = 1; names[++nn] = $3 }; fails[$1, $2] = $5 }
 END {
-	printf "%s: parent vs change, median [q1, q3]\n", workload
+	for (i = 1; i <= pairs; i++) {
+		if ((("parent", i) in ran) && (("change", i) in ran)) complete[++nc] = i
+		else missing = missing " " i
+	}
+	printf "%s: parent vs change over %d complete pairs, median [q1, q3]\n", workload, nc
+	if (missing != "") printf "INCOMPLETE pairs (a run exited non-zero; see the .stderr files), left out:%s\n", missing
+	if (nc == 0) exit 1
 	printf "%-20s %-34s %-34s %-8s %s\n", "metric", "parent", "change", "delta", "change wins"
 	for (k = 1; k <= nn; k++) {
 		name = names[k]
 		n = sorted("parent", name, p); sorted("change", name, c)
 		wins = 0; ties = 0
-		for (i = 1; i <= n; i++) {
-			a = v["parent", i, name]; b = v["change", i, name]
+		for (i = 1; i <= nc; i++) {
+			a = v["parent", complete[i], name]; b = v["change", complete[i], name]
 			if (a == b) ties++
 			else if ((name == "ops_per_s") ? (b > a) : (b < a)) wins++
 		}
@@ -87,6 +113,7 @@ END {
 			sprintf("%.4g [%.4g, %.4g]", cm, q(c, n, 0.25), q(c, n, 0.75)),
 			pm ? 100 * (cm - pm) / pm : 0, wins, n, ties ? sprintf(" (%d ties)", ties) : ""
 	}
-	printf "failed operations: parent %d, change %d\n", fails["parent"], fails["change"]
+	for (i = 1; i <= nc; i++) { fp += fails["parent", complete[i]]; fc += fails["change", complete[i]] }
+	printf "failed operations: parent %d, change %d\n", fp, fc
 }'
 echo "runs kept in $out" >&2
