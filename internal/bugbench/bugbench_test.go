@@ -3,6 +3,7 @@ package bugbench
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/agent"
 	"repro/internal/core"
@@ -112,6 +113,25 @@ func TestAbbaInversionRepeats(t *testing.T) {
 		return
 	}
 	t.Fatal("abba-inversion is not in the corpus")
+}
+
+// TestWriteFullHoldingLockRepeats: the entry whose verdict used to be a race
+// (it ended `hang` about once in 150 runs, while a third thread's exit
+// queued behind the sleeping writer's turn) reaches its annotated deadlock
+// every time, each run under a 2 s watchdog.
+func TestWriteFullHoldingLockRepeats(t *testing.T) {
+	for _, e := range Corpus() {
+		if e.Name != "write-full-holding-lock" {
+			continue
+		}
+		for i := 0; i < 200; i++ {
+			if v := Run(e, seeds[i%len(seeds)], 2*time.Second); v.Outcome != "deadlock" {
+				t.Fatalf("run %d: verdict %q, want deadlock (%v)", i, v.Outcome, v.Result.Deadlock)
+			}
+		}
+		return
+	}
+	t.Fatal("write-full-holding-lock is not in the corpus")
 }
 
 // TestArmedDetectorNoFalsePositiveOnWorkloads runs real (live, terminating)

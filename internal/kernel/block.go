@@ -18,14 +18,12 @@ import (
 // can be proven genuinely asleep, no internal wake can ever arrive — the
 // guest is deadlocked.
 //
-// The soundness argument is by omission: only sites that cannot be woken
-// from outside the guest register cells. Timed sleeps (nanosleep, poll with
-// a timeout, injected chaos delays), accept (a host Connect wakes it),
-// reads on host-visible connection pipes, and monitor-internal waits never
-// register — so whenever one of those could still wake a thread, the board
-// sees fewer cells than live threads and stays silent. Missing
-// instrumentation therefore produces false NEGATIVES only, never a false
-// positive on a live workload.
+// The soundness argument is by omission: only sleeps that nothing outside
+// the guest can end register cells (the table at blocker, below, is the one
+// list of who does), and monitor-internal waits never do — so whenever
+// something could still wake a thread, the board sees fewer cells than live
+// threads and stays silent. Missing instrumentation therefore produces
+// false NEGATIVES only, never a false positive on a live workload.
 //
 // "Genuinely asleep" closes the wake-in-flight race: a thread that has
 // been woken but not yet rescheduled still has its cell registered, so
@@ -352,37 +350,72 @@ func (b *BlockBoard) FutexPark(tid int, addr uint64, tab *futex.Table, word *ato
 // FutexUnpark removes tid's futex cell.
 func (b *BlockBoard) FutexUnpark(tid int) { b.unpark(tid) }
 
-// blocker carries a blocking call's identity into the kernel's sleep
-// sites: the interrupt predicate every blocking loop already consulted,
-// plus — when the calling thread belongs to a board-armed master process —
-// the board, tid and fd needed to register a cell. The zero blocker (host
-// side ClientConn I/O, unmonitored kernels) blocks exactly as before and
-// registers nothing.
+// blocker is a blocking call's identity at the kernel's sleep sites, and
+// the single answer to both questions a sleep asks. What ends it early:
+// interrupted(), for every site. Does it register a deadlock cell: only
+// through park*/unpark, which do nothing without a board-armed process —
+// and only where the table below says so, because a sleep that anything
+// outside the guest's own state can end must never count toward a verdict.
+//
+//	site (sleep function)          registers        woken by a kick through
+//	pipe recv/send (sleepLocked)   internal pipes   pipe.kick (cond)
+//	waitpid (doWaitpid)            always           treeWake (cond)
+//	poll (doPoll)                  untimed, all     pollPark
+//	                               fds internal
+//	accept (listener.accept)       never: a host    listener.kick (cond)
+//	                               Connect wakes it
+//	nanosleep, chaos delay         never: timed     Proc.sigPark
+//	(sleepFor)
+//
+// A pipe with a host-side end (pipe.external, ClientConn) is the other
+// externally wakeable case. The zero blocker (host-side ClientConn I/O,
+// kernel-internal drains) is never interrupted and registers nothing. A
+// plain value built on the caller's stack: no allocation on any path.
 type blocker struct {
-	intr  func() bool
-	board *BlockBoard
-	tid   int
-	fd    int
+	p   *Proc
+	tid int
+	fd  int
 }
 
-// interrupted reports whether the blocked call should give up (EINTR).
-func (w blocker) interrupted() bool { return w.intr != nil && w.intr() }
+// interrupted reports whether the blocked call must give up with EINTR: an
+// exit-group in progress (the first exiting thread yanks its siblings out)
+// or a deliverable signal. Sites check it under the lock, or after the
+// Prepare, that signalKick's wake takes, before the first sleep and after
+// every wake — so a cause raised before the sleep interrupts as surely as
+// one raised during it.
+func (w blocker) interrupted() bool {
+	return w.p != nil && (w.p.exitGroup.Load() || w.p.signalPending())
+}
 
-// pipePark registers a pipe sleep, reading the pipe's wake sequence the
-// caller sampled under the pipe lock.
-func (w blocker) pipePark(kind BlockKind, seqw *atomic.Uint64, seq uint64) {
-	if w.board == nil {
-		return
+// armed reports whether parks from this call reach a board.
+func (w blocker) armed() bool { return w.p != nil && w.p.board != nil }
+
+// parkSeq registers a sleep whose proof is a wake sequence (pipe, waitpid).
+// The caller holds the lock the sequence is bumped under, so the sample
+// and the cell are atomic with respect to wakes.
+func (w blocker) parkSeq(kind BlockKind, addr uint64, seqw *atomic.Uint64) {
+	if w.armed() {
+		w.p.board.park(cell{
+			site: BlockedSite{Tid: w.tid, Kind: kind, Addr: addr, FD: w.fd},
+			seqw: seqw, seq: seqw.Load(),
+		})
 	}
-	w.board.park(cell{
-		site: BlockedSite{Tid: w.tid, Kind: kind, FD: w.fd},
-		seqw: seqw, seq: seq,
-	})
 }
 
-// unpark removes the caller's cell after any park.
+// parkPoll registers an untimed poll; the proof is the generation the
+// caller's Prepare returned — any Wake that saw it waiting bumps it.
+func (w blocker) parkPoll(pk *futex.Parker, g uint64) {
+	if w.armed() {
+		w.p.board.park(cell{
+			site: BlockedSite{Tid: w.tid, Kind: BlockPoll, FD: w.fd},
+			pk:   pk, g: g,
+		})
+	}
+}
+
+// unpark removes the caller's cell, if it holds one.
 func (w blocker) unpark() {
-	if w.board != nil {
-		w.board.unpark(w.tid)
+	if w.armed() {
+		w.p.board.unpark(w.tid)
 	}
 }

@@ -2,7 +2,9 @@ package kernel
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -147,6 +149,116 @@ func FuzzPollFDRoundTrip(f *testing.F) {
 			if jfd, jev, jrev := DecodePollFD(b, j); jfd != 0 || jev != 0 || jrev != 0 {
 				t.Fatalf("entry %d bled into entry %d: (%d, %#x, %#x)", i, j, jfd, jev, jrev)
 			}
+		}
+	})
+}
+
+// Guest-chosen byte counts. The count word of read/recv/pread is the
+// guest's, like the iovec count above: whatever it holds, the host neither
+// panics nor sizes an allocation from it.
+
+// countFDKinds are the descriptor kinds a count can be aimed at.
+var countFDKinds = []string{"pipe-read-end", "pipe-write-end", "socket", "unconnected-socket", "listener", "file"}
+
+// countFixture builds a kernel holding one descriptor of the given kind.
+// Readable kinds have the bytes "hello" pending, so no read here blocks.
+func countFixture(t testing.TB, kind string) (*Kernel, *Proc, uint64) {
+	t.Helper()
+	k := New()
+	p := newTestProc(k)
+	switch kind {
+	case "pipe-read-end", "pipe-write-end":
+		pr := k.Do(p, Call{Nr: SysPipe2})
+		k.Do(p, Call{Nr: SysWrite, Args: [6]uint64{pr.Val2}, Data: []byte("hello")})
+		if kind == "pipe-read-end" {
+			return k, p, pr.Val
+		}
+		return k, p, pr.Val2
+	case "unconnected-socket":
+		return k, p, k.Do(p, Call{Nr: SysSocket}).Val
+	case "listener", "socket":
+		lfd := k.Do(p, Call{Nr: SysSocket}).Val
+		if r := k.Do(p, Call{Nr: SysListen, Args: [6]uint64{lfd, 80, 4}}); !r.Ok() {
+			t.Fatalf("listen: %v", r.Err)
+		}
+		if kind == "listener" {
+			return k, p, lfd
+		}
+		cc, errno := k.Connect(80)
+		if errno != OK {
+			t.Fatalf("connect: %v", errno)
+		}
+		cc.Write([]byte("hello"))
+		return k, p, k.Do(p, Call{Nr: SysAccept, Args: [6]uint64{lfd}}).Val
+	case "file":
+		return k, p, mkFile(t, k, p, "/f", []byte("hello"))
+	}
+	t.Fatalf("unknown fd kind %q", kind)
+	return nil, nil, 0
+}
+
+// countedRead issues nr with the raw count word and returns the result and
+// the bytes the call allocated.
+func countedRead(k *Kernel, p *Proc, nr Sysno, fd, raw uint64) (Ret, uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := k.Do(p, Call{Nr: nr, Args: [6]uint64{fd, raw}})
+	runtime.ReadMemStats(&after)
+	return r, after.TotalAlloc - before.TotalAlloc
+}
+
+// allocSlack covers what a call allocates besides its payload (nothing, on
+// the paths below) plus background noise from other goroutines.
+const allocSlack = 64 << 10
+
+func TestHugeCountsNeverPanic(t *testing.T) {
+	for _, nr := range []Sysno{SysRead, SysRecv, SysPread} {
+		for _, kind := range countFDKinds {
+			for _, raw := range []uint64{^uint64(0), 1 << 63, 1 << 40} {
+				k, p, fd := countFixture(t, kind)
+				r, alloc := countedRead(k, p, nr, fd, raw)
+				name := fmt.Sprintf("%v(%s, %#x)", nr, kind, raw)
+				if alloc > uint64(len(r.Data))+allocSlack {
+					t.Errorf("%s allocated %d bytes to deliver %d", name, alloc, len(r.Data))
+				}
+				want := EINVAL // a count no int holds; listeners; unconnected sockets
+				switch {
+				case nr == SysPread && kind != "file":
+					want = ESPIPE
+				case raw > math.MaxInt:
+				case kind == "pipe-write-end":
+					want = EBADF
+				case kind == "pipe-read-end", kind == "socket", kind == "file":
+					want = OK
+				}
+				if r.Err != want || (want == OK && string(r.Data) != "hello") {
+					t.Errorf("%s = (%q, %v), want errno %v", name, r.Data, r.Err, want)
+				}
+				k.Interrupt()
+			}
+		}
+	}
+}
+
+// FuzzReadCount: any count word, on any descriptor kind, through any of the
+// three calls that take one — reaching the end unpanicked, having allocated
+// no more than was delivered, is the property.
+func FuzzReadCount(f *testing.F) {
+	for _, raw := range []uint64{0, 3, 4096, 1 << 40, 1 << 63, ^uint64(0)} {
+		for kind := range countFDKinds {
+			f.Add(uint8(kind), uint8(kind), raw)
+		}
+	}
+	f.Fuzz(func(t *testing.T, kind, call uint8, raw uint64) {
+		nr := []Sysno{SysRead, SysRecv, SysPread}[int(call)%3]
+		k, p, fd := countFixture(t, countFDKinds[int(kind)%len(countFDKinds)])
+		defer k.Interrupt()
+		r, alloc := countedRead(k, p, nr, fd, raw)
+		if uint64(len(r.Data)) > raw || r.Val != uint64(len(r.Data)) {
+			t.Fatalf("delivered %d bytes (Val %d) for count %d", len(r.Data), r.Val, raw)
+		}
+		if alloc > uint64(len(r.Data))+allocSlack {
+			t.Fatalf("allocated %d bytes to deliver %d", alloc, len(r.Data))
 		}
 	})
 }

@@ -165,7 +165,7 @@ func (k *Kernel) injectedDo(p *Proc, c Call) Ret {
 	var inj uint8
 	if d.Delay > 0 {
 		inj |= InjLatency
-		if errno := k.sleepFor(p, d.Delay); errno != OK {
+		if errno := k.sleepFor(p.blk(c.Tid, 0), d.Delay); errno != OK {
 			// The injected delay was interrupted: the call reports EINTR at
 			// its boundary exactly like an interrupted sleep, so signal
 			// delivery semantics survive injection.
@@ -211,31 +211,30 @@ func (k *Kernel) injectedDo(p *Proc, c Call) Ret {
 	return r
 }
 
-// sleepFor waits for d on the kernel clock, interruptibly: a deliverable
-// signal or session teardown ends the wait with EINTR. It is the single
-// deadline loop behind both nanosleep and injected latency, running the
-// parker's FUTEX_WAIT protocol (announce, re-check, park with a one-shot
-// clock timer).
-func (k *Kernel) sleepFor(p *Proc, d time.Duration) Errno {
+// sleepFor waits for d on the kernel clock, interruptibly: an interrupt or
+// session teardown ends the wait with EINTR. It is the single deadline loop
+// behind both nanosleep and injected latency, running the parker's
+// FUTEX_WAIT protocol (announce, re-check, park with a one-shot clock
+// timer) on the calling process's parker. Timed, so it never registers a
+// deadlock cell.
+func (k *Kernel) sleepFor(w blocker, d time.Duration) Errno {
 	deadline := k.clock.Now().Add(d)
+	pk := &w.p.sigPark
 	for {
-		if p.signalPending() {
-			return EINTR
-		}
-		if k.stopped() {
+		if w.interrupted() || k.stopped() {
 			return EINTR
 		}
 		remaining := deadline.Sub(k.clock.Now())
 		if remaining <= 0 {
 			return OK
 		}
-		g := p.sigPark.Prepare()
-		if p.signalPending() || k.stopped() || !k.clock.Now().Before(deadline) {
-			p.sigPark.Cancel()
+		g := pk.Prepare()
+		if w.interrupted() || k.stopped() || !k.clock.Now().Before(deadline) {
+			pk.Cancel()
 			continue
 		}
-		tm := k.clock.AfterFunc(remaining, p.sigPark.Wake)
-		p.sigPark.Park(g)
+		tm := k.clock.AfterFunc(remaining, pk.Wake)
+		pk.Park(g)
 		tm.Stop()
 	}
 }

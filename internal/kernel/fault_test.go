@@ -140,49 +140,7 @@ func TestFilesAndPerVariantCallsAreNotInjectable(t *testing.T) {
 	}
 }
 
-// waitSigParked spins until a thread of p is parked on its signal parker
-// (nanosleep or an injected delay), the condition fixed sleeps used to
-// approximate.
-func waitSigParked(t *testing.T, p *Proc) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for p.sigPark.Waiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("sleeper never parked")
-		}
-		runtime.Gosched()
-	}
-}
-
 // The satellite regression for PR 5's signal-boundary semantics: a
-// nanosleep stretched by injected latency must still return EINTR when a
-// terminating signal lands mid-delay — injection must not create an
-// uninterruptible window.
-func TestInjectedLatencyNanosleepEINTRsOnKill(t *testing.T) {
-	k := New()
-	p := newTestProc(k)
-	k.SetInjector(injectOn(FaultSleep, FaultDecision{Delay: 30 * time.Second}))
-	done := make(chan Ret, 1)
-	go func() {
-		done <- k.Do(p, Call{Nr: SysNanosleep, Args: [6]uint64{uint64(time.Millisecond)}})
-	}()
-	waitSigParked(t, p)
-	if r := k.Do(p, Call{Nr: SysKill, Args: [6]uint64{uint64(p.Vpid()), SIGTERM}}); !r.Ok() {
-		t.Fatalf("kill: %v", r.Err)
-	}
-	select {
-	case r := <-done:
-		if r.Err != EINTR {
-			t.Fatalf("injected-latency nanosleep returned %v, want EINTR", r.Err)
-		}
-		if r.Inj&InjLatency == 0 {
-			t.Fatalf("interrupted sleep lost its injection marker (inj=%#x)", r.Inj)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("nanosleep still blocked 10s after kill — the injected delay is uninterruptible")
-	}
-}
-
 // Injected latency on I/O completes (with the fault marker) once the delay
 // elapses — driven here entirely on virtual time.
 func TestInjectedLatencyElapsesOnVirtualClock(t *testing.T) {

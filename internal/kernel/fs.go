@@ -27,6 +27,30 @@ func (ino *inode) readAt(p []byte, off int64) int {
 	return copy(p, ino.data[off:])
 }
 
+// availLocked clamps a transfer of count bytes at off to the bytes the file
+// holds there, so no caller allocates (or promises a stream) bytes that
+// cannot arrive. Callers hold ino.mu.
+func (ino *inode) availLocked(off int64, count int) int {
+	return int(min(int64(count), max(int64(len(ino.data))-off, 0)))
+}
+
+func (ino *inode) avail(off int64, count int) int {
+	ino.mu.RLock()
+	defer ino.mu.RUnlock()
+	return ino.availLocked(off, count)
+}
+
+// read returns up to count bytes at off in a fresh, exactly-sized slice.
+func (ino *inode) read(off int64, count int) []byte {
+	ino.mu.RLock()
+	defer ino.mu.RUnlock()
+	buf := make([]byte, ino.availLocked(off, count))
+	if len(buf) > 0 {
+		copy(buf, ino.data[off:])
+	}
+	return buf
+}
+
 func (ino *inode) writeAt(p []byte, off int64) int {
 	ino.mu.Lock()
 	defer ino.mu.Unlock()
@@ -107,17 +131,7 @@ type fileObj struct {
 
 func (f *fileObj) header() *objHeader { return &f.hdr }
 
-func (f *fileObj) read(p []byte, off int64) (int, Errno) {
-	return f.ino.readAt(p, off), OK
-}
-
-func (f *fileObj) write(p []byte, off int64) (int, Errno) {
-	return f.ino.writeAt(p, off), OK
-}
-
-func (f *fileObj) size() (int64, Errno) { return f.ino.size(), OK }
-func (f *fileObj) close() Errno         { return OK }
-func (f *fileObj) seekable() bool       { return true }
+func (f *fileObj) close() Errno { return OK }
 
 // poll: regular files are always readable and writable (reads and writes
 // never block), matching Linux poll(2) on regular files.

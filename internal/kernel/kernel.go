@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -89,9 +90,6 @@ type interruptible interface {
 	interrupt()
 	kick()
 }
-
-func (p *pipe) interrupt()     { p.interruptNow() }
-func (l *listener) interrupt() { l.close() }
 
 // track registers a blockable object; if the kernel is already interrupted
 // the object is closed immediately.
@@ -322,7 +320,7 @@ type ClientConn struct {
 
 // Write sends data toward the server.
 func (cc ClientConn) Write(p []byte) (int, error) {
-	n, errno := cc.c.toServer.write(cc.toGen, p, blocker{})
+	n, errno := cc.c.toServer.send(cc.toGen, bytesSource(p), blocker{})
 	if errno != OK {
 		return n, errno
 	}
@@ -331,19 +329,19 @@ func (cc ClientConn) Write(p []byte) (int, error) {
 
 // Read receives data from the server; it returns n==0 and nil error at EOF.
 func (cc ClientConn) Read(p []byte) (int, error) {
-	n, errno := cc.c.fromServer.read(cc.fromGen, p, blocker{})
+	got, errno := cc.c.fromServer.recv(cc.fromGen, p, len(p), blocker{})
 	if errno != OK {
-		return n, errno
+		return 0, errno
 	}
-	return n, nil
+	return len(got), nil
 }
 
 // Close shuts down the client side of the connection. It is idempotent
 // (the generation check absorbs repeats and late watchdog closes: once
 // the pipes' lifetime has moved on, Close is a no-op).
 func (cc ClientConn) Close() {
-	cc.c.toServer.closeWrite(cc.toGen)
-	cc.c.fromServer.closeRead(cc.fromGen)
+	cc.c.toServer.shut(cc.toGen, false, true)
+	cc.c.fromServer.shut(cc.fromGen, true, false)
 }
 
 // nowNanos returns a strictly increasing timestamp: real elapsed time mixed
@@ -495,7 +493,7 @@ func retErr(errno Errno) Ret { return Ret{Err: errno} }
 // latency uses, so both honor virtual time and kill identically.
 func (k *Kernel) doNanosleep(p *Proc, c Call) Ret {
 	k.sleeps.Add(1)
-	return retErr(k.sleepFor(p, time.Duration(c.Args[0])))
+	return retErr(k.sleepFor(p.blk(c.Tid, 0), time.Duration(c.Args[0])))
 }
 
 // doClose implements SysClose/SysShutdown. A successful close flips the
@@ -545,148 +543,112 @@ func (k *Kernel) doOpen(p *Proc, c Call) Ret {
 	return Ret{Val: uint64(fd)}
 }
 
+// guestCount reads a byte count the guest chose. A word that does not fit
+// an int — a negative count, as the guest wrote it — is EINVAL here, before
+// any handler sizes anything from it; what does fit is still only a
+// request, clamped by every path to the bytes that exist before it
+// allocates (recv: the bytes pending; files: the bytes remaining).
+func guestCount(raw uint64) (int, Errno) {
+	if raw > math.MaxInt {
+		return 0, EINVAL
+	}
+	return int(raw), OK
+}
+
+// guestOffset reads an explicit file offset the guest chose; negative is
+// EINVAL, like Linux (and would index the inode out of range).
+func guestOffset(raw uint64) (int64, Errno) {
+	if int64(raw) < 0 {
+		return 0, EINVAL
+	}
+	return int64(raw), OK
+}
+
+// lockOffset locks the open file description behind ref for an operation
+// that reads or moves its shared offset. The offset (like the access mode)
+// lives in the description, so two descriptors from dup(2) or fork observe
+// each other's transfers; the generation check turns an operation racing
+// the descriptor's close into EBADF instead of one through a recycled
+// entry. The caller unlocks e.mu when ok.
+func (r fdRef) lockOffset() (e *openFile, ok bool) {
+	e = r.ent
+	e.mu.Lock()
+	if e.gen.Load() != r.gen {
+		e.mu.Unlock()
+		return nil, false
+	}
+	return e, true
+}
+
 func (k *Kernel) doRead(p *Proc, c Call) Ret {
-	ref, errno := p.lookupFD(int(c.Args[0]))
+	fd := int(c.Args[0])
+	ref, errno := p.lookupFD(fd)
 	if errno != OK {
 		return Ret{Err: errno}
 	}
-	count := int(c.Args[1])
-	// Streams (pipes, sockets) return a result sized to the bytes actually
-	// pending: a recv asking for 4 KiB costs a 14-byte allocation when 14
-	// bytes arrived, not a 4 KiB one. This is the kernel half of keeping
-	// the per-request allocation volume proportional to the traffic. The
-	// stale check catches an object retired (and possibly re-attached to
-	// a successor connection) by a close(2) racing this read.
-	if ar, ok := ref.obj.(availableReader); ok {
+	count, errno := guestCount(c.Args[1])
+	if errno != OK {
+		return Ret{Err: errno}
+	}
+	switch o := ref.obj.(type) {
+	case *fileObj:
+		// Files never block, so holding the description lock across the
+		// read is fine.
+		if ref.accessMode() == OWronly {
+			return Ret{Err: EBADF}
+		}
+		e, ok := ref.lockOffset()
+		if !ok {
+			return Ret{Err: EBADF}
+		}
+		data := o.ino.read(e.offset, count)
+		e.offset += int64(len(data))
+		e.mu.Unlock()
+		return Ret{Val: uint64(len(data)), Data: data}
+	case stream:
+		// The stale check catches an object retired (and possibly
+		// re-attached to a successor connection) by a close(2) racing this
+		// read. With a caller-supplied destination (Call.Buf) the result
+		// aliases its prefix and the receive allocates nothing.
 		if ref.stale() {
 			return Ret{Err: EBADF}
 		}
-		// When the caller supplied a destination buffer (Call.Buf), fill it
-		// in place and alias the result — the allocation-free receive path.
-		if c.Buf != nil {
-			if br, ok := ref.obj.(bufReader); ok {
-				dst := c.Buf
-				if count < len(dst) {
-					dst = dst[:count]
-				}
-				n, errno := br.readInto(dst, p.blk(c.Tid, int(c.Args[0])))
-				if errno != OK {
-					return Ret{Err: errno}
-				}
-				return Ret{Val: uint64(n), Data: dst[:n]}
-			}
-		}
-		data, errno := ar.readAvailable(count, p.blk(c.Tid, int(c.Args[0])))
+		data, errno := o.recv(c.Buf, count, p.blk(c.Tid, fd))
 		if errno != OK {
 			return Ret{Err: errno}
 		}
 		return Ret{Val: uint64(len(data)), Data: data}
 	}
-	if !ref.obj.seekable() {
-		if ref.stale() {
-			return Ret{Err: EBADF}
-		}
-		buf := make([]byte, count)
-		n, errno := ref.obj.read(buf, 0)
-		if errno != OK {
-			return Ret{Err: errno}
-		}
-		return Ret{Val: uint64(n), Data: buf[:n]}
-	}
-	// Seekable object: the offset (like the access mode checked here)
-	// lives in the shared open file description, moved under its lock —
-	// two descriptors from dup(2) observe each other's reads, and the
-	// generation check turns a read racing the descriptor's close into
-	// EBADF instead of a read through a recycled entry. Files never
-	// block, so holding ent.mu across the read is fine. Don't allocate
-	// for bytes that cannot arrive.
-	if ref.accessMode() == OWronly {
-		return Ret{Err: EBADF}
-	}
-	e := ref.ent
-	e.mu.Lock()
-	if e.gen.Load() != ref.gen {
-		e.mu.Unlock()
-		return Ret{Err: EBADF}
-	}
-	off := e.offset
-	if sz, errno := ref.obj.size(); errno == OK {
-		if rem := sz - off; rem < int64(count) {
-			count = int(max(rem, 0))
-		}
-	}
-	buf := make([]byte, count)
-	n, errno := ref.obj.read(buf, off)
-	if errno != OK {
-		e.mu.Unlock()
-		return Ret{Err: errno}
-	}
-	e.offset = off + int64(n)
-	e.mu.Unlock()
-	return Ret{Val: uint64(n), Data: buf[:n]}
-}
-
-// availableReader is implemented by stream objects that can hand back an
-// exactly-sized read result (see pipe.readAvailable). The blocker carries
-// the interrupt predicate (EINTR on deliverable signal — the
-// signal-delivery hook) and, when armed, the deadlock-cell identity.
-type availableReader interface {
-	readAvailable(max int, w blocker) ([]byte, Errno)
-}
-
-// bufReader is implemented by stream objects that can fill a caller-owned
-// destination buffer with the pending bytes — the Call.Buf receive path,
-// which makes a steady-state serving loop's recv allocation-free.
-type bufReader interface {
-	readInto(dst []byte, w blocker) (int, Errno)
-}
-
-// streamWriter is implemented by stream objects whose writes can block on
-// a full buffer; writeIntr is the interruptible variant of write.
-type streamWriter interface {
-	writeIntr(p []byte, w blocker) (int, Errno)
+	return Ret{Err: EINVAL}
 }
 
 func (k *Kernel) doWrite(p *Proc, c Call) Ret {
-	ref, errno := p.lookupFD(int(c.Args[0]))
+	fd := int(c.Args[0])
+	ref, errno := p.lookupFD(fd)
 	if errno != OK {
 		return Ret{Err: errno}
 	}
-	if !ref.obj.seekable() {
+	switch o := ref.obj.(type) {
+	case *fileObj:
+		if ref.accessMode() == ORdonly {
+			return Ret{Err: EBADF}
+		}
+		e, ok := ref.lockOffset()
+		if !ok {
+			return Ret{Err: EBADF}
+		}
+		n := o.ino.writeAt(c.Data, e.offset)
+		e.offset += int64(n)
+		e.mu.Unlock()
+		return Ret{Val: uint64(n)}
+	case stream:
 		if ref.stale() {
 			return Ret{Err: EBADF}
 		}
-		var n int
-		var werrno Errno
-		if sw, ok := ref.obj.(streamWriter); ok {
-			// Stream writes can block on a full buffer; route them through
-			// the interruptible path so a signal EINTRs them.
-			n, werrno = sw.writeIntr(c.Data, p.blk(c.Tid, int(c.Args[0])))
-		} else {
-			n, werrno = ref.obj.write(c.Data, 0)
-		}
-		if werrno != OK {
-			return Ret{Val: uint64(n), Err: werrno}
-		}
-		return Ret{Val: uint64(n)}
+		n, errno := o.send(bytesSource(c.Data), p.blk(c.Tid, fd))
+		return Ret{Val: uint64(n), Err: errno}
 	}
-	if ref.accessMode() == ORdonly {
-		return Ret{Err: EBADF}
-	}
-	e := ref.ent
-	e.mu.Lock()
-	if e.gen.Load() != ref.gen {
-		e.mu.Unlock()
-		return Ret{Err: EBADF}
-	}
-	n, errno := ref.obj.write(c.Data, e.offset)
-	if errno != OK {
-		e.mu.Unlock()
-		return Ret{Err: errno}
-	}
-	e.offset += int64(n)
-	e.mu.Unlock()
-	return Ret{Val: uint64(n)}
+	return Ret{Err: EINVAL}
 }
 
 func (k *Kernel) doPread(p *Proc, c Call) Ret {
@@ -694,18 +656,23 @@ func (k *Kernel) doPread(p *Proc, c Call) Ret {
 	if errno != OK {
 		return Ret{Err: errno}
 	}
-	if !ref.obj.seekable() {
+	f, ok := ref.obj.(*fileObj)
+	if !ok {
 		return Ret{Err: ESPIPE}
 	}
 	if ref.accessMode() == OWronly {
 		return Ret{Err: EBADF}
 	}
-	buf := make([]byte, int(c.Args[1]))
-	n, errno := ref.obj.read(buf, int64(c.Args[2]))
+	count, errno := guestCount(c.Args[1])
 	if errno != OK {
 		return Ret{Err: errno}
 	}
-	return Ret{Val: uint64(n), Data: buf[:n]}
+	off, errno := guestOffset(c.Args[2])
+	if errno != OK {
+		return Ret{Err: errno}
+	}
+	data := f.ino.read(off, count)
+	return Ret{Val: uint64(len(data)), Data: data}
 }
 
 func (k *Kernel) doPwrite(p *Proc, c Call) Ret {
@@ -713,17 +680,18 @@ func (k *Kernel) doPwrite(p *Proc, c Call) Ret {
 	if errno != OK {
 		return Ret{Err: errno}
 	}
-	if !ref.obj.seekable() {
+	f, ok := ref.obj.(*fileObj)
+	if !ok {
 		return Ret{Err: ESPIPE}
 	}
 	if ref.accessMode() == ORdonly {
 		return Ret{Err: EBADF}
 	}
-	n, errno := ref.obj.write(c.Data, int64(c.Args[1]))
+	off, errno := guestOffset(c.Args[1])
 	if errno != OK {
 		return Ret{Err: errno}
 	}
-	return Ret{Val: uint64(n)}
+	return Ret{Val: uint64(f.ino.writeAt(c.Data, off))}
 }
 
 func (k *Kernel) doLseek(p *Proc, c Call) Ret {
@@ -731,15 +699,15 @@ func (k *Kernel) doLseek(p *Proc, c Call) Ret {
 	if errno != OK {
 		return Ret{Err: errno}
 	}
-	if !ref.obj.seekable() {
+	f, ok := ref.obj.(*fileObj)
+	if !ok {
 		return Ret{Err: ESPIPE}
 	}
-	e := ref.ent
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.gen.Load() != ref.gen {
+	e, ok := ref.lockOffset()
+	if !ok {
 		return Ret{Err: EBADF}
 	}
+	defer e.mu.Unlock()
 	off := int64(c.Args[1])
 	switch c.Args[2] {
 	case SeekSet:
@@ -747,8 +715,7 @@ func (k *Kernel) doLseek(p *Proc, c Call) Ret {
 	case SeekCur:
 		e.offset += off
 	case SeekEnd:
-		sz, _ := ref.obj.size()
-		e.offset = sz + off
+		e.offset = f.ino.size() + off
 	default:
 		return Ret{Err: EINVAL}
 	}
@@ -776,13 +743,13 @@ func (k *Kernel) doPipe(p *Proc) Ret {
 		// No descriptor will ever close the pipe: close both ends so it
 		// recycles instead of pinning the interrupt list (a process stuck
 		// at the fd limit must not leak one pipe per failed pipe2).
-		pi.interruptNow()
+		pi.interrupt()
 		return Ret{Err: errno}
 	}
 	wfd, errno := p.allocFD(&writeEnd{p: pi, gen: gen}, OWronly, 0)
 	if errno != OK {
-		p.closeFD(rfd)     // closes the read side
-		pi.closeWrite(gen) // no write descriptor will ever exist
+		p.closeFD(rfd)            // closes the read side
+		pi.shut(gen, false, true) // no write descriptor will ever exist
 		return Ret{Err: errno}
 	}
 	return Ret{Val: uint64(rfd), Val2: uint64(wfd)}
@@ -844,7 +811,7 @@ func (k *Kernel) doListen(p *Proc, c Call) Ret {
 			// lock, so every pending connection is served exactly once.
 			old.close()
 			for {
-				cn, errno := old.accept(nil)
+				cn, errno := old.accept(blocker{})
 				if errno != OK {
 					break
 				}
@@ -891,7 +858,7 @@ func (k *Kernel) doListen(p *Proc, c Call) Ret {
 func (k *Kernel) abortListener(l *listener) {
 	l.close()
 	for {
-		cn, errno := l.accept(nil)
+		cn, errno := l.accept(blocker{})
 		if errno != OK {
 			break
 		}
@@ -902,7 +869,8 @@ func (k *Kernel) abortListener(l *listener) {
 }
 
 func (k *Kernel) doAccept(p *Proc, c Call) Ret {
-	ref, errno := p.lookupFD(int(c.Args[0]))
+	lfd := int(c.Args[0])
+	ref, errno := p.lookupFD(lfd)
 	if errno != OK {
 		return Ret{Err: errno}
 	}
@@ -910,7 +878,7 @@ func (k *Kernel) doAccept(p *Proc, c Call) Ret {
 	if !ok {
 		return Ret{Err: ENOTSOCK}
 	}
-	cn, errno := l.accept(p.sigIntr)
+	cn, errno := l.accept(p.blk(c.Tid, lfd))
 	if errno != OK {
 		return Ret{Err: errno}
 	}

@@ -45,18 +45,26 @@ func (h *objHeader) pollWake() {
 	}
 }
 
-// object is anything a file descriptor can refer to.
+// object is anything a file descriptor can refer to. What can be done with
+// one beyond closing and polling it depends on its kind, and the transfer
+// handlers switch on exactly three: a stream, a regular file (*fileObj,
+// the one seekable kind: offsets, pread/pwrite, lseek), or neither (a
+// listener: EINVAL, or ESPIPE where an offset was asked for).
 type object interface {
 	// header exposes the uniform object header (generation + kernel).
 	header() *objHeader
-	// read blocks until data is available (pipes/sockets) or returns
-	// immediately (files). n==0 with OK means end of stream.
-	read(p []byte, off int64) (n int, errno Errno)
-	write(p []byte, off int64) (n int, errno Errno)
-	size() (int64, Errno)
 	close() Errno
-	seekable() bool
 	// poll reports the object's current readiness set (Poll* bits),
 	// without blocking. SysPoll masks it against the caller's interest.
 	poll() uint32
+}
+
+// stream is an object that is a blocking byte stream — a pipe end or a
+// socket endpoint: pipe.recv and pipe.send behind a handle. The blocker
+// says what interrupts the call's sleeps and whether they register
+// deadlock cells.
+type stream interface {
+	object
+	recv(dst []byte, max int, w blocker) ([]byte, Errno)
+	send(src source, w blocker) (int, Errno)
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -130,8 +131,9 @@ func (k *Kernel) releasePipe(p *pipe) {
 	k.pipePool.Put(p)
 }
 
-// readEnd / writeEnd adapt the two ends of a pipe to the object
-// interface, stamped with the generation they were created at.
+// readEnd / writeEnd adapt the two ends of a pipe to the object and stream
+// interfaces, stamped with the generation they were created at. The wrong
+// direction is EBADF, like a read on an O_WRONLY descriptor.
 type readEnd struct {
 	p   *pipe
 	gen uint64
@@ -141,33 +143,19 @@ type writeEnd struct {
 	gen uint64
 }
 
-func (r *readEnd) header() *objHeader                  { return &r.p.hdr }
-func (r *readEnd) read(b []byte, _ int64) (int, Errno) { return r.p.read(r.gen, b, blocker{}) }
-func (r *readEnd) readAvailable(max int, w blocker) ([]byte, Errno) {
-	return r.p.readAvailable(r.gen, max, w)
+func (r *readEnd) header() *objHeader { return &r.p.hdr }
+func (r *readEnd) recv(dst []byte, max int, w blocker) ([]byte, Errno) {
+	return r.p.recv(r.gen, dst, max, w)
 }
-func (r *readEnd) readInto(dst []byte, w blocker) (int, Errno) {
-	return r.p.read(r.gen, dst, w)
-}
-func (r *readEnd) write([]byte, int64) (int, Errno) { return 0, EBADF }
-func (r *readEnd) size() (int64, Errno)             { return 0, ESPIPE }
-func (r *readEnd) close() Errno                     { r.p.closeRead(r.gen); return OK }
-func (r *readEnd) seekable() bool                   { return false }
-func (r *readEnd) poll() uint32                     { return r.p.pollReadable(r.gen) }
+func (r *readEnd) send(source, blocker) (int, Errno) { return 0, EBADF }
+func (r *readEnd) close() Errno                      { r.p.shut(r.gen, true, false); return OK }
+func (r *readEnd) poll() uint32                      { return r.p.pollReadable(r.gen) }
 
-func (w *writeEnd) header() *objHeader                   { return &w.p.hdr }
-func (w *writeEnd) read([]byte, int64) (int, Errno)      { return 0, EBADF }
-func (w *writeEnd) write(b []byte, _ int64) (int, Errno) { return w.p.write(w.gen, b, blocker{}) }
-func (w *writeEnd) writeIntr(b []byte, blk blocker) (int, Errno) {
-	return w.p.write(w.gen, b, blk)
-}
-func (w *writeEnd) sendFromFile(ino *inode, off int64, n int, blk blocker) (int, Errno) {
-	return w.p.writeFromFile(w.gen, ino, off, n, blk)
-}
-func (w *writeEnd) size() (int64, Errno) { return 0, ESPIPE }
-func (w *writeEnd) close() Errno         { w.p.closeWrite(w.gen); return OK }
-func (w *writeEnd) seekable() bool       { return false }
-func (w *writeEnd) poll() uint32         { return w.p.pollWritable(w.gen) }
+func (w *writeEnd) header() *objHeader                        { return &w.p.hdr }
+func (w *writeEnd) recv([]byte, int, blocker) ([]byte, Errno) { return nil, EBADF }
+func (w *writeEnd) send(src source, blk blocker) (int, Errno) { return w.p.send(w.gen, src, blk) }
+func (w *writeEnd) close() Errno                              { w.p.shut(w.gen, false, true); return OK }
+func (w *writeEnd) poll() uint32                              { return w.p.pollWritable(w.gen) }
 
 // pollReadable snapshots the read-side readiness of the pipe for a handle
 // stamped with gen: PollIn when a read would not block (pending bytes, or
@@ -213,14 +201,6 @@ func (p *pipe) pollWritable(gen uint64) uint32 {
 // unread returns the pending byte count. Callers hold p.mu.
 func (p *pipe) unread() int { return len(p.buf) - p.r }
 
-// waitLocked parks on the pipe's cond, keeping the waiting count that
-// gates recycling. Callers hold p.mu.
-func (p *pipe) waitLocked() {
-	p.waiting++
-	p.cond.Wait()
-	p.waiting--
-}
-
 // PipeWaiters reports how many threads are asleep right now on the pipe
 // behind descriptor fd (either end), 0 when fd is not a live pipe end. It
 // reads the recycling count under the pipe's lock and changes nothing; tests
@@ -259,18 +239,18 @@ func (p *pipe) wakeLocked() {
 	p.cond.Broadcast()
 }
 
-// sleepLocked parks like waitLocked but, for a board-armed caller on an
-// internal pipe, registers a deadlock cell for the duration of the sleep.
-// External pipes (host-wakeable) skip registration: the detector must
-// never count a sleep the host could end. Callers hold p.mu.
+// sleepLocked is the pipe's one sleep: it parks on the cond, keeping the
+// waiting count that gates recycling, and registers a deadlock cell for the
+// duration unless the pipe has a host-side end (see blocker). Callers hold
+// p.mu.
 func (p *pipe) sleepLocked(w blocker, kind BlockKind) {
-	if w.board != nil && !p.external {
-		w.pipePark(kind, &p.wakeSeq, p.wakeSeq.Load())
-		p.waitLocked()
-		w.unpark()
-		return
+	if !p.external {
+		w.parkSeq(kind, 0, &p.wakeSeq)
 	}
-	p.waitLocked()
+	p.waiting++
+	p.cond.Wait()
+	p.waiting--
+	w.unpark()
 }
 
 // kick wakes every waiter parked on the pipe without changing pipe state:
@@ -283,324 +263,179 @@ func (p *pipe) kick() {
 	p.mu.Unlock()
 }
 
-// releaseDueLocked marks the pipe released when it is dead and drained,
-// clearing any leftover bytes so nothing of this connection survives into
-// the next use. It returns whether the caller must invoke
-// kern.releasePipe after unlocking. Callers hold p.mu.
-func (p *pipe) releaseDueLocked() bool {
-	if p.hdr.kern == nil || p.released || !p.readClosed || !p.writeClosed || p.waiting > 0 {
-		return false
+// unlockRelease is the one way a pipe operation ends: it drops p.mu, wakes
+// pollers if the operation changed readiness, and — when this caller was
+// the last thing holding a dead (both directions closed), drained (nobody
+// parked) kernel-owned pipe back — clears it and returns it to the pool,
+// exactly once per lifetime. Leftover bytes are cleared so nothing of this
+// connection survives into the next use. Callers hold p.mu.
+func (p *pipe) unlockRelease(wake bool) {
+	rel := p.hdr.kern != nil && !p.released && p.readClosed && p.writeClosed && p.waiting == 0
+	if rel {
+		p.released = true
+		p.buf = p.buf[:0]
+		p.r = 0
 	}
-	p.released = true
-	p.buf = p.buf[:0]
-	p.r = 0
-	return true
+	p.mu.Unlock()
+	if wake {
+		// Outside the lock: a wake under p.mu would stampede every poller
+		// in the kernel straight into the lock this caller still holds.
+		p.hdr.pollWake()
+	}
+	if rel {
+		p.hdr.kern.releasePipe(p)
+	}
 }
 
-// waitReadableLocked blocks until data is pending, the stream ended, or —
-// when the caller supplied an interrupt predicate — a deliverable signal
-// arrived (EINTR). ok=false means "stop with errno": OK is EOF, EBADF a
-// closed read side. The predicate is checked before the first wait too, so
-// a read entered with a signal already pending EINTRs deterministically
-// instead of racing the data. Callers hold p.mu.
-func (p *pipe) waitReadableLocked(w blocker) (errno Errno, ok bool) {
+// recv is the pipe's one receive step. It blocks until data is pending, the
+// stream ended (EOF: no bytes, OK), the read side closed (EBADF) or the call
+// is interrupted (EINTR) — the predicate is checked before the first sleep
+// too, so a read entered with a signal already pending EINTRs
+// deterministically, and pending data beats the signal. It delivers at most
+// max bytes: into dst when the caller supplied one (Call.Buf — the
+// allocation-free receive path; the result aliases dst's prefix), otherwise
+// into a fresh slice sized to the bytes actually delivered, so a request
+// asking for N bytes costs an allocation proportional to the traffic, not
+// to a guest-chosen N.
+func (p *pipe) recv(gen uint64, dst []byte, max int, w blocker) ([]byte, Errno) {
+	p.mu.Lock()
+	if !p.checkGenLocked(gen) {
+		p.mu.Unlock()
+		return nil, EBADF
+	}
 	for p.unread() == 0 {
-		if p.writeClosed {
-			return OK, false // EOF
+		errno := OK // EOF
+		switch {
+		case p.writeClosed:
+		case p.readClosed:
+			errno = EBADF
+		case w.interrupted():
+			errno = EINTR
+		default:
+			p.sleepLocked(w, BlockPipeRead)
+			continue
 		}
-		if p.readClosed {
-			return EBADF, false
-		}
-		if w.interrupted() {
-			return EINTR, false
-		}
-		p.sleepLocked(w, BlockPipeRead)
+		p.unlockRelease(false)
+		return dst[:0], errno
 	}
-	return OK, true
-}
-
-// consumeLocked advances the read offset past n delivered bytes, rewinding
-// the buffer when it drains (so the backing array is reused), and wakes
-// writers waiting for space. Callers hold p.mu.
-func (p *pipe) consumeLocked(n int) {
+	if dst == nil {
+		dst = make([]byte, min(p.unread(), max))
+	}
+	n := copy(dst[:min(max, len(dst))], p.buf[p.r:])
+	// Consume: rewind the buffer when it drains, so the backing array is
+	// reused, and wake writers sleeping (or polling) for space.
 	p.r += n
 	if p.r == len(p.buf) {
 		p.buf = p.buf[:0]
 		p.r = 0
 	}
 	p.wakeLocked()
-	// Callers issue the poll wake (space freed: writers polling PollOut
-	// may be ready) after releasing p.mu.
+	p.unlockRelease(true)
+	return dst[:n], OK
 }
 
-func (p *pipe) read(gen uint64, b []byte, w blocker) (int, Errno) {
+// source is where a send's bytes come from: the slice b, or — sendfile —
+// n bytes of ino starting at off, which the pipe then copies exactly once
+// (inode → pipe buffer), never through a guest- or monitor-visible buffer.
+// The inode's lock is taken per copied chunk, never held across a sleep.
+type source struct {
+	b   []byte
+	ino *inode
+	off int64
+	n   int
+}
+
+func bytesSource(b []byte) source { return source{b: b, n: len(b)} }
+
+// copyTo copies the source's bytes from position done onward into dst.
+func (s source) copyTo(dst []byte, done int) int {
+	if s.ino != nil {
+		return s.ino.readAt(dst, s.off+int64(done))
+	}
+	return copy(dst, s.b[done:])
+}
+
+// send is the pipe's one send step, for both kinds of source. It sleeps for
+// space as long as bytes remain; a closed read side is EPIPE and a closed
+// write side EBADF, each with the count already buffered. The interrupt
+// predicate only bites when the call would otherwise sleep, and per POSIX a
+// send that already transferred bytes returns the short count with NO error
+// (EINTR is for zero progress only): the retry-on-EINTR idiom assumes
+// nothing was written, and (n>0, EINTR) would make it resend and duplicate
+// bytes in the stream.
+func (p *pipe) send(gen uint64, src source, w blocker) (int, Errno) {
 	p.mu.Lock()
 	if !p.checkGenLocked(gen) {
 		p.mu.Unlock()
 		return 0, EBADF
 	}
-	errno, ok := p.waitReadableLocked(w)
-	if !ok {
-		// This reader may have been the last waiter holding a dead pipe
-		// back from recycling.
-		rel := p.releaseDueLocked()
-		p.mu.Unlock()
-		if rel {
-			p.hdr.kern.releasePipe(p)
-		}
-		return 0, errno
-	}
-	n := copy(b, p.buf[p.r:])
-	p.consumeLocked(n)
-	p.mu.Unlock()
-	p.hdr.pollWake()
-	return n, OK
-}
-
-// readAvailable blocks like read, but returns a freshly allocated slice
-// sized to the data actually pending (capped at max) instead of filling a
-// caller buffer. The kernel's read/recv handlers use it so that a request
-// asking for N bytes costs an allocation proportional to the bytes
-// delivered, not to N.
-func (p *pipe) readAvailable(gen uint64, max int, w blocker) ([]byte, Errno) {
-	p.mu.Lock()
-	if !p.checkGenLocked(gen) {
-		p.mu.Unlock()
-		return nil, EBADF
-	}
-	errno, ok := p.waitReadableLocked(w)
-	if !ok {
-		rel := p.releaseDueLocked()
-		p.mu.Unlock()
-		if rel {
-			p.hdr.kern.releasePipe(p)
-		}
-		return nil, errno
-	}
-	n := p.unread()
-	if n > max {
-		n = max
-	}
-	out := make([]byte, n)
-	copy(out, p.buf[p.r:])
-	p.consumeLocked(n)
-	p.mu.Unlock()
-	p.hdr.pollWake()
-	return out, OK
-}
-
-func (p *pipe) write(gen uint64, b []byte, w blocker) (int, Errno) {
-	p.mu.Lock()
-	if !p.checkGenLocked(gen) {
-		p.mu.Unlock()
-		return 0, EBADF
-	}
-	written := 0
-	for written < len(b) {
-		if p.readClosed {
-			rel := p.releaseDueLocked()
-			p.mu.Unlock()
-			if written > 0 {
-				p.hdr.pollWake()
-			}
-			if rel {
-				p.hdr.kern.releasePipe(p)
-			}
-			return written, EPIPE
-		}
-		if p.writeClosed {
-			rel := p.releaseDueLocked()
-			p.mu.Unlock()
-			if written > 0 {
-				p.hdr.pollWake()
-			}
-			if rel {
-				p.hdr.kern.releasePipe(p)
-			}
-			return written, EBADF
-		}
+	sent, errno := 0, OK
+loop:
+	for sent < src.n {
 		space := pipeBufSize - p.unread()
-		if space == 0 {
-			// Like the read side, the interrupt predicate only bites when
-			// the write would otherwise sleep — and per POSIX, a write
-			// that already transferred bytes returns the short count with
-			// NO error (EINTR is only for zero-progress interruptions):
-			// the standard retry-on-EINTR idiom assumes nothing was
-			// written, and handing it (n>0, EINTR) would make it resend
-			// and duplicate bytes in the stream.
-			if w.interrupted() {
-				p.mu.Unlock()
-				if written > 0 {
-					p.hdr.pollWake()
-					return written, OK
-				}
-				return 0, EINTR
+		switch {
+		case p.readClosed:
+			errno = EPIPE
+			break loop
+		case p.writeClosed:
+			errno = EBADF
+			break loop
+		case space == 0 && w.interrupted():
+			if sent == 0 {
+				errno = EINTR
 			}
-			// Announce what this call already buffered BEFORE sleeping:
-			// a poller parked on the kernel wait set is the only thing
-			// that can drain the pipe in the evented mode, and the
-			// end-of-write wake below never happens while we wait here —
-			// skipping this is a writer/poller deadlock on any write
-			// larger than the pipe capacity.
-			if written > 0 {
+			break loop
+		case space == 0:
+			// Announce what this call already buffered BEFORE sleeping: a
+			// poller parked on the kernel wait set is the only thing that
+			// can drain the pipe in the evented mode, and the end-of-send
+			// wake never happens while we wait here — skipping this is a
+			// writer/poller deadlock on any send larger than the pipe.
+			if sent > 0 {
 				p.hdr.pollWake()
 			}
 			p.sleepLocked(w, BlockPipeWrite)
 			continue
 		}
-		chunk := b[written:]
-		if len(chunk) > space {
-			chunk = chunk[:space]
-		}
+		chunk := min(src.n-sent, space)
 		// Compact before growing: if the dead prefix alone makes room,
 		// reuse it rather than extending the backing array.
-		if p.r > 0 && len(p.buf)+len(chunk) > cap(p.buf) {
-			n := copy(p.buf, p.buf[p.r:])
-			p.buf = p.buf[:n]
-			p.r = 0
-		}
-		p.buf = append(p.buf, chunk...)
-		written += len(chunk)
-		p.wakeLocked() // wake readers
-	}
-	p.mu.Unlock()
-	// One poll wake per write, outside the lock (readers polling PollIn
-	// are ready): per-chunk wakes under p.mu would stampede every poller
-	// in the kernel straight into the lock the writer still holds.
-	p.hdr.pollWake()
-	return written, OK
-}
-
-// writeFromFile is sendfile's sink half: it fills the pipe buffer straight
-// from the inode, so the file bytes are copied exactly once (inode → pipe)
-// and never materialize in a guest- or monitor-visible buffer. Blocking,
-// EPIPE/EBADF, short-count-on-progress, EINTR-only-on-zero-progress, and
-// poll-wake placement all mirror write() — this IS a write as far as the
-// stream's semantics are concerned; only the source of the bytes differs.
-// The inode's read lock is taken per copied chunk (inside readAt), never
-// held while sleeping for pipe space.
-func (p *pipe) writeFromFile(gen uint64, ino *inode, off int64, total int, w blocker) (int, Errno) {
-	p.mu.Lock()
-	if !p.checkGenLocked(gen) {
-		p.mu.Unlock()
-		return 0, EBADF
-	}
-	written := 0
-	for written < total {
-		if p.readClosed {
-			rel := p.releaseDueLocked()
-			p.mu.Unlock()
-			if written > 0 {
-				p.hdr.pollWake()
-			}
-			if rel {
-				p.hdr.kern.releasePipe(p)
-			}
-			return written, EPIPE
-		}
-		if p.writeClosed {
-			rel := p.releaseDueLocked()
-			p.mu.Unlock()
-			if written > 0 {
-				p.hdr.pollWake()
-			}
-			if rel {
-				p.hdr.kern.releasePipe(p)
-			}
-			return written, EBADF
-		}
-		space := pipeBufSize - p.unread()
-		if space == 0 {
-			if w.interrupted() {
-				p.mu.Unlock()
-				if written > 0 {
-					p.hdr.pollWake()
-					return written, OK
-				}
-				return 0, EINTR
-			}
-			// Announce buffered progress before sleeping — same
-			// writer/poller deadlock avoidance as write().
-			if written > 0 {
-				p.hdr.pollWake()
-			}
-			p.sleepLocked(w, BlockPipeWrite)
-			continue
-		}
-		chunk := total - written
-		if chunk > space {
-			chunk = space
-		}
-		// Compact before growing, like write(); then extend the buffer and
-		// let the inode copy directly into the new tail.
 		if p.r > 0 && len(p.buf)+chunk > cap(p.buf) {
-			n := copy(p.buf, p.buf[p.r:])
-			p.buf = p.buf[:n]
+			p.buf = p.buf[:copy(p.buf, p.buf[p.r:])]
 			p.r = 0
 		}
 		old := len(p.buf)
-		if cap(p.buf) < old+chunk {
-			grown := make([]byte, old, old+chunk)
-			copy(grown, p.buf)
-			p.buf = grown
-		}
-		p.buf = p.buf[:old+chunk]
-		n := ino.readAt(p.buf[old:], off+int64(written))
+		p.buf = slices.Grow(p.buf, chunk)[:old+chunk]
+		n := src.copyTo(p.buf[old:], sent)
 		p.buf = p.buf[:old+n]
 		if n == 0 {
-			break // file ended early (shrank under us): short count
+			break // the file ended early (shrank under us): short count
 		}
-		written += n
+		sent += n
 		p.wakeLocked() // wake readers
 	}
-	p.mu.Unlock()
-	p.hdr.pollWake()
-	return written, OK
+	p.unlockRelease(sent > 0 || errno == OK)
+	return sent, errno
 }
 
-func (p *pipe) closeRead(gen uint64) {
-	p.mu.Lock()
-	if !p.checkGenLocked(gen) {
-		p.mu.Unlock()
-		return // the handle's pipe lifetime already ended
-	}
-	p.readClosed = true
-	rel := p.releaseDueLocked()
-	p.wakeLocked()
-	p.mu.Unlock()
-	p.hdr.pollWake() // writers polling the peer see PollErr now
-	if rel {
-		p.hdr.kern.releasePipe(p)
-	}
-}
-
-func (p *pipe) closeWrite(gen uint64) {
+// shut closes the chosen directions for a handle stamped gen (a no-op once
+// that pipe lifetime has ended), waking sleepers and pollers so they see
+// EOF, EPIPE or PollErr. It is the one close routine: descriptor ends close
+// one direction, teardown (interrupt) both.
+func (p *pipe) shut(gen uint64, rd, wr bool) {
 	p.mu.Lock()
 	if !p.checkGenLocked(gen) {
 		p.mu.Unlock()
 		return
 	}
-	p.writeClosed = true
-	rel := p.releaseDueLocked()
+	p.readClosed = p.readClosed || rd
+	p.writeClosed = p.writeClosed || wr
 	p.wakeLocked()
-	p.mu.Unlock()
-	p.hdr.pollWake() // readers polling PollIn see EOF (PollIn|PollHup) now
-	if rel {
-		p.hdr.kern.releasePipe(p)
-	}
+	p.unlockRelease(true)
 }
 
-// interruptNow force-closes both directions regardless of generation —
-// the kernel teardown path, where closing a just-recycled pipe of the
-// dying session is acceptable (every connection in it is doomed anyway).
-func (p *pipe) interruptNow() {
-	p.mu.Lock()
-	p.readClosed, p.writeClosed = true, true
-	rel := p.releaseDueLocked()
-	p.wakeLocked()
-	p.mu.Unlock()
-	p.hdr.pollWake()
-	if rel {
-		p.hdr.kern.releasePipe(p)
-	}
-}
+// interrupt force-closes both directions of the current lifetime: teardown,
+// and the cleanup of connections nobody will ever serve. A pipe recycled
+// between Kernel.Interrupt's snapshot and this call is re-tracked by its
+// next holder, and track interrupts it there.
+func (p *pipe) interrupt() { p.shut(p.generation(), true, true) }

@@ -129,6 +129,7 @@ func (k *Kernel) doPoll(p *Proc, c Call) Ret {
 		tm := k.clock.AfterFunc(time.Duration(timeout), k.pollPark.Wake)
 		defer tm.Stop()
 	}
+	w := p.blk(c.Tid, n)
 	for {
 		if ready := k.pollScan(p, out, n); ready > 0 {
 			return Ret{Val: uint64(ready), Data: out}
@@ -141,11 +142,11 @@ func (k *Kernel) doPoll(p *Proc, c Call) Ret {
 			// on a dying kernel (an empty fd set would never wake).
 			return Ret{Data: out, Err: EBADF}
 		}
-		if p.signalPending() {
-			// A deliverable signal interrupts a poll that would otherwise
-			// sleep (a ready scan above already returned, matching Linux:
-			// poll with ready fds wins over EINTR). Kill's signalKick wakes
-			// the poll wait set, so a parked poller gets here promptly.
+		if w.interrupted() {
+			// An interrupt ends a poll that would otherwise sleep (a ready
+			// scan above already returned, matching Linux: poll with ready
+			// fds wins over EINTR). signalKick wakes the poll wait set, so
+			// a parked poller gets here promptly.
 			return Ret{Data: out, Err: EINTR}
 		}
 		// FUTEX_WAIT protocol on the kernel's poll wait set: announce,
@@ -154,25 +155,19 @@ func (k *Kernel) doPoll(p *Proc, c Call) Ret {
 		// has Prepared — landing between the checks above and the
 		// announcement would otherwise be a lost wakeup), then park.
 		g := k.pollPark.Prepare()
-		if k.pollScan(p, out, n) > 0 || k.stopped() || p.signalPending() ||
+		if k.pollScan(p, out, n) > 0 || k.stopped() || w.interrupted() ||
 			(timeout != PollNoTimeout && !k.clock.Now().Before(deadline)) {
 			k.pollPark.Cancel()
 			continue
 		}
-		if p.board != nil && timeout == PollNoTimeout && k.pollAllInternal(p, out, n) {
+		if timeout == PollNoTimeout && w.armed() && k.pollAllInternal(p, out, n) {
 			// An untimed poll over exclusively internal descriptors is a
 			// detectable sleep: no timer will end it and no host-side wake
-			// can flip its readiness. The proof is the parker generation
-			// from Prepare — any Wake that saw us waiting bumps it.
-			p.board.park(cell{
-				site: BlockedSite{Tid: c.Tid, Kind: BlockPoll, FD: n},
-				pk:   &k.pollPark, g: g,
-			})
-			k.pollPark.Park(g)
-			p.board.unpark(c.Tid)
-			continue
+			// can flip its readiness.
+			w.parkPoll(&k.pollPark, g)
 		}
 		k.pollPark.Park(g)
+		w.unpark()
 	}
 }
 

@@ -16,13 +16,7 @@ import (
 // absorbed by the parker protocol).
 func waitPollParked(t *testing.T, k *Kernel) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for k.pollPark.Waiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("poller never parked")
-		}
-		runtime.Gosched()
-	}
+	spinUntil(t, "a poller parked", func() bool { return k.pollPark.Waiters() > 0 })
 }
 
 // pollOne runs SysPoll over a single descriptor and returns (revents, Ret).

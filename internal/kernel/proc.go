@@ -197,13 +197,9 @@ type Proc struct {
 	// sigPark parks nanosleep; kill wakes it. (Other blocking sites park
 	// on their object's cond or the kernel poll wait set.)
 	sigPark futex.Parker
-	// sigIntr is the precomputed interrupt predicate (== interrupted as a
-	// method value, bound once so blocking call sites don't allocate a
-	// closure per call): deliverable signal or exit-group in progress.
-	sigIntr func() bool
 	// exitGroup is raised (inside the ordered SysExit) by the first thread
 	// to exit the process; sibling threads observe it at their next
-	// syscall boundary (BoundarySig) or blocking-op wakeup (interrupted)
+	// syscall boundary (BoundarySig) or blocking-op wakeup (blocker.interrupted)
 	// and unwind.
 	exitGroup atomic.Bool
 
@@ -225,7 +221,6 @@ func NewProc(pid int, as *AddressSpace) *Proc {
 	p.ns = &pidNamespace{nextVpid: 2, byVpid: map[int]*Proc{1: p}}
 	p.tids = &tidSpace{next: 1}
 	p.sigIgnored.Store(defaultIgnored)
-	p.sigIntr = p.interrupted
 	return p
 }
 
@@ -380,11 +375,6 @@ func (p *Proc) SetBlockBoard(b *BlockBoard) { p.board = b }
 // layer uses it to register futex sleeps, which happen outside the kernel.
 func (p *Proc) Board() *BlockBoard { return p.board }
 
-// blk builds the blocking-call context the kernel's sleep sites take: the
-// process's interrupt predicate plus — when the deadlock board is armed —
-// the identity (board, tid, fd) a registered cell needs. A plain value,
-// built on the caller's stack: the disarmed hot path pays field copies,
-// no allocation.
-func (p *Proc) blk(tid, fd int) blocker {
-	return blocker{intr: p.sigIntr, board: p.board, tid: tid, fd: fd}
-}
+// blk builds the calling thread's blocker (block.go) for the sleep sites
+// of one call. A plain value on the caller's stack: no allocation.
+func (p *Proc) blk(tid, fd int) blocker { return blocker{p: p, tid: tid, fd: fd} }

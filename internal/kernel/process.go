@@ -316,6 +316,7 @@ func (k *Kernel) reapLocked(z *Proc) {
 // trees march in step.
 func (k *Kernel) doWaitpid(p *Proc, c Call) Ret {
 	sel := c.Args[0]
+	w := p.blk(c.Tid, 0)
 	k.treeMu.Lock()
 	defer k.treeMu.Unlock()
 	for {
@@ -334,28 +335,17 @@ func (k *Kernel) doWaitpid(p *Proc, c Call) Ret {
 		if !matched {
 			return Ret{Err: ECHILD}
 		}
-		if p.interrupted() {
-			return Ret{Err: EINTR}
-		}
 		// Session teardown also surfaces as EINTR: the caller's retry hits
 		// the monitor's kill check. (stopped takes intMu under treeMu;
 		// safe, since nothing acquires treeMu while holding intMu.)
-		if k.stopped() {
+		if w.interrupted() || k.stopped() {
 			return Ret{Err: EINTR}
 		}
-		if p.board != nil {
-			// Register the deadlock cell under treeMu — the same lock
-			// treeWake bumps the sequence under, so the sampled sequence
-			// and the park are atomic with respect to wakes.
-			p.board.park(cell{
-				site: BlockedSite{Tid: c.Tid, Kind: BlockWaitpid, Addr: sel},
-				seqw: &k.treeSeq, seq: k.treeSeq.Load(),
-			})
-			k.treeCond.Wait()
-			p.board.unpark(c.Tid)
-		} else {
-			k.treeCond.Wait()
-		}
+		// The cell is registered under treeMu — the lock treeWake bumps the
+		// sequence under.
+		w.parkSeq(BlockWaitpid, sel, &k.treeSeq)
+		k.treeCond.Wait()
+		w.unpark()
 	}
 }
 

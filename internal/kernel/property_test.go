@@ -2,6 +2,9 @@ package kernel
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -18,14 +21,14 @@ func TestPipeFIFOProperty(t *testing.T) {
 			if total+len(c) > pipeBufSize/2 {
 				break // stay below capacity: this test is single-threaded
 			}
-			n, errno := p.write(gen, c, blocker{})
+			n, errno := p.send(gen, bytesSource(c), blocker{})
 			if errno != OK || n != len(c) {
 				return false
 			}
 			want = append(want, c...)
 			total += len(c)
 		}
-		p.closeWrite(gen)
+		p.shut(gen, false, true)
 		var got []byte
 		i := 0
 		for {
@@ -33,15 +36,20 @@ func TestPipeFIFOProperty(t *testing.T) {
 			if len(readSizes) > 0 {
 				size = int(readSizes[i%len(readSizes)])%64 + 1
 			}
-			buf := make([]byte, size)
-			n, errno := p.read(gen, buf, blocker{})
-			if errno != OK {
+			// Alternate the two destinations recv serves: the caller's
+			// buffer, and a fresh exactly-sized slice.
+			var dst []byte
+			if i%2 == 0 {
+				dst = make([]byte, size)
+			}
+			out, errno := p.recv(gen, dst, size, blocker{})
+			if errno != OK || len(out) > size || (dst != nil && len(out) > 0 && &out[0] != &dst[0]) {
 				return false
 			}
-			if n == 0 {
+			if len(out) == 0 {
 				break // EOF
 			}
-			got = append(got, buf[:n]...)
+			got = append(got, out...)
 			i++
 		}
 		return bytes.Equal(got, want)
@@ -49,6 +57,97 @@ func TestPipeFIFOProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Property: the bytes' source is the only thing that differs between a send
+// from memory and a sendfile. The same script — payload sizes, a reader that
+// drains or closes while the sender sleeps on the full pipe, signals that
+// interrupt the sleep — leaves the same stream, short counts and errnos
+// whether each send reads a []byte or an inode holding the same bytes.
+func TestSendSourcesAreEquivalent(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		memLog, memStream := runSendScript(t, seed, false)
+		fileLog, fileStream := runSendScript(t, seed, true)
+		if !slices.Equal(memLog, fileLog) {
+			t.Fatalf("seed %d: results differ\n[]byte: %v\ninode:  %v", seed, memLog, fileLog)
+		}
+		if !bytes.Equal(memStream, fileStream) {
+			t.Fatalf("seed %d: streams differ (%d vs %d bytes)", seed, len(memStream), len(fileStream))
+		}
+	}
+}
+
+// runSendScript plays seed's script on a fresh pipe. The driver reacts only
+// while the sender is asleep on a full pipe (or after it returned), and
+// between reactions the sender's progress is a function of the pipe state
+// alone, so the interleaving is the same on every run of a seed.
+func runSendScript(t *testing.T, seed int64, fromFile bool) (log []string, stream []byte) {
+	rng := rand.New(rand.NewSource(seed))
+	p := newPipe()
+	gen := p.generation()
+	proc := NewProc(1, NewAddressSpace(0, 0))
+	for step := 0; step < 6; step++ {
+		payload := make([]byte, rng.Intn(pipeBufSize*3/2)+1)
+		rng.Read(payload)
+		pad := rng.Intn(64) // the file holds the payload at a nonzero offset
+		src := bytesSource(payload)
+		if fromFile {
+			ino := &inode{data: append(make([]byte, pad), payload...)}
+			src = source{ino: ino, off: int64(pad), n: len(payload)}
+		}
+		var n int
+		var errno Errno
+		done := make(chan struct{})
+		go func() {
+			n, errno = p.send(gen, src, proc.blk(0, 0))
+			close(done)
+		}()
+		for asleepOnFullPipe(t, p, done) {
+			switch rng.Intn(6) {
+			case 0: // interrupt the sleep
+				proc.sendSignal(SIGUSR1)
+				p.kick()
+				<-done
+			case 1: // the reader goes away
+				p.shut(gen, true, false)
+				<-done
+			default: // the reader drains some
+				out, rerrno := p.recv(gen, nil, rng.Intn(pipeBufSize)+1, blocker{})
+				log = append(log, fmt.Sprintf("recv %d %v", len(out), rerrno))
+				stream = append(stream, out...)
+			}
+		}
+		log = append(log, fmt.Sprintf("send %d of %d: %v", n, len(payload), errno))
+		if rng.Intn(2) == 0 {
+			proc.TakeSignal()
+		}
+	}
+	p.shut(gen, false, true)
+	for {
+		out, errno := p.recv(gen, nil, pipeBufSize, blocker{})
+		if errno != OK || len(out) == 0 {
+			return append(log, fmt.Sprintf("end %v", errno)), stream
+		}
+		stream = append(stream, out...)
+	}
+}
+
+// asleepOnFullPipe waits until the in-flight send either returned (false)
+// or is parked with the pipe full (true) — the two states it can rest in.
+func asleepOnFullPipe(t *testing.T, p *pipe, done <-chan struct{}) (asleep bool) {
+	t.Helper()
+	spinUntil(t, "send returned or parked", func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+		}
+		p.mu.Lock()
+		asleep = p.waiting == 1 && p.unread() == pipeBufSize
+		p.mu.Unlock()
+		return asleep
+	})
+	return asleep
 }
 
 // Property: file write-then-read round-trips at any offset.

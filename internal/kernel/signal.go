@@ -8,7 +8,7 @@ import "math/bits"
 // signal is only ever taken at a monitored syscall boundary, by the
 // monitor, so that "when did the signal land" is a position in the
 // replicated syscall stream rather than a race. Blocking calls observe
-// pending deliverable signals through Proc.sigIntr and return EINTR, which
+// pending deliverable signals through blocker.interrupted and return EINTR, which
 // is what makes a kill able to interrupt a parked read/accept/poll/
 // waitpid/nanosleep without tearing the object down.
 
@@ -93,16 +93,9 @@ func (p *Proc) deliverableMask() uint64 {
 	return p.sigPending.Load() &^ p.sigBlocked.Load() &^ p.sigIgnored.Load()
 }
 
-// signalPending is true when a deliverable signal is pending, meaning a
-// blocked op must unwind with EINTR so the boundary can deliver it.
+// signalPending is true when a deliverable signal is pending. Blocking ops
+// never ask it directly: blocker.interrupted is the one predicate.
 func (p *Proc) signalPending() bool { return p.deliverableMask() != 0 }
-
-// interrupted is the interrupt predicate blocking kernel ops poll (via
-// Proc.sigIntr): a deliverable signal OR an exit-group in progress. The
-// latter is what lets the first exiting thread of a multi-threaded process
-// yank its siblings out of parked reads/accepts — they return EINTR and the
-// boundary hands them SigExitGroup.
-func (p *Proc) interrupted() bool { return p.exitGroup.Load() || p.signalPending() }
 
 // sendSignal posts signo to p. A signal the process currently ignores is
 // discarded at send time (matching the usual Linux shortcut); SIGKILL can

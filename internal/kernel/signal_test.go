@@ -8,21 +8,29 @@ import "testing"
 // error (POSIX partial-write semantics — (n>0, EINTR) would make the
 // standard retry idiom resend and duplicate bytes).
 
+// signalledBlocker is the blocker of a thread whose process has a
+// deliverable signal pending: every sleep it would enter is interrupted.
+func signalledBlocker() blocker {
+	p := NewProc(1, NewAddressSpace(0, 0))
+	p.sendSignal(SIGTERM)
+	return p.blk(0, 0)
+}
+
 func TestPipeWriteEINTROnlyAtZeroProgress(t *testing.T) {
 	p := newPipe()
 	gen := p.generation()
-	always := blocker{intr: func() bool { return true }}
+	always := signalledBlocker()
 
 	// A write that fits completes fully even with a signal pending.
-	if n, errno := p.write(gen, make([]byte, 2048), always); errno != OK || n != 2048 {
+	if n, errno := p.send(gen, bytesSource(make([]byte, 2048)), always); errno != OK || n != 2048 {
 		t.Fatalf("fitting write = (%d, %v), want (2048, OK)", n, errno)
 	}
 	// Fill to capacity, then write more: partial progress → short count, OK.
-	if n, errno := p.write(gen, make([]byte, pipeBufSize), always); errno != OK || n != pipeBufSize-2048 {
+	if n, errno := p.send(gen, bytesSource(make([]byte, pipeBufSize)), always); errno != OK || n != pipeBufSize-2048 {
 		t.Fatalf("partial write = (%d, %v), want (%d, OK)", n, errno, pipeBufSize-2048)
 	}
 	// Full pipe, zero progress → EINTR.
-	if n, errno := p.write(gen, []byte("x"), always); errno != EINTR || n != 0 {
+	if n, errno := p.send(gen, bytesSource([]byte("x")), always); errno != EINTR || n != 0 {
 		t.Fatalf("blocked write = (%d, %v), want (0, EINTR)", n, errno)
 	}
 }
@@ -30,15 +38,15 @@ func TestPipeWriteEINTROnlyAtZeroProgress(t *testing.T) {
 func TestPipeReadEINTRBeforeBlocking(t *testing.T) {
 	p := newPipe()
 	gen := p.generation()
-	always := blocker{intr: func() bool { return true }}
+	always := signalledBlocker()
 
 	// Empty pipe + pending signal: EINTR, deterministically, before any wait.
-	if _, errno := p.readAvailable(gen, 16, always); errno != EINTR {
+	if _, errno := p.recv(gen, nil, 16, always); errno != EINTR {
 		t.Fatalf("empty read = %v, want EINTR", errno)
 	}
 	// Data pending beats the signal (poll-with-ready-fds semantics).
-	p.write(gen, []byte("data"), blocker{})
-	if out, errno := p.readAvailable(gen, 16, always); errno != OK || string(out) != "data" {
+	p.send(gen, bytesSource([]byte("data")), blocker{})
+	if out, errno := p.recv(gen, nil, 16, always); errno != OK || string(out) != "data" {
 		t.Fatalf("ready read = (%q, %v), want (\"data\", OK)", out, errno)
 	}
 }

@@ -74,54 +74,23 @@ func (s *socketObj) attach(rx, tx *pipe) {
 	s.tx.Store(tx)
 }
 
-func (s *socketObj) read(b []byte, _ int64) (int, Errno) {
-	rx := s.rx.Load()
-	if rx == nil {
-		return 0, EINVAL // unconnected placeholder (see SysSocket)
-	}
-	return rx.read(s.rxGen.Load(), b, blocker{})
-}
-
-func (s *socketObj) readAvailable(max int, w blocker) ([]byte, Errno) {
+// recv and send forward to the receive and transmit pipes; an unconnected
+// placeholder (see SysSocket) answers EINVAL.
+func (s *socketObj) recv(dst []byte, max int, w blocker) ([]byte, Errno) {
 	rx := s.rx.Load()
 	if rx == nil {
 		return nil, EINVAL
 	}
-	return rx.readAvailable(s.rxGen.Load(), max, w)
+	return rx.recv(s.rxGen.Load(), dst, max, w)
 }
 
-func (s *socketObj) readInto(dst []byte, w blocker) (int, Errno) {
-	rx := s.rx.Load()
-	if rx == nil {
-		return 0, EINVAL
-	}
-	return rx.read(s.rxGen.Load(), dst, w)
-}
-
-func (s *socketObj) write(b []byte, _ int64) (int, Errno) {
+func (s *socketObj) send(src source, w blocker) (int, Errno) {
 	tx := s.tx.Load()
 	if tx == nil {
 		return 0, EINVAL
 	}
-	return tx.write(s.txGen.Load(), b, blocker{})
+	return tx.send(s.txGen.Load(), src, w)
 }
-
-func (s *socketObj) writeIntr(b []byte, w blocker) (int, Errno) {
-	tx := s.tx.Load()
-	if tx == nil {
-		return 0, EINVAL
-	}
-	return tx.write(s.txGen.Load(), b, w)
-}
-func (s *socketObj) sendFromFile(ino *inode, off int64, n int, w blocker) (int, Errno) {
-	tx := s.tx.Load()
-	if tx == nil {
-		return 0, EINVAL
-	}
-	return tx.writeFromFile(s.txGen.Load(), ino, off, n, w)
-}
-func (s *socketObj) size() (int64, Errno) { return 0, ESPIPE }
-func (s *socketObj) seekable() bool       { return false }
 
 // poll combines the receive pipe's read readiness with the transmit
 // pipe's write readiness; an unconnected placeholder reports nothing.
@@ -135,10 +104,10 @@ func (s *socketObj) poll() uint32 {
 
 func (s *socketObj) close() Errno {
 	if rx := s.rx.Load(); rx != nil {
-		rx.closeRead(s.rxGen.Load())
+		rx.shut(s.rxGen.Load(), true, false)
 	}
 	if tx := s.tx.Load(); tx != nil {
-		tx.closeWrite(s.txGen.Load())
+		tx.shut(s.txGen.Load(), false, true)
 	}
 	if s.hdr.kern != nil {
 		s.hdr.retire() // stale holders fail the header generation check
@@ -175,11 +144,7 @@ func newListener(k *Kernel, port uint16, backlog int) *listener {
 	return l
 }
 
-func (l *listener) header() *objHeader               { return &l.hdr }
-func (l *listener) read([]byte, int64) (int, Errno)  { return 0, EINVAL }
-func (l *listener) write([]byte, int64) (int, Errno) { return 0, EINVAL }
-func (l *listener) size() (int64, Errno)             { return 0, ESPIPE }
-func (l *listener) seekable() bool                   { return false }
+func (l *listener) header() *objHeader { return &l.hdr }
 
 // poll: PollIn when an accept would not block (pending connection),
 // PollHup once the listener closed.
@@ -195,6 +160,8 @@ func (l *listener) poll() uint32 {
 	}
 	return ev
 }
+
+func (l *listener) interrupt() { l.close() }
 
 // kick wakes accept waiters without closing the listener (signal
 // delivery; see pipe.kick).
@@ -244,18 +211,18 @@ func (l *listener) enqueue(c conn) Errno {
 	return OK
 }
 
-// accept blocks until a connection is available, the listener closes, or —
-// with a non-nil interrupt predicate — a deliverable signal arrives
-// (EINTR), checked before the first wait so a pre-pended signal interrupts
-// deterministically.
-func (l *listener) accept(intr func() bool) (conn, Errno) {
+// accept blocks until a connection is available, the listener closes
+// (EINVAL) or the call is interrupted (EINTR) — checked before the first
+// wait, so a cause already raised interrupts deterministically. It never
+// registers a deadlock cell: a host Connect can always wake it.
+func (l *listener) accept(w blocker) (conn, Errno) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for len(l.backlog)-l.head == 0 {
 		if l.closed {
 			return conn{}, EINVAL
 		}
-		if intr != nil && intr() {
+		if w.interrupted() {
 			return conn{}, EINTR
 		}
 		l.cond.Wait()

@@ -62,14 +62,6 @@ func (k *Kernel) doWritev(p *Proc, c Call) Ret {
 	return k.doWrite(p, Call{Nr: SysWrite, Args: c.Args, Data: payload, Tid: c.Tid})
 }
 
-// fileSender is implemented by stream objects that can pull bytes straight
-// out of an inode into their own buffer — the zero-copy half of sendfile:
-// the file bytes are copied exactly once (inode → pipe buffer), never
-// through a guest-visible intermediate.
-type fileSender interface {
-	sendFromFile(ino *inode, off int64, n int, w blocker) (int, Errno)
-}
-
 // doSendfile implements SysSendfile: transfer Args[3] bytes of the regular
 // file Args[1] into the stream Args[0], starting at file offset Args[2] —
 // or, when Args[2] is SendfileCurOffset, at the in-fd's open-file-
@@ -83,7 +75,8 @@ type fileSender interface {
 // interrupted after partial progress returns the short count with no error,
 // and EINTR only on zero progress, like every stream write here.
 func (k *Kernel) doSendfile(p *Proc, c Call) Ret {
-	outRef, errno := p.lookupFD(int(c.Args[0]))
+	outFD := int(c.Args[0])
+	outRef, errno := p.lookupFD(outFD)
 	if errno != OK {
 		return Ret{Err: errno}
 	}
@@ -91,7 +84,7 @@ func (k *Kernel) doSendfile(p *Proc, c Call) Ret {
 	if errno != OK {
 		return Ret{Err: errno}
 	}
-	snd, ok := outRef.obj.(fileSender)
+	out, ok := outRef.obj.(stream)
 	if !ok {
 		return Ret{Err: EINVAL} // out-fd must be a stream (pipe/socket)
 	}
@@ -105,48 +98,31 @@ func (k *Kernel) doSendfile(p *Proc, c Call) Ret {
 	if inRef.accessMode() == OWronly {
 		return Ret{Err: EBADF}
 	}
-	count := int(c.Args[3])
-	if count < 0 {
-		return Ret{Err: EINVAL}
+	count, errno := guestCount(c.Args[3])
+	if errno != OK {
+		return Ret{Err: errno}
 	}
-	clamp := func(off int64) int {
-		if rem := f.ino.size() - off; rem < int64(count) {
-			return int(max(rem, 0))
+	src := source{ino: f.ino}
+	var e *openFile // non-nil: the transfer moves the shared offset
+	if c.Args[2] == SendfileCurOffset {
+		// Holding e.mu across the (possibly blocking) send serializes f_pos
+		// movement, so two workers' current-offset sendfiles never overlap
+		// ranges.
+		if e, ok = inRef.lockOffset(); !ok {
+			return Ret{Err: EBADF}
 		}
-		return count
+		defer e.mu.Unlock()
+		src.off = e.offset
+	} else if src.off, errno = guestOffset(c.Args[2]); errno != OK {
+		return Ret{Err: errno}
 	}
-	if c.Args[2] != SendfileCurOffset {
-		off := int64(c.Args[2])
-		if off < 0 {
-			// A "negative" offset (any uint64 in int64's negative range
-			// other than the SendfileCurOffset sentinel) is EINVAL, like
-			// Linux — and it must be refused here: clamp() would pass it
-			// through and readAt would slice the inode at a negative index.
-			return Ret{Err: EINVAL}
-		}
-		n, werrno := snd.sendFromFile(f.ino, off, clamp(off), p.blk(c.Tid, int(c.Args[0])))
-		if n == 0 && werrno != OK {
-			return Ret{Err: werrno}
-		}
-		return Ret{Val: uint64(n)}
+	src.n = f.ino.avail(src.off, count)
+	n, errno := out.send(src, p.blk(c.Tid, outFD))
+	if e != nil {
+		e.offset += int64(n)
 	}
-	// Shared-offset commit: read-and-advance the description offset under
-	// its lock, with the generation check that turns a sendfile racing the
-	// descriptor's close into EBADF. Holding e.mu across the (possibly
-	// blocking) stream write serializes f_pos movement, so two workers'
-	// current-offset sendfiles never overlap ranges.
-	e := inRef.ent
-	e.mu.Lock()
-	if e.gen.Load() != inRef.gen {
-		e.mu.Unlock()
-		return Ret{Err: EBADF}
-	}
-	off := e.offset
-	n, werrno := snd.sendFromFile(f.ino, off, clamp(off), p.blk(c.Tid, int(c.Args[0])))
-	e.offset = off + int64(n)
-	e.mu.Unlock()
-	if n == 0 && werrno != OK {
-		return Ret{Err: werrno}
+	if n == 0 && errno != OK {
+		return Ret{Err: errno}
 	}
 	return Ret{Val: uint64(n)}
 }

@@ -7,7 +7,7 @@ import (
 
 // mkFile creates /path with the given contents and returns a read-only fd
 // over it.
-func mkFile(t *testing.T, k *Kernel, p *Proc, path string, contents []byte) uint64 {
+func mkFile(t testing.TB, k *Kernel, p *Proc, path string, contents []byte) uint64 {
 	t.Helper()
 	w := k.Do(p, openCall(path, OCreat|OWronly|OTrunc))
 	if !w.Ok() {

@@ -252,14 +252,14 @@ func TestBatchFallsBackOnIneligibleCall(t *testing.T) {
 
 // TestBatchSlaveCopiesIntoCallBuf pins the zero-alloc contract on BOTH
 // sides of a batched stream read: the master's recv lands directly in the
-// caller-provided Buf (the kernel's readInto path) and the slave copies
+// caller-provided Buf (the kernel's recv-into-Buf path) and the slave copies
 // the replicated record's bytes into ITS caller's Buf — in each case
 // Ret.Data aliases the buf's prefix, so a serving loop's scratch buffers
 // are recycled rather than re-allocated per request.
 func TestBatchSlaveCopiesIntoCallBuf(t *testing.T) {
 	m, _ := newTestMonitor(t, 2)
 	drive := func(v int) (kernel.Ret, []byte) {
-		// Pipes are stream objects (readInto), so a Buf-carrying read takes
+		// Pipes are stream objects (recv fills Buf), so a Buf-carrying read takes
 		// the allocation-free receive path exactly like a socket recv.
 		pr := m.Invoke(v, 0, kernel.Call{Nr: kernel.SysPipe2})
 		m.Invoke(v, 0, kernel.Call{Nr: kernel.SysWrite, Args: [6]uint64{pr.Val2}, Data: []byte("payload")})

@@ -3,6 +3,11 @@
 # futex.Parker's Prepare/Park live in ring.Await, scheduler yields in
 # ring.Backoff. Fails when a non-test file of the three packages that wait
 # calls either anywhere else.
+#
+# The kernel's sleeps are written once each too (DESIGN §2.4): a thread
+# sleeps only in the five named sleep functions, those ask only
+# blocker.interrupted what ends the sleep (never signalPending directly),
+# and deadlock cells are registered only through block.go.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 find internal/ring internal/monitor internal/agent -name '*.go' ! -name '*_test.go' -print0 |
@@ -12,4 +17,14 @@ find internal/ring internal/monitor internal/agent -name '*.go' ! -name '*_test.
 	/^[ \t]*\/\// { next }
 	/\.Prepare\(\)/ && fn !~ /^func Await\(/ { print FILENAME ":" FNR ": Prepare() outside ring.Await"; bad = 1 }
 	/runtime\.Gosched/ && fn !~ /^func Backoff\(/ { print FILENAME ":" FNR ": runtime.Gosched outside ring.Backoff"; bad = 1 }
+	END { exit bad }'
+find internal/kernel -name '*.go' ! -name '*_test.go' -print0 |
+	xargs -0 awk '
+	FNR == 1 { fn = "" }
+	/^func / { fn = $0 }
+	/^[ \t]*\/\// { next }
+	{ sleeper = fn ~ /^func \((p \*pipe\) sleepLocked|l \*listener\) accept|k \*Kernel\) (doWaitpid|doPoll|sleepFor))\(/ }
+	/board\.park\(|\.park\(cell\{/ && FILENAME !~ /block\.go$/ { print FILENAME ":" FNR ": deadlock cell registered outside block.go"; bad = 1 }
+	/[cC]ond\.Wait\(\)|\.Park\(/ && !sleeper { print FILENAME ":" FNR ": sleep outside the named sleep functions"; bad = 1 }
+	/signalPending\(\)/ && (sleeper || fn ~ /^func \(p \*pipe\) (recv|send)\(/) { print FILENAME ":" FNR ": blocking loop asks signalPending, not blocker.interrupted"; bad = 1 }
 	END { exit bad }'
