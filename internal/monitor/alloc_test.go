@@ -18,11 +18,12 @@ import (
 // free (getpid) and inline-payload (64-byte pwrite) calls, telemetry off
 // and on: the observability plane (counter matrix, sampled latency,
 // flight-recorder appends) must not cost a single allocation — plus the
-// storage paths of the shared place step on both of its callers: a payload
-// that spills past InlinePayload into the record and digest arenas, a
-// stream read whose Call.Buf-aliased result goes through the output arena
-// and back out into the slave's Buf, and an InvokeBatchOn run of 8 that
-// mixes both into one reserved run of the ring. Parking keeps this
+// storage paths of the replication step on both of its callers: a payload
+// past InlinePayload (the 256-byte row), which exercises only the digest
+// spill (a live record carries no input payload, see place), a stream read
+// whose Call.Buf-aliased result goes through the output arena and back out
+// into the slave's Buf, and an InvokeBatchOn run of 8 that mixes both into
+// one reserved run of the ring. Parking keeps this
 // invariant because futex.Parker parks on sync.Cond, which recycles its
 // queue nodes — even under AllocsPerRun's GOMAXPROCS=1, where every
 // rendezvous escalates through yields and may park.

@@ -22,9 +22,10 @@ var ErrKilled = fmt.Errorf("monitor: session killed")
 // InlinePayload is the number of input-payload bytes a Record or digest
 // carries inline, inside the ring slot itself. Payloads at or below this
 // size (the vast majority of write/open/send payloads in server traffic)
-// cross the master→slave and slave→master rings with zero heap allocations
-// and zero shared mutable state; only larger payloads spill (see
-// spillArena).
+// cross the slave→master digest inbox with zero heap allocations and zero
+// shared mutable state; only larger payloads spill (see spillArena). A live
+// record carries no input payload at all: the tape is the only reader of a
+// record's input (see place).
 const InlinePayload = 64
 
 // payloadBox is the inline-or-spill storage both Record and digest embed
@@ -65,9 +66,9 @@ func (b *payloadBox) Payload() []byte {
 }
 
 // SetPayload stores p, inline if it fits and in a freshly allocated spill
-// otherwise. The hot path does not use this (it places large payloads in
-// per-thread arenas; see store) — SetPayload is for trace construction and
-// tests.
+// otherwise: for records a tape keeps (place under Capture), trace
+// construction and tests. The digest path recycles large payloads through
+// per-thread arenas instead (see store).
 func (b *payloadBox) SetPayload(p []byte) { b.store(p, nil, 0, 0) }
 
 // store stores the payload of ring entry seq (of a ring with capacity rcap)
@@ -85,12 +86,15 @@ func (b *payloadBox) store(p []byte, arena *spillArena, rcap int, seq uint64) {
 }
 
 // Record is one entry in a per-thread syscall buffer: the master's account
-// of one monitored system call, against which slaves validate their own.
-// The input payload travels in the embedded payloadBox; use Payload and
-// SetPayload. Records gob-encode compactly (see GobEncode): only the
-// payload bytes cross the wire, not the fixed inline array — so the field
-// order below is memory layout only (see payloadBox for why the box is
-// last), not wire format.
+// of one monitored system call — its result, stamp and delivered signal,
+// which slaves replay. Slaves validate a lockstepped call through their
+// digests, not against the record; a live record's Nr and Args serve the
+// relaxed policy's slave-side check and the flight tail. The input payload
+// travels in the embedded payloadBox only when a tape consumes the record
+// (see place); use Payload and SetPayload. Records gob-encode compactly (see
+// GobEncode): only the payload bytes cross the wire, not the fixed inline
+// array — so the field order below is memory layout only (see payloadBox for
+// why the box is last), not wire format.
 type Record struct {
 	Nr   kernel.Sysno
 	Args [6]uint64
@@ -125,9 +129,9 @@ type Config struct {
 	RingCap    int
 	Policy     Policy
 	// Capture adds a tape consumer group that drains every record into
-	// memory for offline replay (see trace.go). Capture retains records
-	// indefinitely, so it disables the spill arenas (large payloads are
-	// freshly allocated instead of recycled).
+	// memory for offline replay (see trace.go). Records then carry their
+	// input payloads, and since the tape retains them indefinitely, large
+	// payloads and Buf results are freshly allocated instead of recycled.
 	Capture bool
 	// Replay pre-fills the syscall buffers from a recorded trace; the
 	// single variant then consumes them like an online slave.
@@ -288,24 +292,24 @@ type Monitor struct {
 	scons     [][]slaveCons
 	// inboxes[g][tid] carries slave g+1's call digests to the master for
 	// lockstep calls: the master waits for (and validates) every slave's
-	// equivalent call BEFORE executing, so no variant proceeds past a
+	// equivalent call before anything the call produces leaves the monitor
+	// — before executing it, or for a pure call before returning its result
+	// and placing its record (see enter) — so no variant proceeds past a
 	// lockstepped call until all variants have made it (§2). The master's
 	// read position is the inbox's one cursor. Lazily created like rings
 	// (see Monitor.inbox).
 	inboxes [][]atomic.Pointer[ring.Log[digest]]
 
-	// arenas[tid] recycles the master's oversized record payloads; nil when
-	// recycling would be unsound (capture retains records; replay has no
-	// live producer). darenas[g][tid] recycles slave g+1's oversized digest
-	// payloads — digests are never retained, so these always recycle.
-	arenas  []spillArena
+	// darenas[g][tid] recycles slave g+1's oversized digest payloads —
+	// digests are never retained, so these always recycle.
 	darenas [][]spillArena
 	// outArenas[tid] recycles the master's OUTPUT payloads for calls made
 	// with a caller-owned destination buffer (kernel.Call.Buf): the result
 	// bytes alias the master guest's reusable buffer, which the guest will
 	// overwrite on its next receive, so they must be copied into stable
-	// slot-lifetime storage before publication. Same recycling soundness
-	// condition (and nil-means-fresh-allocation fallback) as arenas.
+	// slot-lifetime storage before publication. Nil when recycling would be
+	// unsound (capture retains records; replay has no live producer): the
+	// copy is then a fresh allocation.
 	outArenas []spillArena
 	// btickets[tid] is the master's scratch for batched invocations
 	// (InvokeBatchOn): a batch's records are placed only after all of it
@@ -396,12 +400,11 @@ func New(kern *kernel.Kernel, procs []*kernel.Proc, cfg Config) *Monitor {
 	for g := range m.scons {
 		m.scons[g] = make([]slaveCons, cfg.MaxThreads)
 	}
-	// Spill arenas recycle large payloads in lockstep with ring-slot
+	// Output arenas recycle Buf results in lockstep with ring-slot
 	// recycling; see spillArena. Capture retains records past consumption
-	// (the tape), so recycling the master arenas would corrupt the trace;
-	// replay publishes nothing live.
+	// (the tape), so recycling them would corrupt the trace; replay
+	// publishes nothing live.
 	if m.publish && !cfg.Capture && !m.replay {
-		m.arenas = make([]spillArena, cfg.MaxThreads)
 		m.outArenas = make([]spillArena, cfg.MaxThreads)
 	}
 	m.btickets = make([][]uint64, cfg.MaxThreads)
@@ -471,10 +474,13 @@ type digest struct {
 	payloadBox
 }
 
-// lockstepped reports whether calls of this class require the full
-// pre-execution rendezvous. Under the strict policy every monitored call
-// does; under the relaxed policy only security-sensitive calls do, and the
-// rest follow the run-ahead (leader/follower) protocol.
+// lockstepped reports whether calls of this class require the lockstep
+// rendezvous: the master validates every slave's digest before anything the
+// call produces leaves the monitor (before execution, or for a pure call
+// after it; see enter), and that validation is the call's only one. Under
+// the strict policy every monitored call is lockstepped; under the relaxed
+// policy only security-sensitive calls are, and the rest follow the
+// run-ahead (leader/follower) protocol, checked by the slave (compare).
 func (m *Monitor) lockstepped(cls class) bool {
 	return m.cfg.Policy == PolicyStrictLockstep || cls.sensitive
 }
@@ -717,8 +723,10 @@ func (m *Monitor) submitDigest(v, tid int, call *kernel.Call, exit bool) {
 
 // awaitDigests blocks until every slave has submitted its digest for the
 // master's current call of thread tid, validates the digests, and kills the
-// session on mismatch. This is the lockstep barrier: the master does not
-// execute until every variant has arrived with an equivalent call.
+// session on mismatch. This is the lockstep barrier: nothing the call
+// produces leaves the monitor until every variant has arrived with an
+// equivalent call. The master runs it before executing, or for a pure call
+// after executing and passing the turn (see enter).
 //
 // The digest is validated where it lies, in the inbox slot, BEFORE the inbox
 // cursor advances: once the cursor passes it the slave may overwrite the
@@ -799,23 +807,52 @@ func (m *Monitor) passTurn(v int) {
 }
 
 // enter is the master's protocol up to the point of execution, for one call
-// of thread tid: the lockstep rendezvous (no variant proceeds until all have
-// arrived with an equivalent call) and — for an ordered call — the §4.1
-// ticket (see the Monitor type comment): take the next position in the total
-// order, wait for the turn, and return the ticket, which becomes the record's
-// stamp. On return from an ordered call the caller is inside the ordered
-// section and must passTurn(0) once the call has executed. Blocking calls
-// take no ticket: the kernel may never return (§4.1 Limitations), so they are
-// executed by the master only and replicated positionally.
-func (m *Monitor) enter(tid int, call *kernel.Call, cls class) (ts uint64) {
+// of thread tid: the lockstep rendezvous (nothing the call produces leaves
+// the monitor until every variant has arrived with an equivalent call) and —
+// for an ordered call — the §4.1 ticket (see the Monitor type comment): take
+// the next position in the total order, wait for the turn, and return the
+// ticket, which becomes the record's stamp. On return from an ordered call
+// the caller is inside the ordered section; it executes the call and then
+// calls leave. Blocking calls take no ticket: the kernel may never return
+// (§4.1 Limitations), so they are executed by the master only and
+// replicated positionally.
+//
+// The rendezvous comes first, except for a lockstepped pure call without a
+// Buf: enter reports it late and leave runs it after the turn is passed. The
+// call changes no kernel state and reads no clock, and its result reaches
+// the master's guest, and its record the slaves, only after every digest
+// passed — so executing it while the slaves are still arriving releases
+// nothing, and takes the execution off the round trip's critical path. A
+// Buf result is excluded because the kernel writes it into the master
+// guest's own memory; a clock read is not pure because the §5.4 timestamp
+// channel relies on the master reading the clock after every variant
+// arrived.
+func (m *Monitor) enter(tid int, call *kernel.Call, cls class) (ts uint64, late bool) {
 	if m.cfg.Variants > 1 && m.lockstepped(cls) {
-		m.awaitDigests(tid, call, cls, false)
+		if late = cls.pure && call.Buf == nil; !late {
+			m.awaitDigests(tid, call, cls, false)
+		}
 	}
 	if cls.ordered {
 		ts = m.tickets.Take()
 		m.awaitTurn(0, ts)
 	}
-	return ts
+	return ts, late
+}
+
+// leave ends the master's protocol for an executed call: it passes the turn
+// of an ordered call and only then runs a rendezvous enter reported late.
+// The turn is never held across a wait for slaves — that would queue every
+// other master thread behind one slave's arrival — and the ticket stays the
+// real-time order of master execution, which is what keeps the slaves'
+// replay deadlock-free.
+func (m *Monitor) leave(tid int, call *kernel.Call, cls class, late bool) {
+	if cls.ordered {
+		m.passTurn(0)
+	}
+	if late {
+		m.awaitDigests(tid, call, cls, false)
+	}
 }
 
 // place writes the master's record of call — its stamp ts (if ordered) and
@@ -823,21 +860,25 @@ func (m *Monitor) enter(tid int, call *kernel.Call, cls class) (ts uint64) {
 // caller reserved seq (ReserveN): every slave is done with the slot's
 // previous occupant, so the record is built where the slaves will read it,
 // every field assigned (nothing of the old occupant survives but unread
-// inline bytes), and the arena slots for seq are reusable. The call's input
-// payload is copied into the record — inline in the ring slot when it fits,
-// through the per-thread arena otherwise; copying, rather than aliasing the
-// caller's buffer, is what makes the record immutable the moment it is
-// committed. A result that aliases the caller's reusable destination buffer
-// (Call.Buf) is repointed at a copy in the output arena slot for seq, or the
-// master guest's next receive would overwrite bytes the slaves haven't
-// consumed yet — only the record's copy of ret is repointed; the master's
-// own caller keeps the alias into its Buf. Without arenas (see arenaAt) both
-// copies are fresh allocations.
+// inline bytes), and the arena slots for seq are reusable. Digests carry
+// inputs, live records carry results: the master validated every lockstepped
+// call's input payload against the slaves' digests already, so a record
+// copies it only for the tape, the one reader of a record's input (Capture;
+// a fresh copy, which the tape keeps). A result that aliases the caller's
+// reusable destination buffer (Call.Buf) is repointed at a copy in the
+// output arena slot for seq, or the master guest's next receive would
+// overwrite bytes the slaves haven't consumed yet — only the record's copy
+// of ret is repointed; the master's own caller keeps the alias into its Buf.
+// Without output arenas (see arenaAt) that copy is a fresh allocation.
 func (m *Monitor) place(tid int, r *ring.Log[Record], seq uint64, call *kernel.Call, ordered bool, ts uint64, ret *kernel.Ret) {
 	rec := r.Slot(seq)
 	rec.Ret, rec.Ts = *ret, ts
 	rec.Ordered, rec.Exit = ordered, false
-	rec.store(call.Data, arenaAt(m.arenas, tid), r.Cap(), seq)
+	if m.capture != nil {
+		rec.SetPayload(call.Data)
+	} else {
+		rec.n = 0
+	}
 	if call.Buf != nil && len(ret.Data) > 0 {
 		rec.Ret.Data = arenaAt(m.outArenas, tid).put(r.Cap(), seq, ret.Data)
 	}
@@ -848,8 +889,10 @@ func (m *Monitor) place(tid int, r *ring.Log[Record], seq uint64, call *kernel.C
 }
 
 // masterCall executes a monitored call in the master variant and publishes
-// the record for the slaves. After the call executes, the master pops the
-// lowest deliverable pending signal of the calling process (if any) into
+// the record for the slaves: enter, execute, leave, place (validation before
+// execution, or for a pure call in leave — either way before the result
+// returns or the record is placed). After the call executes, the master pops
+// the lowest deliverable pending signal of the calling process (if any) into
 // Ret.Sig — the syscall-boundary delivery point, inside the ordered section
 // when there is one. Because the popped signal travels inside the
 // replicated record, the master's delivery schedule IS the session's
@@ -858,7 +901,7 @@ func (m *Monitor) place(tid int, r *ring.Log[Record], seq uint64, call *kernel.C
 // passed because records travel through per-thread rings, where
 // cross-thread order is immaterial.
 func (m *Monitor) masterCall(tid int, proc *kernel.Proc, call *kernel.Call, cls class) kernel.Ret {
-	ts := m.enter(tid, call, cls)
+	ts, late := m.enter(tid, call, cls)
 	ret := m.execute(proc, call)
 	if call.Nr != kernel.SysExit && call.Nr != kernel.SysThreadExit {
 		// No delivery at the exit boundaries: the thread is gone and
@@ -866,9 +909,7 @@ func (m *Monitor) masterCall(tid int, proc *kernel.Proc, call *kernel.Call, cls 
 		// also re-terminate a process already inside its exit path.)
 		ret.Sig = proc.BoundarySig()
 	}
-	if cls.ordered {
-		m.passTurn(0)
-	}
+	m.leave(tid, call, cls, late)
 	if m.publish {
 		r := m.ring(tid)
 		m.place(tid, r, r.ReserveN(1), call, cls.ordered, ts, &ret)
@@ -877,10 +918,10 @@ func (m *Monitor) masterCall(tid int, proc *kernel.Proc, call *kernel.Call, cls 
 	return ret
 }
 
-// slaveCall submits thread tid's call for the master's pre-execution
-// validation when it is lockstepped — the master will not execute until
-// every slave has arrived — and then takes the slave step. (Replay has no
-// master to validate against; the trace is the authority.)
+// slaveCall submits thread tid's call for the master's validation when it is
+// lockstepped — nothing the call produces leaves the master until every
+// slave has arrived — and then takes the slave step. (Replay has no master
+// to validate against; the trace is the authority.)
 func (m *Monitor) slaveCall(v, tid int, proc *kernel.Proc, call *kernel.Call, cls class) kernel.Ret {
 	if m.lockstepped(cls) && !m.replay {
 		m.submitDigest(v, tid, call, false)
@@ -888,15 +929,23 @@ func (m *Monitor) slaveCall(v, tid int, proc *kernel.Proc, call *kernel.Call, cl
 	return m.slaveStep(v, tid, proc, call, cls)
 }
 
-// slaveStep is the slave's protocol for one call of thread tid: validate it
-// against the master's record — read where it lies, in the ring slot, which
-// stays this thread's until advance — wait for the ordering turn, and return
-// the replicated (or per-variant re-executed) result.
+// slaveStep is the slave's protocol for one call of thread tid: take the
+// master's record — read where it lies, in the ring slot, which stays this
+// thread's until advance — wait for the ordering turn, and return the
+// replicated (or per-variant re-executed) result. A call is validated once:
+// a live lockstepped one already was, by the master against this slave's
+// own digest (validateDigest), so compare runs only for the relaxed policy's
+// run-ahead calls and under Replay, where the trace is the authority — and
+// when the record's Nr, on the line the slave polled anyway, disagrees (a
+// relaxed-policy sensitive call meeting a record of a non-sensitive one, or
+// a thread-exit marker).
 func (m *Monitor) slaveStep(v, tid int, proc *kernel.Proc, call *kernel.Call, cls class) kernel.Ret {
 	rec := m.nextRecord(v, tid)
-	if d := m.compare(v, tid, call, rec, cls); d != nil {
-		m.Kill(d)
-		panic(ErrKilled)
+	if m.replay || !m.lockstepped(cls) || rec.Nr != call.Nr {
+		if d := m.compare(v, tid, call, rec, cls); d != nil {
+			m.Kill(d)
+			panic(ErrKilled)
+		}
 	}
 	if rec.Ordered {
 		// This variant's ordering clock must reach the recorded stamp;
@@ -930,9 +979,10 @@ func (m *Monitor) slaveStep(v, tid int, proc *kernel.Proc, call *kernel.Call, cl
 	if call.Nr == kernel.SysWaitpid && rec.Ret.Err == kernel.OK {
 		m.kern.ApplySlaveWait(proc, int(rec.Ret.Val))
 	}
-	// The slave's own call compared equal to the record, so digesting the
-	// slave's args+payload yields the master's digest: matching tails
-	// digest identically across variants right up to the divergence point.
+	// The slave's own call matched the master's (its digest or compare), so
+	// digesting the slave's args+payload yields the master's digest:
+	// matching tails digest identically across variants right up to the
+	// divergence point.
 	m.flightAppend(v, tid, rec.Nr, &rec.Args, call.Data, rec.Ts, rec.Ret.Sig)
 	m.advance(v, tid)
 	return ret
@@ -998,13 +1048,13 @@ func (m *Monitor) InvokeBatchOn(v, tid int, proc *kernel.Proc, calls []kernel.Ca
 // capacity, which ReserveN must not exceed on a small test-sized ring).
 const batchChunk = 64
 
-// masterBatch is the master's protocol looped over a batch: per call, enter
-// and the ordered-section execute happen exactly as in masterCall (the
-// ordering clock still ticks once per call — batching changes record
-// TRANSPORT, not the total order, which is what keeps a batched trace
-// identical to the sequential one) — but publication is deferred to the
-// end, where each chunk of records is placed into one reserved run of the
-// ring, front to back.
+// masterBatch is the master's protocol looped over a batch: per call, enter,
+// execute and leave happen exactly as in masterCall (the ordering clock
+// still ticks once per call — batching changes record TRANSPORT, not the
+// total order, which is what keeps a batched trace identical to the
+// sequential one) — but publication is deferred to the end, where each
+// chunk of records is placed into one reserved run of the ring, front to
+// back.
 func (m *Monitor) masterBatch(tid int, proc *kernel.Proc, calls []kernel.Call, rets []kernel.Ret) {
 	if cap(m.btickets[tid]) < len(calls) {
 		m.btickets[tid] = make([]uint64, len(calls))
@@ -1012,11 +1062,10 @@ func (m *Monitor) masterBatch(tid int, proc *kernel.Proc, calls []kernel.Call, r
 	tickets := m.btickets[tid][:len(calls)]
 	for i := range calls {
 		cls := classify(calls[i].Nr)
-		tickets[i] = m.enter(tid, &calls[i], cls)
+		ts, late := m.enter(tid, &calls[i], cls)
 		rets[i] = m.execute(proc, &calls[i])
-		if cls.ordered {
-			m.passTurn(0)
-		}
+		m.leave(tid, &calls[i], cls, late)
+		tickets[i] = ts
 	}
 	// One delivery point per batch (see InvokeBatchOn): stamp the batch's
 	// boundary signal on the LAST record. Exit syscalls are per-variant and
@@ -1132,9 +1181,14 @@ func (m *Monitor) compare(v, tid int, call *kernel.Call, rec *Record, cls class)
 	return nil
 }
 
+// renderRecord reports a record's payload length only when it carries one: a
+// live record does not (see place), and "0 bytes" would misstate the call.
 func renderRecord(r *Record) string {
 	if r.Exit {
 		return "thread exit"
+	}
+	if r.n == 0 {
+		return fmt.Sprintf("%v(args=%v) @ts=%d", r.Nr, r.Args, r.Ts)
 	}
 	return fmt.Sprintf("%v(args=%v, %d bytes) @ts=%d", r.Nr, r.Args, r.n, r.Ts)
 }

@@ -34,6 +34,9 @@ func TestClassifyRouting(t *testing.T) {
 		{kernel.SysBrk, class{monitored: true, ordered: true, perVariant: true}},
 		{kernel.SysClone, class{monitored: true, ordered: true, perVariant: true, sensitive: true}},
 		{kernel.SysGettimeofday, class{monitored: true, ordered: true, replicated: true}},
+		{kernel.SysGetpid, class{monitored: true, ordered: true, replicated: true, pure: true}},
+		{kernel.SysPread, class{monitored: true, ordered: true, replicated: true, pure: true}},
+		{kernel.SysLseek, class{monitored: true, ordered: true, replicated: true}},
 	}
 	for _, c := range cases {
 		if got := classify(c.nr); got != c.want {

@@ -4,11 +4,11 @@
 // equivalent cross-thread ordering of system calls using a Lamport logical
 // clock (the "syscall ordering clock", §4.1).
 //
-// The monitor follows the paper's strict, security-oriented model: no
-// variant proceeds past a monitored call until an equivalent call has been
-// validated against the master's record, and any mismatch — different
-// syscall number, different arguments, different output payload — is
-// divergence, which terminates all variants.
+// The monitor follows the paper's strict, security-oriented model: nothing
+// a monitored call produces leaves the monitor until every variant has made
+// an equivalent call, validated against the master's, and any mismatch —
+// different syscall number, different arguments, different output payload
+// — is divergence, which terminates all variants.
 package monitor
 
 import "repro/internal/kernel"
@@ -45,6 +45,7 @@ type class struct {
 	perVariant bool // every variant executes it against its own process state
 	blocking   bool // may block in the kernel, so it cannot be ordered (§4.1 Limitations)
 	sensitive  bool // compared even under PolicySecuritySensitive
+	pure       bool // changes no kernel state and reads no clock: may execute before the slaves arrive (see enter)
 }
 
 // classify implements Table-4.1-style routing:
@@ -68,6 +69,9 @@ type class struct {
 //     reading is the session's time, or per-variant clock skew becomes a
 //     guaranteed benign-divergence source the moment a timestamp feeds a
 //     compared payload.
+//   - getpid, pread and stat are pure: they change no kernel state and read
+//     no clock, so under lockstep the master executes them while its slaves
+//     are still arriving and validates afterwards (see enter).
 //   - everything else is ordered, compared and replicated.
 func classify(nr kernel.Sysno) class {
 	switch nr {
@@ -134,9 +138,15 @@ func classify(nr kernel.Sysno) class {
 		kernel.SysSocket, kernel.SysBind, kernel.SysListen, kernel.SysConnect,
 		kernel.SysShutdown:
 		return class{monitored: true, ordered: true, replicated: true, sensitive: true}
-	case kernel.SysClose, kernel.SysDup, kernel.SysLseek, kernel.SysStat,
-		kernel.SysPread, kernel.SysPipe2, kernel.SysGetpid,
-		kernel.SysGettimeofday, kernel.SysClockGettime:
+	case kernel.SysGetpid, kernel.SysPread, kernel.SysStat:
+		return class{monitored: true, ordered: true, replicated: true, pure: true}
+	case kernel.SysGettimeofday, kernel.SysClockGettime:
+		// Effect-free, but never pure: the §5.4 timestamp channel is the
+		// master reading the clock after every variant has arrived, so the
+		// reading carries the slowest slave's delay. Read early, it would
+		// carry only the master's.
+		return class{monitored: true, ordered: true, replicated: true}
+	case kernel.SysClose, kernel.SysDup, kernel.SysLseek, kernel.SysPipe2:
 		return class{monitored: true, ordered: true, replicated: true}
 	default:
 		// Unknown syscalls (e.g. the MVEE-awareness call) are monitored

@@ -16,63 +16,68 @@ import (
 // trace wire format honest: Sysno values are recorded-trace currency, so
 // the walk also locks the enum's order).
 func TestSysnoSurfaceIsComplete(t *testing.T) {
+	// pure is its own column, decided row by row: a pure call runs in the
+	// master before its slaves have arrived, so every true below is a claim
+	// that the call changes no kernel state and reads no clock.
 	type decision struct {
 		name string
 		cls  class
+		pure bool
 		mask uint8
 	}
 	const all = uint8(0x3f)
 	want := map[kernel.Sysno]decision{
-		kernel.SysOpen:      {"open", class{monitored: true, ordered: true, replicated: true, sensitive: true}, all},
-		kernel.SysClose:     {"close", class{monitored: true, ordered: true, replicated: true}, all},
-		kernel.SysRead:      {"read", class{monitored: true, replicated: true, blocking: true}, all},
-		kernel.SysWrite:     {"write", class{monitored: true, ordered: true, replicated: true, sensitive: true}, all},
-		kernel.SysPread:     {"pread", class{monitored: true, ordered: true, replicated: true}, all},
-		kernel.SysPwrite:    {"pwrite", class{monitored: true, ordered: true, replicated: true, sensitive: true}, all},
-		kernel.SysLseek:     {"lseek", class{monitored: true, ordered: true, replicated: true}, all},
-		kernel.SysStat:      {"stat", class{monitored: true, ordered: true, replicated: true}, all},
-		kernel.SysUnlink:    {"unlink", class{monitored: true, ordered: true, replicated: true, sensitive: true}, all},
-		kernel.SysDup:       {"dup", class{monitored: true, ordered: true, replicated: true}, all},
-		kernel.SysPipe2:     {"pipe2", class{monitored: true, ordered: true, replicated: true}, all},
-		kernel.SysFtruncate: {"ftruncate", class{monitored: true, ordered: true, replicated: true, sensitive: true}, all},
-		kernel.SysBrk:       {"brk", class{monitored: true, ordered: true, perVariant: true}, 0},
-		kernel.SysMmap:      {"mmap", class{monitored: true, ordered: true, perVariant: true, sensitive: true}, 1 << 1},
-		kernel.SysMunmap:    {"munmap", class{monitored: true, ordered: true, perVariant: true}, 1<<1 | 1<<2},
-		kernel.SysMprotect:  {"mprotect", class{monitored: true, ordered: true, perVariant: true, sensitive: true}, 1<<1 | 1<<2},
-		kernel.SysClone:     {"clone", class{monitored: true, ordered: true, perVariant: true, sensitive: true}, 0},
-		kernel.SysExit:      {"exit", class{monitored: true, ordered: true, perVariant: true}, all},
+		kernel.SysOpen:      {"open", class{monitored: true, ordered: true, replicated: true, sensitive: true}, false, all},
+		kernel.SysClose:     {"close", class{monitored: true, ordered: true, replicated: true}, false, all},
+		kernel.SysRead:      {"read", class{monitored: true, replicated: true, blocking: true}, false, all}, // consumes data
+		kernel.SysWrite:     {"write", class{monitored: true, ordered: true, replicated: true, sensitive: true}, false, all},
+		kernel.SysPread:     {"pread", class{monitored: true, ordered: true, replicated: true}, true, all},
+		kernel.SysPwrite:    {"pwrite", class{monitored: true, ordered: true, replicated: true, sensitive: true}, false, all},
+		kernel.SysLseek:     {"lseek", class{monitored: true, ordered: true, replicated: true}, false, all}, // moves the offset
+		kernel.SysStat:      {"stat", class{monitored: true, ordered: true, replicated: true}, true, all},
+		kernel.SysUnlink:    {"unlink", class{monitored: true, ordered: true, replicated: true, sensitive: true}, false, all},
+		kernel.SysDup:       {"dup", class{monitored: true, ordered: true, replicated: true}, false, all},
+		kernel.SysPipe2:     {"pipe2", class{monitored: true, ordered: true, replicated: true}, false, all},
+		kernel.SysFtruncate: {"ftruncate", class{monitored: true, ordered: true, replicated: true, sensitive: true}, false, all},
+		kernel.SysBrk:       {"brk", class{monitored: true, ordered: true, perVariant: true}, false, 0},
+		kernel.SysMmap:      {"mmap", class{monitored: true, ordered: true, perVariant: true, sensitive: true}, false, 1 << 1},
+		kernel.SysMunmap:    {"munmap", class{monitored: true, ordered: true, perVariant: true}, false, 1<<1 | 1<<2},
+		kernel.SysMprotect:  {"mprotect", class{monitored: true, ordered: true, perVariant: true, sensitive: true}, false, 1<<1 | 1<<2},
+		kernel.SysClone:     {"clone", class{monitored: true, ordered: true, perVariant: true, sensitive: true}, false, 0},
+		kernel.SysExit:      {"exit", class{monitored: true, ordered: true, perVariant: true}, false, all},
+		// Clock reads are effect-free but never pure (§5.4): see below.
 		kernel.SysGettimeofday: {"gettimeofday",
-			class{monitored: true, ordered: true, replicated: true}, all},
+			class{monitored: true, ordered: true, replicated: true}, false, all},
 		kernel.SysClockGettime: {"clock_gettime",
-			class{monitored: true, ordered: true, replicated: true}, all},
-		kernel.SysNanosleep:  {"nanosleep", class{monitored: true, replicated: true, blocking: true}, 1 << 0},
-		kernel.SysSchedYield: {"sched_yield", class{}, all},
-		kernel.SysGetpid:     {"getpid", class{monitored: true, ordered: true, replicated: true}, all},
-		kernel.SysGettid:     {"gettid", class{}, all},
-		kernel.SysSocket:     {"socket", class{monitored: true, ordered: true, replicated: true, sensitive: true}, all},
-		kernel.SysBind:       {"bind", class{monitored: true, ordered: true, replicated: true, sensitive: true}, all},
-		kernel.SysListen:     {"listen", class{monitored: true, ordered: true, replicated: true, sensitive: true}, all},
-		kernel.SysAccept:     {"accept", class{monitored: true, replicated: true, blocking: true}, all},
-		kernel.SysConnect:    {"connect", class{monitored: true, ordered: true, replicated: true, sensitive: true}, all},
-		kernel.SysSend:       {"send", class{monitored: true, ordered: true, replicated: true, sensitive: true}, all},
-		kernel.SysRecv:       {"recv", class{monitored: true, replicated: true, blocking: true}, all},
-		kernel.SysShutdown:   {"shutdown", class{monitored: true, ordered: true, replicated: true, sensitive: true}, all},
-		kernel.SysFutex:      {"futex", class{}, all},
-		kernel.SysMVEEAware:  {"mvee_aware", class{monitored: true, ordered: true, perVariant: true}, all},
-		kernel.SysPoll:       {"poll", class{monitored: true, replicated: true, blocking: true}, all},
-		kernel.SysFork:       {"fork", class{monitored: true, ordered: true, perVariant: true, sensitive: true}, 0},
-		kernel.SysWaitpid:    {"waitpid", class{monitored: true, replicated: true, blocking: true, sensitive: true}, all},
-		kernel.SysKill:       {"kill", class{monitored: true, ordered: true, perVariant: true, sensitive: true}, all},
-		kernel.SysSigaction:  {"sigaction", class{monitored: true, ordered: true, perVariant: true, sensitive: true}, all},
+			class{monitored: true, ordered: true, replicated: true}, false, all},
+		kernel.SysNanosleep:  {"nanosleep", class{monitored: true, replicated: true, blocking: true}, false, 1 << 0},
+		kernel.SysSchedYield: {"sched_yield", class{}, false, all},
+		kernel.SysGetpid:     {"getpid", class{monitored: true, ordered: true, replicated: true}, true, all},
+		kernel.SysGettid:     {"gettid", class{}, false, all},
+		kernel.SysSocket:     {"socket", class{monitored: true, ordered: true, replicated: true, sensitive: true}, false, all},
+		kernel.SysBind:       {"bind", class{monitored: true, ordered: true, replicated: true, sensitive: true}, false, all},
+		kernel.SysListen:     {"listen", class{monitored: true, ordered: true, replicated: true, sensitive: true}, false, all},
+		kernel.SysAccept:     {"accept", class{monitored: true, replicated: true, blocking: true}, false, all},
+		kernel.SysConnect:    {"connect", class{monitored: true, ordered: true, replicated: true, sensitive: true}, false, all},
+		kernel.SysSend:       {"send", class{monitored: true, ordered: true, replicated: true, sensitive: true}, false, all},
+		kernel.SysRecv:       {"recv", class{monitored: true, replicated: true, blocking: true}, false, all}, // consumes data
+		kernel.SysShutdown:   {"shutdown", class{monitored: true, ordered: true, replicated: true, sensitive: true}, false, all},
+		kernel.SysFutex:      {"futex", class{}, false, all},
+		kernel.SysMVEEAware:  {"mvee_aware", class{monitored: true, ordered: true, perVariant: true}, false, all},
+		kernel.SysPoll:       {"poll", class{monitored: true, replicated: true, blocking: true}, false, all},
+		kernel.SysFork:       {"fork", class{monitored: true, ordered: true, perVariant: true, sensitive: true}, false, 0},
+		kernel.SysWaitpid:    {"waitpid", class{monitored: true, replicated: true, blocking: true, sensitive: true}, false, all},
+		kernel.SysKill:       {"kill", class{monitored: true, ordered: true, perVariant: true, sensitive: true}, false, all},
+		kernel.SysSigaction:  {"sigaction", class{monitored: true, ordered: true, perVariant: true, sensitive: true}, false, all},
 		kernel.SysSigprocmask: {"sigprocmask",
-			class{monitored: true, ordered: true, perVariant: true, sensitive: true}, all},
+			class{monitored: true, ordered: true, perVariant: true, sensitive: true}, false, all},
 		kernel.SysThreadExit: {"thread_exit",
-			class{monitored: true, ordered: true, perVariant: true}, all},
+			class{monitored: true, ordered: true, perVariant: true}, false, all},
 		// The vectored/zero-copy transfers are writes: ordered, replicated,
 		// sensitive, with every argument compared (writev's iovec count in
 		// Args[1]; sendfile's fd pair, offset, and byte count).
-		kernel.SysWritev:   {"writev", class{monitored: true, ordered: true, replicated: true, sensitive: true}, all},
-		kernel.SysSendfile: {"sendfile", class{monitored: true, ordered: true, replicated: true, sensitive: true}, all},
+		kernel.SysWritev:   {"writev", class{monitored: true, ordered: true, replicated: true, sensitive: true}, false, all},
+		kernel.SysSendfile: {"sendfile", class{monitored: true, ordered: true, replicated: true, sensitive: true}, false, all},
 	}
 
 	n := 0
@@ -90,8 +95,10 @@ func TestSysnoSurfaceIsComplete(t *testing.T) {
 		if strings.HasPrefix(s.String(), "sys#") {
 			t.Errorf("Sysno %d stringifies as %q — add it to sysnoNames", uint32(s), s)
 		}
-		if got := classify(s); got != d.cls {
-			t.Errorf("%v: classify = %+v, want %+v", s, got, d.cls)
+		wantCls := d.cls
+		wantCls.pure = d.pure
+		if got := classify(s); got != wantCls {
+			t.Errorf("%v: classify = %+v, want %+v", s, got, wantCls)
 		}
 		if got := argMask(s); got != d.mask {
 			t.Errorf("%v: argMask = %#x, want %#x", s, got, d.mask)
@@ -112,6 +119,26 @@ func TestSysnoSurfaceIsComplete(t *testing.T) {
 		}
 		if (cls.ordered || cls.replicated || cls.perVariant || cls.blocking) && !cls.monitored {
 			t.Errorf("%v has routing flags but is not monitored: %+v", s, cls)
+		}
+		// A pure call executes in the master before validation, inside the
+		// ordered section, and its result is replicated only once every
+		// digest passed: that needs a ticket (ordered), one execution
+		// (replicated, not per-variant), a kernel that returns (not
+		// blocking), and no argument the relaxed policy must compare before
+		// anything runs (not sensitive).
+		if cls.pure && !(cls.monitored && cls.ordered && cls.replicated &&
+			!cls.blocking && !cls.perVariant && !cls.sensitive) {
+			t.Errorf("%v is pure but not monitored+ordered+replicated, non-blocking, "+
+				"non-per-variant and non-sensitive: %+v", s, cls)
+		}
+	}
+	// §5.4: the timestamp covert channel is the master reading the clock
+	// after every variant has arrived, so the reading includes the slowest
+	// slave's delay. A clock read executed before the slaves arrive would
+	// carry only the master's, so clock reads are never pure.
+	for _, s := range []kernel.Sysno{kernel.SysGettimeofday, kernel.SysClockGettime} {
+		if classify(s).pure {
+			t.Errorf("%v is pure: a clock read must wait for every variant (§5.4)", s)
 		}
 	}
 	// A hypothetical appended syscall (SysnoMax itself) must stringify as

@@ -22,8 +22,9 @@ type RecordCapture struct {
 
 // start runs thread tid's tape; Monitor.ring calls it when it creates the
 // thread's ring, so threads that never make a monitored call cost nothing.
-// The tape owns its copies outright (the monitor disables the payload arenas
-// under capture), so consuming eagerly is safe. A copy carries its slot's
+// The tape owns its copies outright (under capture, place copies payloads and
+// Buf results into fresh allocations, never arenas), so consuming eagerly is
+// safe. A copy carries its slot's
 // leftovers (see payloadBox): with n <= InlinePayload its spill is an earlier
 // record's payload — one this tape holds anyway — and only Payload() says
 // what the record carries.
