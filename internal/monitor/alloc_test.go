@@ -20,10 +20,12 @@ import (
 // flight-recorder appends) must not cost a single allocation — plus the
 // storage paths of the replication step on both of its callers: a payload
 // past InlinePayload (the 256-byte row), which exercises only the digest
-// spill (a live record carries no input payload, see place), a stream read
-// whose Call.Buf-aliased result goes through the output arena and back out
-// into the slave's Buf, and an InvokeBatchOn run of 8 that mixes both into
-// one reserved run of the ring. Parking keeps this
+// spill (an effectful call's live record carries no input payload, see
+// place), a stat whose 16-byte path a pure call's record carries inline for
+// the slave's own check, a stream read whose Call.Buf-aliased result goes
+// through the output arena and back out into the slave's Buf, and an
+// InvokeBatchOn run of 8 that mixes the spill and the Buf read into one
+// reserved run of the ring. Parking keeps this
 // invariant because futex.Parker parks on sync.Cond, which recycles its
 // queue nodes — even under AllocsPerRun's GOMAXPROCS=1, where every
 // rendezvous escalates through yields and may park.
@@ -60,6 +62,12 @@ func TestReplicationHotPathZeroAllocs(t *testing.T) {
 		}},
 		{fmt.Sprintf("payload-%d", InlinePayload), pwrite(InlinePayload)},
 		{fmt.Sprintf("payload-%d", 4*InlinePayload), pwrite(4 * InlinePayload)},
+		{"stat-16", func(m *Monitor, v int) func() {
+			path := "/alloc-test/stat"
+			m.Invoke(v, 0, openCall(path, kernel.OCreat|kernel.ORdwr))
+			call := kernel.Call{Nr: kernel.SysStat, Data: []byte(path)}
+			return func() { m.Invoke(v, 0, call) }
+		}},
 		{"buf-out", func(m *Monitor, v int) func() {
 			// Pipes are stream objects: a Buf-carrying read fills the
 			// caller's buffer in place and the result aliases it.

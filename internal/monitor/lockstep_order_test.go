@@ -13,10 +13,12 @@ import (
 )
 
 // The two orders of a lockstepped call (see enter): a pure call runs in the
-// master while its slaves are still arriving and is validated afterwards;
-// every other call is validated first. Each test below pins one interleaving
-// at a small bound, by waiting on conditions — the master's ordering clock,
-// its park on the digest inbox — never on time.
+// master, and its record reaches the slaves, while they are still arriving,
+// and each variant's guest takes the result only once its own call was
+// checked against the master's; every other call is validated first. Each
+// test below pins one interleaving at a small bound, by waiting on
+// conditions — the master's ordering clock, its park on a digest inbox, a
+// slave's return — never on time.
 
 // lockstepWatch arms the parking-contract watch for one test, and a
 // watchdog: a test still running after 10 s has its session killed, so every
@@ -69,14 +71,19 @@ func invokeAsync(m *Monitor, v int, call kernel.Call) <-chan outcome {
 	return ch
 }
 
-// inBoth makes the same call in the slave and the master of a 2-variant
-// session and returns the master's result.
-func inBoth(t *testing.T, m *Monitor, call kernel.Call) kernel.Ret {
+// inAll makes the same call in every variant of the session and returns the
+// master's result.
+func inAll(t *testing.T, m *Monitor, call kernel.Call) kernel.Ret {
 	t.Helper()
-	slave := invokeAsync(m, 1, call)
+	slaves := make([]<-chan outcome, m.Variants()-1)
+	for i := range slaves {
+		slaves[i] = invokeAsync(m, i+1, call)
+	}
 	master := <-invokeAsync(m, 0, call)
-	if s := <-slave; master.panicked != nil || s.panicked != nil {
-		t.Fatalf("%v: master %v, slave %v", call.Nr, master.panicked, s.panicked)
+	for i, s := range slaves {
+		if so := <-s; master.panicked != nil || so.panicked != nil {
+			t.Fatalf("%v: master %v, slave %d %v", call.Nr, master.panicked, i+1, so.panicked)
+		}
 	}
 	return master.ret
 }
@@ -93,7 +100,7 @@ func TestPureCallRunsWhileSlavesArrive(t *testing.T) {
 	m, k := newTestMonitor(t, 2)
 	lockstepWatch(t, m)
 	k.WriteFile("/f", []byte("old!"))
-	fd := inBoth(t, m, openCall("/f", kernel.ORdonly)).Val
+	fd := inAll(t, m, openCall("/f", kernel.ORdonly)).Val
 	served := m.clocks[0].Now()
 
 	since := ring.ReadMetrics().Parks
@@ -116,13 +123,46 @@ func TestPureCallRunsWhileSlavesArrive(t *testing.T) {
 	}
 }
 
+// A pure call's record reaches the slaves when the master executes it: with
+// the slave not yet called, the master waits for its digest with the pread's
+// record already committed, and its own guest still without the result.
+func TestPureCallRecordReachesSlavesBeforeValidation(t *testing.T) {
+	m, k := newTestMonitor(t, 2)
+	lockstepWatch(t, m)
+	k.WriteFile("/f", []byte("data"))
+	fd := inAll(t, m, openCall("/f", kernel.ORdonly)).Val
+	r := m.ring(0)
+	seq := r.Produced()
+
+	since := ring.ReadMetrics().Parks
+	master := invokeAsync(m, 0, preadCall(fd, 0))
+	awaitParked(t, m.inbox(0, 0).Parker(), since)
+	if !r.Ready(seq) {
+		t.Fatal("the master waits for the slave's digest with the pread's record not yet committed")
+	}
+	if rec := r.Slot(seq); rec.Nr != kernel.SysPread || string(rec.Ret.Data) != "data" {
+		t.Fatalf("committed record = %s with %q, want the pread's with %q", renderRecord(rec), rec.Ret.Data, "data")
+	}
+	if len(master) != 0 {
+		t.Fatal("the master's pread returned before the slave's digest arrived")
+	}
+	slave := invokeAsync(m, 1, preadCall(fd, 0))
+	mo, so := <-master, <-slave
+	if mo.panicked != nil || so.panicked != nil {
+		t.Fatalf("master %v, slave %v, divergence %v", mo.panicked, so.panicked, m.Divergence())
+	}
+	if string(mo.ret.Data) != "data" || string(so.ret.Data) != "data" {
+		t.Fatalf("master read %q, slave %q, want %q", mo.ret.Data, so.ret.Data, "data")
+	}
+}
+
 // An effectful call keeps validate → execute: the master waits in the
 // rendezvous with the file untouched and its turn not yet taken.
 func TestEffectfulCallWaitsForEveryDigest(t *testing.T) {
 	m, k := newTestMonitor(t, 2)
 	lockstepWatch(t, m)
 	k.WriteFile("/f", []byte("old!"))
-	fd := inBoth(t, m, openCall("/f", kernel.ORdwr)).Val
+	fd := inAll(t, m, openCall("/f", kernel.ORdwr)).Val
 	served := m.clocks[0].Now()
 	pwrite := kernel.Call{Nr: kernel.SysPwrite, Args: [6]uint64{fd, 0}, Data: []byte("new!")}
 
@@ -170,39 +210,85 @@ func TestClockReadsWaitForEveryVariant(t *testing.T) {
 	}
 }
 
-// A pure call executed ahead of its validation releases nothing when the
-// validation fails: the master's guest unwinds without the result, no record
-// is committed, and both flight tails end before the call.
+// A pure call whose check fails releases its result to no guest whose call
+// differs. The master places the record before it has seen the digests, so
+// the record is committed (a tape of the session ends with it), but the
+// master's guest unwinds without the result and a diverging slave unwinds
+// through its own check of the record. With three variants, a slave that
+// matched takes the result before its sibling arrives; it cannot cause an
+// effect with it, because every effectful call waits for all slaves and the
+// sibling's divergence kills the session first. Every row starts with a
+// matching stat of a path longer than InlinePayload, so the slave's check of
+// a spilled path passes where it should, too.
 func TestPureCallDivergenceReleasesNothing(t *testing.T) {
-	m, k := newTelemetryMonitor(t, 2)
-	lockstepWatch(t, m)
-	k.WriteFile("/f", []byte("secret"))
-	fd := inBoth(t, m, openCall("/f", kernel.ORdonly)).Val
-	served := m.clocks[0].Now()
+	long := "/" + strings.Repeat("l", 2*InlinePayload)
+	stat := func(path string) func(uint64) kernel.Call {
+		return func(uint64) kernel.Call { return kernel.Call{Nr: kernel.SysStat, Data: []byte(path)} }
+	}
+	pread := func(off uint64) func(uint64) kernel.Call {
+		return func(fd uint64) kernel.Call { return preadCall(fd, off) }
+	}
+	type call = func(fd uint64) kernel.Call
+	rows := []struct {
+		name   string
+		master call
+		slaves []call // slave v makes slaves[v-1]; the last one diverges
+		reason string
+	}{
+		{"pread-offset", pread(0), []call{pread(2)}, "argument 2 mismatch"},
+		{"stat-inline-path", stat("/f"), []call{stat("/g")}, "payload mismatch"},
+		{"stat-spilled-path", stat(long), []call{stat(long[:len(long)-1] + "m")}, "payload mismatch"},
+		{"3-variants", pread(0), []call{pread(0), pread(2)}, "argument 2 mismatch"},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			m, k := newTelemetryMonitor(t, 1+len(row.slaves))
+			lockstepWatch(t, m)
+			k.WriteFile("/f", []byte("secret"))
+			k.WriteFile(long, []byte("secret"))
+			inAll(t, m, stat(long)(0))
+			fd := inAll(t, m, openCall("/f", kernel.ORdonly)).Val
+			r := m.ring(0)
+			seq := r.Produced()
 
-	master := invokeAsync(m, 0, preadCall(fd, 0))
-	waitUntil(t, m, "the master has executed its pread",
-		func() bool { return m.clocks[0].Now() > served })
-	slave := invokeAsync(m, 1, preadCall(fd, 2))
+			since := ring.ReadMetrics().Parks
+			master := invokeAsync(m, 0, row.master(fd))
+			awaitParked(t, m.inbox(0, 0).Parker(), since)
+			diverger := len(row.slaves)
+			for v := 1; v < diverger; v++ {
+				// Only the 3-variant row has a matching slave; it preads.
+				if so := <-invokeAsync(m, v, row.slaves[v-1](fd)); so.panicked != nil || string(so.ret.Data) != "secr" {
+					t.Fatalf("matching slave %d ended with %q / %v, want the master's bytes", v, so.ret.Data, so.panicked)
+				}
+				if len(master) != 0 {
+					t.Fatalf("the master's guest got its result with slave %d still to arrive", v+1)
+				}
+			}
+			so := <-invokeAsync(m, diverger, row.slaves[diverger-1](fd))
+			mo := <-master
 
-	mo, so := <-master, <-slave
-	if mo.panicked != ErrKilled || mo.ret.Data != nil {
-		t.Fatalf("master ended with %+v / %v, want an ErrKilled unwind and no result", mo.ret, mo.panicked)
-	}
-	if so.panicked != ErrKilled {
-		t.Fatalf("slave recovered %v, want ErrKilled", so.panicked)
-	}
-	d := m.Divergence()
-	if d == nil || d.Reason != "argument 2 mismatch" || d.Variant != 1 {
-		t.Fatalf("divergence = %v, want variant 1's argument 2 mismatch", d)
-	}
-	if r := m.ring(0); r.Produced() != 1 || r.Ready(1) {
-		t.Fatalf("%d records reserved, pread's ready %v: want only the open's", r.Produced(), r.Ready(1))
-	}
-	for v, tail := range m.FlightTail() {
-		if n := len(tail); n == 0 || tail[n-1].Sysno != kernel.SysOpen {
-			t.Fatalf("variant %d frozen tail = %v, want it to end at the open", v, tail)
-		}
+			if mo.panicked != ErrKilled || mo.ret.Data != nil || mo.ret.Val != 0 {
+				t.Fatalf("master ended with %+v / %v, want an ErrKilled unwind and no result", mo.ret, mo.panicked)
+			}
+			if so.panicked != ErrKilled {
+				t.Fatalf("diverging slave recovered %v, want ErrKilled", so.panicked)
+			}
+			if d := m.Divergence(); d == nil || d.Reason != row.reason || d.Variant != diverger {
+				t.Fatalf("divergence = %v, want variant %d's %s", d, diverger, row.reason)
+			}
+			if r.Produced() != seq+1 || !r.Ready(seq) {
+				t.Fatalf("%d records reserved, the pure call's ready %v: want it committed", r.Produced(), r.Ready(seq))
+			}
+			for v, tail := range m.FlightTail() {
+				want := kernel.SysOpen
+				if v != 0 && v != diverger {
+					want = kernel.SysPread // a matching slave took the result
+				}
+				if n := len(tail); n == 0 || tail[n-1].Sysno != want {
+					t.Fatalf("variant %d frozen tail = %v, want it to end at the %v", v, tail, want)
+				}
+			}
+		})
 	}
 }
 

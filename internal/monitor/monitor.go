@@ -24,8 +24,9 @@ var ErrKilled = fmt.Errorf("monitor: session killed")
 // size (the vast majority of write/open/send payloads in server traffic)
 // cross the slave→master digest inbox with zero heap allocations and zero
 // shared mutable state; only larger payloads spill (see spillArena). A live
-// record carries no input payload at all: the tape is the only reader of a
-// record's input (see place).
+// record carries an input payload only for a pure call, which each slave
+// checks against its own (see place); otherwise the tape is the only reader
+// of a record's input.
 const InlinePayload = 64
 
 // payloadBox is the inline-or-spill storage both Record and digest embed
@@ -88,13 +89,13 @@ func (b *payloadBox) store(p []byte, arena *spillArena, rcap int, seq uint64) {
 // Record is one entry in a per-thread syscall buffer: the master's account
 // of one monitored system call — its result, stamp and delivered signal,
 // which slaves replay. Slaves validate a lockstepped call through their
-// digests, not against the record; a live record's Nr and Args serve the
-// relaxed policy's slave-side check and the flight tail. The input payload
-// travels in the embedded payloadBox only when a tape consumes the record
-// (see place); use Payload and SetPayload. Records gob-encode compactly (see
-// GobEncode): only the payload bytes cross the wire, not the fixed inline
-// array — so the field order below is memory layout only (see payloadBox for
-// why the box is last), not wire format.
+// digests; a live record's Nr and Args serve the slave-side check of a pure
+// call and of the relaxed policy's run-ahead calls, and the flight tail. The
+// input payload travels in the embedded payloadBox only for a pure call or
+// when a tape consumes the record (see place); use Payload and SetPayload.
+// Records gob-encode compactly (see GobEncode): only the payload bytes cross
+// the wire, not the fixed inline array — so the field order below is memory
+// layout only (see payloadBox for why the box is last), not wire format.
 type Record struct {
 	Nr   kernel.Sysno
 	Args [6]uint64
@@ -292,10 +293,9 @@ type Monitor struct {
 	scons     [][]slaveCons
 	// inboxes[g][tid] carries slave g+1's call digests to the master for
 	// lockstep calls: the master waits for (and validates) every slave's
-	// equivalent call before anything the call produces leaves the monitor
-	// — before executing it, or for a pure call before returning its result
-	// and placing its record (see enter) — so no variant proceeds past a
-	// lockstepped call until all variants have made it (§2). The master's
+	// equivalent call before executing it, or for a pure call before
+	// returning its result to the master's guest (see enter) — so no
+	// effectful call runs until all variants have made it (§2). The master's
 	// read position is the inbox's one cursor. Lazily created like rings
 	// (see Monitor.inbox).
 	inboxes [][]atomic.Pointer[ring.Log[digest]]
@@ -475,12 +475,13 @@ type digest struct {
 }
 
 // lockstepped reports whether calls of this class require the lockstep
-// rendezvous: the master validates every slave's digest before anything the
-// call produces leaves the monitor (before execution, or for a pure call
-// after it; see enter), and that validation is the call's only one. Under
-// the strict policy every monitored call is lockstepped; under the relaxed
-// policy only security-sensitive calls are, and the rest follow the
-// run-ahead (leader/follower) protocol, checked by the slave (compare).
+// rendezvous: the master validates every slave's digest before executing
+// the call, or for a pure call before its guest takes the result (see enter);
+// only a pure call is checked a second time, by each slave against the
+// master's record (see slaveStep). Under the strict policy every monitored
+// call is lockstepped; under the relaxed policy only security-sensitive calls
+// are, and the rest follow the run-ahead (leader/follower) protocol, checked
+// by the slave (compare).
 func (m *Monitor) lockstepped(cls class) bool {
 	return m.cfg.Policy == PolicyStrictLockstep || cls.sensitive
 }
@@ -723,10 +724,10 @@ func (m *Monitor) submitDigest(v, tid int, call *kernel.Call, exit bool) {
 
 // awaitDigests blocks until every slave has submitted its digest for the
 // master's current call of thread tid, validates the digests, and kills the
-// session on mismatch. This is the lockstep barrier: nothing the call
-// produces leaves the monitor until every variant has arrived with an
-// equivalent call. The master runs it before executing, or for a pure call
-// after executing and passing the turn (see enter).
+// session on mismatch. This is the lockstep barrier: no effectful call runs
+// until every variant has arrived with an equivalent call. The master runs it
+// before executing, or for a pure call after executing, passing the turn and
+// placing the record, and before the result returns (see enter).
 //
 // The digest is validated where it lies, in the inbox slot, BEFORE the inbox
 // cursor advances: once the cursor passes it the slave may overwrite the
@@ -807,26 +808,35 @@ func (m *Monitor) passTurn(v int) {
 }
 
 // enter is the master's protocol up to the point of execution, for one call
-// of thread tid: the lockstep rendezvous (nothing the call produces leaves
-// the monitor until every variant has arrived with an equivalent call) and —
-// for an ordered call — the §4.1 ticket (see the Monitor type comment): take
-// the next position in the total order, wait for the turn, and return the
-// ticket, which becomes the record's stamp. On return from an ordered call
-// the caller is inside the ordered section; it executes the call and then
-// calls leave. Blocking calls take no ticket: the kernel may never return
+// of thread tid: the lockstep rendezvous (no effectful call runs until every
+// variant has arrived with an equivalent call) and — for an ordered call —
+// the §4.1 ticket (see the Monitor type comment): take the next position in
+// the total order, wait for the turn, and return the ticket, which becomes
+// the record's stamp. On return from an ordered call the caller is inside
+// the ordered section; it executes the call and then passes the turn
+// (passTurn). Blocking calls take no ticket: the kernel may never return
 // (§4.1 Limitations), so they are executed by the master only and
 // replicated positionally.
 //
 // The rendezvous comes first, except for a lockstepped pure call without a
-// Buf: enter reports it late and leave runs it after the turn is passed. The
-// call changes no kernel state and reads no clock, and its result reaches
-// the master's guest, and its record the slaves, only after every digest
-// passed — so executing it while the slaves are still arriving releases
-// nothing, and takes the execution off the round trip's critical path. A
-// Buf result is excluded because the kernel writes it into the master
-// guest's own memory; a clock read is not pure because the §5.4 timestamp
-// channel relies on the master reading the clock after every variant
-// arrived.
+// Buf: enter reports it late, and the caller runs it once the call has
+// executed and the turn is passed — masterCall after placing the record too,
+// masterBatch before (a batch places its records after its last call). The
+// call changes no kernel state and reads no clock, so executing it, and
+// handing its record to the slaves, while they are still arriving releases
+// no effect, and both directions of the exchange are in flight at once.
+// What is released stays gated by two rules: no effectful call executes
+// before every variant arrived with an equivalent call (its own rendezvous
+// comes first), and no variant's guest takes a pure result before its
+// own call was checked against the master's — the master's against every
+// digest (awaitDigests), each slave's against the record (slaveStep). A Buf
+// result is excluded because the kernel writes it into the master guest's
+// own memory; a clock read is not pure because the §5.4 timestamp channel
+// relies on the master reading the clock after every variant arrived. The
+// turn is never held across a wait for slaves — that would queue every other
+// master thread behind one slave's arrival — and the ticket stays the
+// real-time order of master execution, which is what keeps the slaves'
+// replay deadlock-free.
 func (m *Monitor) enter(tid int, call *kernel.Call, cls class) (ts uint64, late bool) {
 	if m.cfg.Variants > 1 && m.lockstepped(cls) {
 		if late = cls.pure && call.Buf == nil; !late {
@@ -840,41 +850,29 @@ func (m *Monitor) enter(tid int, call *kernel.Call, cls class) (ts uint64, late 
 	return ts, late
 }
 
-// leave ends the master's protocol for an executed call: it passes the turn
-// of an ordered call and only then runs a rendezvous enter reported late.
-// The turn is never held across a wait for slaves — that would queue every
-// other master thread behind one slave's arrival — and the ticket stays the
-// real-time order of master execution, which is what keeps the slaves'
-// replay deadlock-free.
-func (m *Monitor) leave(tid int, call *kernel.Call, cls class, late bool) {
-	if cls.ordered {
-		m.passTurn(0)
-	}
-	if late {
-		m.awaitDigests(tid, call, cls, false)
-	}
-}
-
 // place writes the master's record of call — its stamp ts (if ordered) and
 // result ret — into slot seq of thread tid's ring r and commits it. The
 // caller reserved seq (ReserveN): every slave is done with the slot's
 // previous occupant, so the record is built where the slaves will read it,
 // every field assigned (nothing of the old occupant survives but unread
 // inline bytes), and the arena slots for seq are reusable. Digests carry
-// inputs, live records carry results: the master validated every lockstepped
-// call's input payload against the slaves' digests already, so a record
-// copies it only for the tape, the one reader of a record's input (Capture;
-// a fresh copy, which the tape keeps). A result that aliases the caller's
-// reusable destination buffer (Call.Buf) is repointed at a copy in the
-// output arena slot for seq, or the master guest's next receive would
-// overwrite bytes the slaves haven't consumed yet — only the record's copy
-// of ret is repointed; the master's own caller keeps the alias into its Buf.
-// Without output arenas (see arenaAt) that copy is a fresh allocation.
-func (m *Monitor) place(tid int, r *ring.Log[Record], seq uint64, call *kernel.Call, ordered bool, ts uint64, ret *kernel.Ret) {
+// inputs, live records carry results: the master validates a lockstepped
+// call's input payload against the slaves' digests, so a record copies it
+// only for its two other readers — the slave's own check of a pure call
+// (stat's path; see slaveStep), and the tape (Capture). Up to InlinePayload
+// bytes go inline at no cost; a longer payload is a fresh copy, which is what
+// the tape keeps and, for a pure call, means one allocation per stat of a
+// path over InlinePayload bytes. A result that aliases the caller's reusable
+// destination buffer (Call.Buf) is repointed at a copy in the output arena
+// slot for seq, or the master guest's next receive would overwrite bytes the
+// slaves haven't consumed yet — only the record's copy of ret is repointed;
+// the master's own caller keeps the alias into its Buf. Without output
+// arenas (see arenaAt) that copy is a fresh allocation.
+func (m *Monitor) place(tid int, r *ring.Log[Record], seq uint64, call *kernel.Call, cls class, ts uint64, ret *kernel.Ret) {
 	rec := r.Slot(seq)
 	rec.Ret, rec.Ts = *ret, ts
-	rec.Ordered, rec.Exit = ordered, false
-	if m.capture != nil {
+	rec.Ordered, rec.Exit = cls.ordered, false
+	if cls.pure || m.capture != nil {
 		rec.SetPayload(call.Data)
 	} else {
 		rec.n = 0
@@ -889,16 +887,20 @@ func (m *Monitor) place(tid int, r *ring.Log[Record], seq uint64, call *kernel.C
 }
 
 // masterCall executes a monitored call in the master variant and publishes
-// the record for the slaves: enter, execute, leave, place (validation before
-// execution, or for a pure call in leave — either way before the result
-// returns or the record is placed). After the call executes, the master pops
-// the lowest deliverable pending signal of the calling process (if any) into
-// Ret.Sig — the syscall-boundary delivery point, inside the ordered section
-// when there is one. Because the popped signal travels inside the
-// replicated record, the master's delivery schedule IS the session's
-// delivery schedule: slaves consume it positionally instead of racing their
-// own pending sets (DESIGN.md §2.5). Publication happens after the turn is
-// passed because records travel through per-thread rings, where
+// the record for the slaves: enter (validation, then the turn), execute,
+// passTurn, place — or for a late pure call (see enter) the turn, execute,
+// passTurn, place, and only then the validation, so the slaves take the
+// record while the master still waits for their digests, and the result
+// returns to the master's guest only after every digest passed. A
+// divergence there unwinds with the record committed (a tape of the session
+// ends with it) and the result unreturned. After the call executes, the
+// master pops the lowest deliverable pending signal of the calling process
+// (if any) into Ret.Sig — the syscall-boundary delivery point, inside the
+// ordered section when there is one. Because the popped signal travels
+// inside the replicated record, the master's delivery schedule IS the
+// session's delivery schedule: slaves consume it positionally instead of
+// racing their own pending sets (DESIGN.md §2.5). Publication happens after
+// the turn is passed because records travel through per-thread rings, where
 // cross-thread order is immaterial.
 func (m *Monitor) masterCall(tid int, proc *kernel.Proc, call *kernel.Call, cls class) kernel.Ret {
 	ts, late := m.enter(tid, call, cls)
@@ -909,19 +911,25 @@ func (m *Monitor) masterCall(tid int, proc *kernel.Proc, call *kernel.Call, cls 
 		// also re-terminate a process already inside its exit path.)
 		ret.Sig = proc.BoundarySig()
 	}
-	m.leave(tid, call, cls, late)
+	if cls.ordered {
+		m.passTurn(0)
+	}
 	if m.publish {
 		r := m.ring(tid)
-		m.place(tid, r, r.ReserveN(1), call, cls.ordered, ts, &ret)
+		m.place(tid, r, r.ReserveN(1), call, cls, ts, &ret)
+	}
+	if late {
+		m.awaitDigests(tid, call, cls, false)
 	}
 	m.flightAppend(0, tid, call.Nr, &call.Args, call.Data, ts, ret.Sig)
 	return ret
 }
 
 // slaveCall submits thread tid's call for the master's validation when it is
-// lockstepped — nothing the call produces leaves the master until every
-// slave has arrived — and then takes the slave step. (Replay has no master
-// to validate against; the trace is the authority.)
+// lockstepped — no effectful call runs, and no pure result reaches the
+// master's guest, until every slave has arrived — and then takes the slave
+// step. (Replay has no master to validate against; the trace is the
+// authority.)
 func (m *Monitor) slaveCall(v, tid int, proc *kernel.Proc, call *kernel.Call, cls class) kernel.Ret {
 	if m.lockstepped(cls) && !m.replay {
 		m.submitDigest(v, tid, call, false)
@@ -932,16 +940,18 @@ func (m *Monitor) slaveCall(v, tid int, proc *kernel.Proc, call *kernel.Call, cl
 // slaveStep is the slave's protocol for one call of thread tid: take the
 // master's record — read where it lies, in the ring slot, which stays this
 // thread's until advance — wait for the ordering turn, and return the
-// replicated (or per-variant re-executed) result. A call is validated once:
-// a live lockstepped one already was, by the master against this slave's
-// own digest (validateDigest), so compare runs only for the relaxed policy's
-// run-ahead calls and under Replay, where the trace is the authority — and
-// when the record's Nr, on the line the slave polled anyway, disagrees (a
-// relaxed-policy sensitive call meeting a record of a non-sensitive one, or
-// a thread-exit marker).
+// replicated (or per-variant re-executed) result. An effectful lockstepped
+// call is validated once, by the master against this slave's own digest
+// (validateDigest), before its record exists. compare runs where that is not
+// so: for a pure call, whose record the master may place before it has seen
+// this slave's digest (see enter), so the slave checks its own call before
+// it takes the result; for the relaxed policy's run-ahead calls; under
+// Replay, where the trace is the authority; and when the record's Nr, on the
+// line the slave polled anyway, disagrees (a relaxed-policy sensitive call
+// meeting a record of a non-sensitive one, or a thread-exit marker).
 func (m *Monitor) slaveStep(v, tid int, proc *kernel.Proc, call *kernel.Call, cls class) kernel.Ret {
 	rec := m.nextRecord(v, tid)
-	if m.replay || !m.lockstepped(cls) || rec.Nr != call.Nr {
+	if cls.pure || m.replay || !m.lockstepped(cls) || rec.Nr != call.Nr {
 		if d := m.compare(v, tid, call, rec, cls); d != nil {
 			m.Kill(d)
 			panic(ErrKilled)
@@ -1049,12 +1059,14 @@ func (m *Monitor) InvokeBatchOn(v, tid int, proc *kernel.Proc, calls []kernel.Ca
 const batchChunk = 64
 
 // masterBatch is the master's protocol looped over a batch: per call, enter,
-// execute and leave happen exactly as in masterCall (the ordering clock
+// execute and passTurn happen exactly as in masterCall (the ordering clock
 // still ticks once per call — batching changes record TRANSPORT, not the
 // total order, which is what keeps a batched trace identical to the
 // sequential one) — but publication is deferred to the end, where each
 // chunk of records is placed into one reserved run of the ring, front to
-// back.
+// back. So a late pure call's rendezvous (see enter) runs right after its
+// turn is passed: the batch's records are placed only once every call in it
+// was validated.
 func (m *Monitor) masterBatch(tid int, proc *kernel.Proc, calls []kernel.Call, rets []kernel.Ret) {
 	if cap(m.btickets[tid]) < len(calls) {
 		m.btickets[tid] = make([]uint64, len(calls))
@@ -1064,7 +1076,12 @@ func (m *Monitor) masterBatch(tid int, proc *kernel.Proc, calls []kernel.Call, r
 		cls := classify(calls[i].Nr)
 		ts, late := m.enter(tid, &calls[i], cls)
 		rets[i] = m.execute(proc, &calls[i])
-		m.leave(tid, &calls[i], cls, late)
+		if cls.ordered {
+			m.passTurn(0)
+		}
+		if late {
+			m.awaitDigests(tid, &calls[i], cls, false)
+		}
 		tickets[i] = ts
 	}
 	// One delivery point per batch (see InvokeBatchOn): stamp the batch's
@@ -1079,7 +1096,7 @@ func (m *Monitor) masterBatch(tid int, proc *kernel.Proc, calls []kernel.Call, r
 			n := min(len(calls)-done, batchChunk, r.Cap())
 			first := r.ReserveN(n)
 			for i := done; i < done+n; i++ {
-				m.place(tid, r, first+uint64(i-done), &calls[i], classify(calls[i].Nr).ordered, tickets[i], &rets[i])
+				m.place(tid, r, first+uint64(i-done), &calls[i], classify(calls[i].Nr), tickets[i], &rets[i])
 			}
 			done += n
 		}

@@ -4,11 +4,12 @@
 // equivalent cross-thread ordering of system calls using a Lamport logical
 // clock (the "syscall ordering clock", §4.1).
 //
-// The monitor follows the paper's strict, security-oriented model: nothing
-// a monitored call produces leaves the monitor until every variant has made
-// an equivalent call, validated against the master's, and any mismatch —
-// different syscall number, different arguments, different output payload
-// — is divergence, which terminates all variants.
+// The monitor follows the paper's strict, security-oriented model: no
+// effectful call executes until every variant has made an equivalent call,
+// validated against the master's; no variant's guest takes the result of a
+// pure call before its own call has been checked against the master's; and
+// any mismatch — different syscall number, different arguments, different
+// output payload — is divergence, which terminates all variants.
 package monitor
 
 import "repro/internal/kernel"
@@ -70,8 +71,10 @@ type class struct {
 //     guaranteed benign-divergence source the moment a timestamp feeds a
 //     compared payload.
 //   - getpid, pread and stat are pure: they change no kernel state and read
-//     no clock, so under lockstep the master executes them while its slaves
-//     are still arriving and validates afterwards (see enter).
+//     no clock, so under lockstep the master executes them and hands the
+//     record to its slaves while they are still arriving; the master checks
+//     every digest, and each slave the record, before its guest takes the
+//     result (see enter).
 //   - everything else is ordered, compared and replicated.
 func classify(nr kernel.Sysno) class {
 	switch nr {

@@ -158,23 +158,28 @@ func TestChecksumIdenticalAcrossRunsOfSameSeedLayout(t *testing.T) {
 func TestSyncRateOrderingMatchesPaper(t *testing.T) {
 	// The models must preserve Table 2's gross ordering: radiosity and
 	// fluidanimate are sync-op-dominated; blackscholes/fft/radix are
-	// nearly sync-free.
-	rate := func(name string) float64 {
+	// nearly sync-free. Every model runs the same Params, so the ordering is
+	// asserted on sync-op counts: a rate would divide by a session of a few
+	// milliseconds, whose wall-clock length a busy host stretches at will.
+	ops := func(name string) uint64 {
 		b, _ := ByName(name)
 		s := core.NewSession(core.Options{Variants: 1}, b.Build(Params{Workers: 4, Units: 2000, WorkPerUnit: 30}))
 		res := s.Run()
 		if res.Divergence != nil {
 			t.Fatalf("%s diverged", name)
 		}
-		return float64(res.SyncOps) / res.Duration.Seconds()
+		return res.SyncOps
 	}
 	hi := []string{"radiosity", "fluidanimate"}
 	lo := []string{"blackscholes", "fft", "radix"}
+	count := map[string]uint64{}
+	for _, name := range append(hi, lo...) {
+		count[name] = ops(name)
+	}
 	for _, h := range hi {
 		for _, l := range lo {
-			rh, rl := rate(h), rate(l)
-			if rh <= rl*10 {
-				t.Errorf("sync rate of %s (%.0f/s) not ≫ %s (%.0f/s)", h, rh, l, rl)
+			if count[h] <= 10*count[l] {
+				t.Errorf("sync ops of %s (%d) not ≫ %s (%d)", h, count[h], l, count[l])
 			}
 		}
 	}
