@@ -7,9 +7,9 @@
 //
 //	mvee-bench -table 1            # aggregated slowdowns, 2-4 variants
 //	mvee-bench -table 2            # native run times and rates
-//	mvee-bench -table 3            # sync-op identification per library
+//	mvee-bench -table 3            # sync-op identification per library, both stage-2 analyses
 //	mvee-bench -figure 5           # per-benchmark overhead series
-//	mvee-bench -nginx              # §5.5 server throughput overhead
+//	mvee-bench -nginx              # §5.5 server throughput overhead, thread-pool and evented
 //	mvee-bench -all -scale 0.5     # everything, at half work scale
 package main
 
@@ -19,7 +19,6 @@ import (
 	"os"
 
 	"repro/internal/agent"
-	"repro/internal/analysis"
 	"repro/internal/bench"
 )
 
@@ -32,7 +31,6 @@ func main() {
 	reps := flag.Int("reps", 1, "repetitions per measurement (minimum kept)")
 	workers := flag.Int("workers", 4, "worker threads per variant")
 	maxVariants := flag.Int("max-variants", 4, "largest variant count measured")
-	steensgaard := flag.Bool("steensgaard", false, "use the Steensgaard points-to analysis for table 3 (default Andersen)")
 	flag.Parse()
 
 	cfg := bench.Config{Scale: *scale, Workers: *workers, Reps: *reps}
@@ -51,14 +49,8 @@ func main() {
 	}
 	if *all || *table == 3 {
 		ran = true
-		kind := analysis.UseAndersen
-		name := "Andersen/SVF-style"
-		if *steensgaard {
-			kind = analysis.UseSteensgaard
-			name = "Steensgaard/DSA-style"
-		}
-		fmt.Printf("== Table 3: sync ops identified (%s stage-2 analysis) ==\n", name)
-		tbl, _ := bench.Table3(kind)
+		fmt.Println("== Table 3: sync ops identified (stage 2: Andersen/SVF-style; Steensgaard/DSA-style type (iii) beside it) ==")
+		tbl, _ := bench.Table3()
 		fmt.Println(tbl)
 	}
 	if *all || *figure == 5 {
@@ -76,10 +68,16 @@ func main() {
 	if *all || *nginx {
 		ran = true
 		fmt.Println("== §5.5: nginx-style server, loopback throughput ==")
-		nat, mv, ov := bench.Nginx(2, 10, 50)
-		fmt.Printf("native:   %8.0f req/s\n", nat)
-		fmt.Printf("2-variant:%8.0f req/s\n", mv)
-		fmt.Printf("overhead: %8.1f%%   (paper: 48%% on loopback, 3%% over gigabit LAN)\n", ov*100)
+		fmt.Println("(paper: 48% overhead on loopback, 3% over gigabit LAN)")
+		for _, evented := range []bool{false, true} {
+			mode := "thread-pool"
+			if evented {
+				mode = "evented"
+			}
+			nat, mv, ov, recs := bench.Nginx(2, 10, 50, evented)
+			fmt.Printf("%-11s native %8.0f req/s  2-variant %8.0f req/s  overhead %5.1f%%  %.2f records/req\n",
+				mode, nat, mv, ov*100, recs)
+		}
 	}
 	if !ran {
 		flag.Usage()

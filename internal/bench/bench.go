@@ -1,7 +1,6 @@
 // Package bench is the evaluation harness: it regenerates the paper's
 // Tables 1-3 and Figure 5 from the modelled workloads (see DESIGN.md's
-// experiment index). Both cmd/mvee-bench and the root bench_test.go build
-// on it.
+// experiment index); cmd/mvee-bench prints them.
 package bench
 
 import (
@@ -127,17 +126,6 @@ func Measure(b workload.Benchmark, cfg Config, kind agent.Kind, variants int) Ru
 	return best
 }
 
-// Slowdown measures a benchmark natively and under the MVEE and returns
-// both runs plus the relative slowdown (the Figure 5 quantity).
-func Slowdown(b workload.Benchmark, cfg Config, kind agent.Kind, variants int) (native, mvee Run, slowdown float64) {
-	native = Measure(b, cfg, agent.None, 1)
-	mvee = Measure(b, cfg, kind, variants)
-	if native.Duration > 0 {
-		slowdown = float64(mvee.Duration) / float64(native.Duration)
-	}
-	return native, mvee, slowdown
-}
-
 // Table2 regenerates Table 2: native run time, syscall rate and sync-op
 // rate per benchmark, alongside the paper's reference numbers.
 func Table2(cfg Config) (*stats.Table, []Run) {
@@ -239,19 +227,24 @@ func Table1(cfg Config, variantCounts []int) (*stats.Table, map[agent.Kind]map[i
 	return tbl, out
 }
 
-// Table3 regenerates Table 3: sync ops identified per library corpus.
-func Table3(kind analysis.PointsToKind) (*stats.Table, []*analysis.Report) {
+// Table3 regenerates Table 3: sync ops identified per library corpus. Stage
+// 2 only decides type (iii), so the Steensgaard column sits next to the
+// Andersen counts; the reports are Andersen's.
+func Table3() (*stats.Table, []*analysis.Report) {
 	tbl := &stats.Table{Header: []string{
-		"unit", "type (i)", "type (ii)", "type (iii)",
+		"unit", "type (i)", "type (ii)", "type (iii)", "(iii) steensgaard",
 		"paper (i)", "paper (ii)", "paper (iii)"}}
 	var reps []*analysis.Report
 	for _, spec := range analysis.Table3Specs() {
-		rep := analysis.Analyze(analysis.Generate(spec), kind)
+		u := analysis.Generate(spec)
+		rep := analysis.Analyze(u, analysis.UseAndersen)
+		ste := analysis.Analyze(u, analysis.UseSteensgaard)
 		reps = append(reps, rep)
 		tbl.Add(rep.Unit,
 			fmt.Sprintf("%d", rep.CountI),
 			fmt.Sprintf("%d", rep.CountII),
 			fmt.Sprintf("%d", rep.CountIII),
+			fmt.Sprintf("%d", ste.CountIII),
 			fmt.Sprintf("%d", spec.I),
 			fmt.Sprintf("%d", spec.II),
 			fmt.Sprintf("%d", spec.III))
@@ -259,22 +252,15 @@ func Table3(kind analysis.PointsToKind) (*stats.Table, []*analysis.Report) {
 	return tbl, reps
 }
 
-// Nginx measures the §5.5 server: native and MVEE throughput plus the
-// overhead, using the loopback load generator (the paper's worst case:
-// 48% overhead on loopback). Thread-pool serving mode.
-func Nginx(variants, conns, requests int) (native, mveeTput float64, overhead float64) {
-	native, mveeTput, overhead, _ = NginxCell(variants, conns, requests, false)
-	return native, mveeTput, overhead
-}
-
-// NginxCell runs one §5.5 throughput cell — thread-pool or evented serving
-// — and additionally returns recsPerReq: the monitored syscall records the
-// MVEE's master spent per served response. That quotient is the
-// replication bill of one request (accept + recv + response transfer +
-// close, plus the amortized poll traffic in evented mode); the batching and
-// zero-copy work exists to push it toward the native line, and the
-// static-page keep-alive workload must keep it below 4.
-func NginxCell(variants, conns, requests int, evented bool) (native, mveeTput, overhead, recsPerReq float64) {
+// Nginx runs one §5.5 throughput cell, thread-pool or evented serving: native
+// and MVEE throughput over the loopback load generator (the paper's worst
+// case: 48% overhead on loopback), the overhead, and recsPerReq — the
+// monitored syscall records the MVEE's master spent per served response.
+// That quotient is the replication bill of one request (accept + recv +
+// response transfer + close, plus the amortized poll traffic in evented
+// mode); the batching and zero-copy work exists to push it toward the native
+// line, and the evented static-page keep-alive workload keeps it below 4.
+func Nginx(variants, conns, requests int, evented bool) (native, mveeTput, overhead, recsPerReq float64) {
 	run := func(nv int, kind agent.Kind, port uint16) (float64, float64) {
 		cfg := webserver.Config{Port: port, PoolThreads: 8, InstrumentCustomSync: true, Evented: evented}
 		s := core.NewSession(core.Options{

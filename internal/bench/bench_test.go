@@ -28,11 +28,12 @@ func TestMeasureNative(t *testing.T) {
 
 func TestSlowdownIsPositive(t *testing.T) {
 	b, _ := workload.ByName("swaptions")
-	native, mvee, sd := Slowdown(b, tiny, agent.WallOfClocks, 2)
+	native := Measure(b, tiny, agent.None, 1)
+	mvee := Measure(b, tiny, agent.WallOfClocks, 2)
 	if native.Diverged || mvee.Diverged {
 		t.Fatal("diverged")
 	}
-	if sd <= 0 {
+	if sd := float64(mvee.Duration) / float64(native.Duration); sd <= 0 {
 		t.Fatalf("slowdown = %v", sd)
 	}
 	if mvee.SyncOps == 0 {
@@ -41,7 +42,7 @@ func TestSlowdownIsPositive(t *testing.T) {
 }
 
 func TestTable3AgainstPaper(t *testing.T) {
-	tbl, reps := Table3(analysis.UseAndersen)
+	tbl, reps := Table3()
 	if len(reps) != 8 {
 		t.Fatalf("%d units, want 8", len(reps))
 	}
@@ -54,8 +55,8 @@ func TestTable3AgainstPaper(t *testing.T) {
 				spec.Name, r.CountI, r.CountII, r.CountIII, spec.I, spec.II, spec.III)
 		}
 	}
-	if !strings.Contains(tbl.String(), "libc-2.19.so") {
-		t.Fatal("table missing libc row")
+	if out := tbl.String(); !strings.Contains(out, "libc-2.19.so") || !strings.Contains(out, "steensgaard") {
+		t.Fatalf("table missing the libc row or the Steensgaard column:\n%s", out)
 	}
 }
 
@@ -67,12 +68,34 @@ func TestRatesComputed(t *testing.T) {
 	}
 }
 
+// The §5.5 cell in both serving modes. The evented row is the replication
+// bill's gate: one wakeup's ready connections replicate as one batch, so a
+// keep-alive static-page request costs fewer than 4 records (recv +
+// sendfile + amortized poll).
 func TestNginxHarness(t *testing.T) {
-	native, mvee, overhead := Nginx(2, 2, 5)
-	if native <= 0 || mvee <= 0 {
-		t.Fatalf("throughputs = %v, %v", native, mvee)
-	}
-	if overhead >= 1 {
-		t.Fatalf("overhead = %v (MVEE produced no throughput)", overhead)
+	for _, tc := range []struct {
+		name       string
+		evented    bool
+		maxRecsReq float64
+	}{
+		{"thread-pool", false, 0},
+		{"evented", true, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			native, mvee, overhead, recs := Nginx(2, 8, 100, tc.evented)
+			if native <= 0 || mvee <= 0 {
+				t.Fatalf("throughputs = %v, %v", native, mvee)
+			}
+			if overhead >= 1 {
+				t.Fatalf("overhead = %v (MVEE produced no throughput)", overhead)
+			}
+			t.Logf("%.2f records/req", recs)
+			if recs <= 0 {
+				t.Fatalf("replication bill: %.2f records/req, want > 0", recs)
+			}
+			if tc.maxRecsReq > 0 && recs >= tc.maxRecsReq {
+				t.Fatalf("replication bill: %.2f records/req, want < %v", recs, tc.maxRecsReq)
+			}
+		})
 	}
 }

@@ -190,3 +190,44 @@ func TestNilInjectorDecidesNothing(t *testing.T) {
 		t.Fatal("New(nil) must return a nil injector")
 	}
 }
+
+// The chaos seam is free when no fault fires: with no injector installed
+// Kernel.Do pays one nil check, and with a listener-only plan that is
+// consulted on every eligible call but never matches (armed-miss) it pays
+// one counter draw and a rule scan — neither may allocate, so compiling the
+// chaos plane in costs nothing when it is off. nanosleep(0) is the consult
+// with no descriptor lookup; a zero-byte pipe write adds the descriptor
+// classification.
+func TestChaosSeamDoesNotAllocate(t *testing.T) {
+	plan, err := Parse("target=listener:9999 error=50% seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		inj  kernel.FaultInjector
+	}{
+		{"disabled", nil},
+		{"armed-miss", New(plan)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := kernel.New()
+			if tc.inj != nil {
+				k.SetInjector(tc.inj)
+			}
+			p := k.NewProc(0x1000_0000, 0x7000_0000)
+			pr := k.Do(p, kernel.Call{Nr: kernel.SysPipe2})
+			if !pr.Ok() {
+				t.Fatalf("pipe2: %v", pr.Err)
+			}
+			for _, call := range []kernel.Call{
+				{Nr: kernel.SysNanosleep},
+				{Nr: kernel.SysWrite, Args: [6]uint64{pr.Val2}},
+			} {
+				if allocs := testing.AllocsPerRun(2000, func() { k.Do(p, call) }); allocs != 0 {
+					t.Errorf("%v allocates %.2f/op, want 0", call.Nr, allocs)
+				}
+			}
+		})
+	}
+}

@@ -8,7 +8,9 @@ import (
 )
 
 // startEchoServer runs a raw-kernel echo server (no monitor): accept, read
-// one message, write it back, close. It returns a stop function.
+// one message into a reusable scratch buffer (Call.Buf, so the recv result
+// aliases it instead of being allocated), write it back, close. It returns a
+// stop function.
 func startEchoServer(t *testing.T, k *Kernel, port uint16) func() {
 	t.Helper()
 	p := k.NewProc(0x1000_0000, 0x7000_0000)
@@ -22,12 +24,13 @@ func startEchoServer(t *testing.T, k *Kernel, port uint16) func() {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		scratch := make([]byte, 4096)
 		for {
 			c := k.Do(p, Call{Nr: SysAccept, Args: [6]uint64{sfd.Val}})
 			if !c.Ok() {
 				return // listener closed
 			}
-			msg := k.Do(p, Call{Nr: SysRecv, Args: [6]uint64{c.Val, 4096}})
+			msg := k.Do(p, Call{Nr: SysRecv, Args: [6]uint64{c.Val, 4096}, Buf: scratch})
 			if msg.Ok() && len(msg.Data) > 0 {
 				k.Do(p, Call{Nr: SysSend, Args: [6]uint64{c.Val}, Data: msg.Data})
 			}

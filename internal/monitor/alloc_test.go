@@ -8,14 +8,13 @@ import (
 )
 
 // Hard assertion of the replication hot path's 0 allocs/op invariant
-// (ROADMAP): where the CI bench smoke only checks the benchmark's
-// -benchmem output, this test fails the suite outright if a steady-state
-// monitored call allocates — in either the master or the slave, since
+// (ROADMAP): the test fails the suite outright if a steady-state monitored
+// call allocates — in either the master or the slave, since
 // testing.AllocsPerRun counts process-wide mallocs while the mirrored
 // slave goroutine runs the same calls concurrently.
 //
-// The matrix covers BenchmarkReplicationHotPath — both policies, payload-
-// free (getpid) and inline-payload (64-byte pwrite) calls, telemetry off
+// The matrix covers both policies, payload-free (getpid) and
+// inline-payload (64-byte pwrite) calls, telemetry off
 // and on: the observability plane (counter matrix, sampled latency,
 // flight-recorder appends) must not cost a single allocation — plus the
 // storage paths of the replication step on both of its callers: a payload
@@ -25,7 +24,11 @@ import (
 // the slave's own check, a stream read whose Call.Buf-aliased result goes
 // through the output arena and back out into the slave's Buf, and an
 // InvokeBatchOn run of 8 that mixes the spill and the Buf read into one
-// reserved run of the ring. Parking keeps this
+// reserved run of the ring. Every cell also runs with the deadlock detector
+// armed (detector=armed): the master proc carries a live BlockBoard with a
+// registered thread and its watcher running, as a DetectDeadlocks session
+// arms it, and armed but idle — the steady state of a healthy server — it
+// must not cost an allocation either. Parking keeps this
 // invariant because futex.Parker parks on sync.Cond, which recycles its
 // queue nodes — even under AllocsPerRun's GOMAXPROCS=1, where every
 // rendezvous escalates through yields and may park.
@@ -99,43 +102,55 @@ func TestReplicationHotPathZeroAllocs(t *testing.T) {
 	for _, pc := range policies {
 		for _, sh := range shapes {
 			for _, tel := range []bool{false, true} {
-				pc, sh, tel := pc, sh, tel
-				t.Run(fmt.Sprintf("%s/%s/telemetry=%v", pc.name, sh.name, tel), func(t *testing.T) {
-					k := kernel.New()
-					procs := []*kernel.Proc{
-						k.NewProc(0x1000_0000, 0x7000_0000),
-						k.NewProc(0x2000_0000, 0x7100_0000),
+				for _, armed := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%s/telemetry=%v", pc.name, sh.name, tel)
+					if armed {
+						name += "/detector=armed"
 					}
-					const ringCap = 256
-					m := New(k, procs, Config{MaxThreads: 2, RingCap: ringCap, Policy: pc.policy, Telemetry: tel})
-					// Warm up past two full ring laps, so every arena slot a
-					// steady-state record can land in has been grown.
-					const warmup, runs = 2 * ringCap, 200
-					// AllocsPerRun invokes f runs+1 times (one untimed warmup
-					// call); the slave mirrors the exact total or the last
-					// rendezvous would hang.
-					total := warmup + runs + 1
-					done := make(chan struct{})
-					go func() {
-						defer close(done)
-						one := sh.setup(m, 1)
-						for i := 0; i < total; i++ {
+					t.Run(name, func(t *testing.T) {
+						k := kernel.New()
+						procs := []*kernel.Proc{
+							k.NewProc(0x1000_0000, 0x7000_0000),
+							k.NewProc(0x2000_0000, 0x7100_0000),
+						}
+						if armed {
+							board := kernel.NewBlockBoard(2, func([]kernel.BlockedSite) {})
+							defer board.Close()
+							procs[0].SetBlockBoard(board)
+							board.ThreadStart(0)
+							defer board.ThreadExit(0)
+						}
+						const ringCap = 256
+						m := New(k, procs, Config{MaxThreads: 2, RingCap: ringCap, Policy: pc.policy, Telemetry: tel})
+						// Warm up past two full ring laps, so every arena slot a
+						// steady-state record can land in has been grown.
+						const warmup, runs = 2 * ringCap, 200
+						// AllocsPerRun invokes f runs+1 times (one untimed warmup
+						// call); the slave mirrors the exact total or the last
+						// rendezvous would hang.
+						total := warmup + runs + 1
+						done := make(chan struct{})
+						go func() {
+							defer close(done)
+							one := sh.setup(m, 1)
+							for i := 0; i < total; i++ {
+								one()
+							}
+						}()
+						one := sh.setup(m, 0)
+						for i := 0; i < warmup; i++ {
 							one()
 						}
-					}()
-					one := sh.setup(m, 0)
-					for i := 0; i < warmup; i++ {
-						one()
-					}
-					allocs := testing.AllocsPerRun(runs, one)
-					<-done
-					if d := m.Divergence(); d != nil {
-						t.Fatalf("diverged: %v", d)
-					}
-					if allocs != 0 {
-						t.Fatalf("replication hot path allocates %.2f/op, want 0", allocs)
-					}
-				})
+						allocs := testing.AllocsPerRun(runs, one)
+						<-done
+						if d := m.Divergence(); d != nil {
+							t.Fatalf("diverged: %v", d)
+						}
+						if allocs != 0 {
+							t.Fatalf("replication hot path allocates %.2f/op, want 0", allocs)
+						}
+					})
+				}
 			}
 		}
 	}

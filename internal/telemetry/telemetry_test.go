@@ -177,3 +177,30 @@ func TestFlightRecorderStress(t *testing.T) {
 		t.Fatalf("final tail has %d records (cap %d)", len(final), f.Cap())
 	}
 }
+
+// The primitives the monitor adds to every replicated call — a sharded
+// count, the same with the 1-in-SampleEvery latency sample, and a
+// flight-recorder append — must not allocate.
+func TestPrimitivesDoNotAllocate(t *testing.T) {
+	m := NewMatrix(2)
+	f := NewFlight(FlightCap)
+	args := [6]uint64{1, 2, 3}
+	seq := uint64(0)
+	for name, op := range map[string]func(){
+		"inc": func() { m.Inc(0, 0, kernel.SysGetpid) },
+		"inc-sampled": func() {
+			if SampleDue(m.Inc(0, 0, kernel.SysGetpid)) {
+				t0 := time.Now()
+				m.Observe(0, kernel.SysGetpid, time.Since(t0))
+			}
+		},
+		"flight-append": func() {
+			seq++
+			f.Append(kernel.SysGetpid, 0, Digest(&args, nil), seq, 0)
+		},
+	} {
+		if allocs := testing.AllocsPerRun(4*SampleEvery, op); allocs != 0 {
+			t.Errorf("%s allocates %.2f/op, want 0", name, allocs)
+		}
+	}
+}
