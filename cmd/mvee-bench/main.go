@@ -74,7 +74,11 @@ func main() {
 			if evented {
 				mode = "evented"
 			}
-			nat, mv, ov, recs := bench.Nginx(2, 10, 50, evented)
+			nat, mv, ov, recs, err := bench.Nginx(2, 10, 50, evented)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
 			fmt.Printf("%-11s native %8.0f req/s  2-variant %8.0f req/s  overhead %5.1f%%  %.2f records/req\n",
 				mode, nat, mv, ov*100, recs)
 		}

@@ -17,6 +17,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -29,20 +30,15 @@ import (
 
 const seed = 2028
 
-func startServer(cfg webserver.Config, variants int, kind mvee.AgentKind) (*mvee.Session, <-chan *mvee.Result) {
-	s := mvee.NewSession(mvee.Options{
+func startServer(cfg webserver.Config, variants int, kind mvee.AgentKind) (*mvee.Session, func() *mvee.Result) {
+	s, stop, err := webserver.Start(mvee.Options{
 		Variants: variants, Agent: kind, ASLR: true, DCL: true, Seed: seed, MaxThreads: 64,
-	}, webserver.Program(cfg))
-	done := make(chan *mvee.Result, 1)
-	go func() { done <- s.Run() }()
-	for {
-		if cc, errno := s.Kernel().Connect(cfg.Port); errno == 0 {
-			cc.Write([]byte("GET /"))
-			cc.Close()
-			return s, done
-		}
-		time.Sleep(time.Millisecond)
+	}, cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
+	return s, stop
 }
 
 func main() {
@@ -51,10 +47,9 @@ func main() {
 	fmt.Println("== throughput (loopback, 4 KiB page, 8 pool threads) ==")
 	tput := func(variants int, kind mvee.AgentKind, port uint16) float64 {
 		cfg := webserver.Config{Port: port, PoolThreads: 8, InstrumentCustomSync: true}
-		s, done := startServer(cfg, variants, kind)
+		s, stop := startServer(cfg, variants, kind)
 		res := webserver.GenerateLoad(s.Kernel(), port, 10, 30)
-		s.Kernel().CloseListener(port)
-		<-done
+		stop()
 		return res.Throughput()
 	}
 	native := tput(1, mvee.NoAgent, 8080)
@@ -66,26 +61,25 @@ func main() {
 	// The attack: gadget address computed for variant 0's layout, exactly
 	// what a one-variant info leak would give the adversary.
 	gadget := variant.NewSpace(0, variant.Options{ASLR: true, DCL: true, Seed: seed}).AllocCode(64)
+	attack := fmt.Sprintf("POST /upload %x", gadget)
 
 	fmt.Println("== attack against a single (unprotected) variant ==")
 	cfg := webserver.Config{Port: 8082, PoolThreads: 4, InstrumentCustomSync: true, Vulnerable: true}
-	s, done := startServer(cfg, 1, mvee.NoAgent)
-	resp, err := webserver.Attack(s.Kernel(), cfg.Port, gadget)
+	s, stop := startServer(cfg, 1, mvee.NoAgent)
+	resp, err := webserver.Request(s.Kernel(), cfg.Port, attack)
 	fmt.Printf("response: %q err=%v\n", resp, err)
 	if strings.Contains(resp, "PWNED") {
 		fmt.Println("=> exploit succeeded: code pointer leaked")
 		fmt.Println()
 	}
-	s.Kernel().CloseListener(cfg.Port)
-	<-done
+	stop()
 
 	fmt.Println("== the same attack against two variants under the MVEE ==")
 	cfg.Port = 8083
-	s, done = startServer(cfg, 2, mvee.WallOfClocks)
-	resp, err = webserver.Attack(s.Kernel(), cfg.Port, gadget)
+	s, stop = startServer(cfg, 2, mvee.WallOfClocks)
+	resp, err = webserver.Request(s.Kernel(), cfg.Port, attack)
 	fmt.Printf("response: %q err=%v\n", resp, err)
-	s.Kernel().CloseListener(cfg.Port)
-	res := <-done
+	res := stop()
 	if res.Divergence != nil {
 		fmt.Printf("=> attack DETECTED, variants terminated before output escaped:\n   %v\n", res.Divergence)
 	} else {
@@ -114,7 +108,7 @@ func main() {
 			}
 		}()
 	}
-	payload := []byte(fmt.Sprintf("POST /upload %x", gadget))
+	payload := []byte(attack)
 	fresp, ferr := pool.Do(payload)
 	fmt.Printf("attack response: %q err=%v\n", fresp, ferr)
 	wg.Wait()

@@ -230,10 +230,3 @@ func (s *poSlave) After(tid int, addr uint64) {
 
 func (s *poSlave) Ops() uint64    { return s.ops.Load() }
 func (s *poSlave) Stalls() uint64 { return s.stalls.Load() }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -5,6 +5,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/agent"
@@ -61,39 +62,14 @@ func (c *Config) fill() {
 	}
 }
 
+// params scales the benchmark's own default work units by c.Scale, with a
+// floor of 64 units.
 func (c Config) params(b workload.Benchmark) workload.Params {
 	p := workload.Params{Workers: c.Workers}
 	if c.Scale != 1 {
-		// Scale the registry's default units for this benchmark's shape.
-		p.Units = int(float64(defaultUnits(b)) * c.Scale)
-		if p.Units < 64 {
-			p.Units = 64
-		}
+		p.Units = max(int(math.Round(float64(b.DefaultUnits())*c.Scale)), 64)
 	}
 	return p
-}
-
-// defaultUnits mirrors the registry defaults for scaling purposes.
-func defaultUnits(b workload.Benchmark) int {
-	// The registry's default Units are applied inside the builders; for
-	// scaling we only need a consistent base, so probe with a native run
-	// is overkill — use a representative constant per shape.
-	switch b.Shape {
-	case "fine-grained":
-		return 60000
-	case "task-queue":
-		return 30000
-	case "data-parallel":
-		return 8000
-	case "pipeline":
-		return 4000
-	case "barrier-phased":
-		return 8000
-	case "reduction":
-		return 8000
-	default:
-		return 8000
-	}
 }
 
 // Measure runs one benchmark in the given configuration and returns the
@@ -260,38 +236,31 @@ func Table3() (*stats.Table, []*analysis.Report) {
 // response transfer + close, plus the amortized poll traffic in evented
 // mode); the batching and zero-copy work exists to push it toward the native
 // line, and the evented static-page keep-alive workload keeps it below 4.
-func Nginx(variants, conns, requests int, evented bool) (native, mveeTput, overhead, recsPerReq float64) {
-	run := func(nv int, kind agent.Kind, port uint16) (float64, float64) {
-		cfg := webserver.Config{Port: port, PoolThreads: 8, InstrumentCustomSync: true, Evented: evented}
-		s := core.NewSession(core.Options{
+func Nginx(variants, conns, requests int, evented bool) (native, mveeTput, overhead, recsPerReq float64, err error) {
+	run := func(nv int, kind agent.Kind, port uint16) (tput, perReq float64, err error) {
+		s, stop, err := webserver.Start(core.Options{
 			Variants: nv, Agent: kind, ASLR: true, DCL: true, Seed: 5, MaxThreads: 64,
-		}, webserver.Program(cfg))
-		done := make(chan *core.Result, 1)
-		go func() { done <- s.Run() }()
-		// Wait for the listener.
-		for {
-			if cc, errno := s.Kernel().Connect(port); errno == 0 {
-				cc.Write([]byte("GET /"))
-				cc.Close()
-				break
-			}
-			time.Sleep(time.Millisecond)
+		}, webserver.Config{Port: port, PoolThreads: 8, InstrumentCustomSync: true, Evented: evented})
+		if err != nil {
+			return 0, 0, err
 		}
 		res := webserver.GenerateLoad(s.Kernel(), port, conns, requests)
-		s.Kernel().CloseListener(port)
-		r := <-done
-		perReq := 0.0
+		r := stop()
 		if res.Responses > 0 {
 			perReq = float64(r.Syscalls) / float64(res.Responses)
 		}
-		return res.Throughput(), perReq
+		return res.Throughput(), perReq, nil
 	}
-	native, _ = run(1, agent.None, 9090)
-	mveeTput, recsPerReq = run(variants, agent.WallOfClocks, 9091)
+	if native, _, err = run(1, agent.None, 9090); err != nil {
+		return 0, 0, 0, 0, err
+	}
+	if mveeTput, recsPerReq, err = run(variants, agent.WallOfClocks, 9091); err != nil {
+		return 0, 0, 0, 0, err
+	}
 	if native > 0 {
 		overhead = 1 - mveeTput/native
 	}
-	return native, mveeTput, overhead, recsPerReq
+	return native, mveeTput, overhead, recsPerReq, nil
 }
 
 func short(k agent.Kind) string {

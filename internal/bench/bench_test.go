@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -60,6 +61,21 @@ func TestTable3AgainstPaper(t *testing.T) {
 	}
 }
 
+// -scale multiplies each benchmark's own default units, so a scaled run
+// keeps the registry's per-benchmark proportions (floor: 64 units).
+func TestScaleScalesEachBenchmarksDefaultUnits(t *testing.T) {
+	for _, scale := range []float64{0.05, 0.35, 2} {
+		c := Config{Scale: scale}
+		for _, b := range workload.All() {
+			want := max(int(math.Round(scale*float64(b.DefaultUnits()))), 64)
+			if got := c.params(b).Units; got != want {
+				t.Errorf("%s at -scale %v: %d units, want %d (default %d)",
+					b.Name, scale, got, want, b.DefaultUnits())
+			}
+		}
+	}
+}
+
 func TestRatesComputed(t *testing.T) {
 	b, _ := workload.ByName("dedup")
 	r := Measure(b, tiny, agent.None, 1)
@@ -82,7 +98,10 @@ func TestNginxHarness(t *testing.T) {
 		{"evented", true, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			native, mvee, overhead, recs := Nginx(2, 8, 100, tc.evented)
+			native, mvee, overhead, recs, err := Nginx(2, 8, 100, tc.evented)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if native <= 0 || mvee <= 0 {
 				t.Fatalf("throughputs = %v, %v", native, mvee)
 			}

@@ -739,21 +739,30 @@ func (t *Thread) Variants() int { return t.sess.opts.Variants }
 // variant, so the degradation is itself deterministic — a worker that
 // cannot grow its pool keeps serving with the threads it has instead of
 // diverging or dying.
+//
+// A signal stamped on the clone is delivered only after the child started:
+// a clone racing a sibling's exit-group still created a kernel thread, and
+// that thread must reach a syscall boundary of its own to unwind, or the
+// process never finishes exiting.
 func (t *Thread) Spawn(fn func(*Thread)) *ThreadHandle {
-	ret := t.syscall(kernel.SysClone, uint64(t.sess.opts.MaxThreads))
-	if !ret.Ok() {
-		return nil
+	ret := t.sess.mon.InvokeOn(t.vs.id, t.ID, t.proc, kernel.Call{
+		Nr: kernel.SysClone, Args: [6]uint64{uint64(t.sess.opts.MaxThreads)}, Tid: t.ID})
+	var h *ThreadHandle
+	if ret.Ok() {
+		tid := int(ret.Val)
+		child := &Thread{ID: tid, sess: t.sess, vs: t.vs, proc: t.proc, sigs: t.sigs, ps: t.ps}
+		h = &ThreadHandle{Tid: tid, done: make(chan struct{})}
+		t.vs.wg.Add(1)
+		t.ps.wg.Add(1)
+		child.board().ThreadStart(tid)
+		go func() {
+			defer close(h.done)
+			child.run(fn)
+		}()
 	}
-	tid := int(ret.Val)
-	child := &Thread{ID: tid, sess: t.sess, vs: t.vs, proc: t.proc, sigs: t.sigs, ps: t.ps}
-	h := &ThreadHandle{Tid: tid, done: make(chan struct{})}
-	t.vs.wg.Add(1)
-	t.ps.wg.Add(1)
-	child.board().ThreadStart(tid)
-	go func() {
-		defer close(h.done)
-		child.run(fn)
-	}()
+	if ret.Sig != 0 {
+		t.deliver(int(ret.Sig))
+	}
 	return h
 }
 

@@ -702,6 +702,45 @@ func TestSigtermToMultithreadedWorkerUnwindsSiblings(t *testing.T) {
 	}
 }
 
+func TestSpawnAfterExitGroupStillUnwinds(t *testing.T) {
+	// A clone issued after a sibling raised the exit-group still creates a
+	// kernel thread, and its boundary carries the exit-group marker. Spawn
+	// must start that thread so it unwinds too; otherwise the process
+	// stays "exiting" forever and its parent's waitpid never returns (the
+	// prefork worker that dies serving /quit while its initial thread grows
+	// the accept pool).
+	kern := kernel.New()
+	var status int
+	prog := Program{Name: "spawn-after-exit-group", Main: func(th *Thread) {
+		th.Fork(func(c *Thread) {
+			c.Spawn(func(s *Thread) { s.Exit(3) }).Join()
+			c.Spawn(func(*Thread) {})
+			t.Error("the spawning thread survived its process's exit-group")
+		})
+		var st int
+		for {
+			var errno kernel.Errno
+			_, st, errno = th.Wait()
+			if errno != kernel.EINTR {
+				break
+			}
+		}
+		if th.IsMaster() {
+			status = st
+		}
+	}}
+	res := runWithTimeout(t, Options{Variants: 2, Agent: agent.WallOfClocks, Kernel: kern, MaxThreads: 16}, prog)
+	if res.Divergence != nil {
+		t.Fatalf("diverged: %v", res.Divergence)
+	}
+	if status != 3 {
+		t.Fatalf("status = %d, want 3", status)
+	}
+	if n := kern.ProcCount(); n != 2 {
+		t.Fatalf("%d processes left, want the 2 roots", n)
+	}
+}
+
 func TestSignalIntoMultithreadedProcEINTRsOneThreadIdentically(t *testing.T) {
 	// Four threads of one forked process park in blocking reads on four
 	// separate pipes; a single SIGUSR1 EINTRs exactly ONE of them — and

@@ -44,6 +44,21 @@ const (
 	LeastLoaded
 )
 
+const (
+	// spawnTimeout bounds how long a spawned member may take to start
+	// listening, and how long a request waits for a healthy member while
+	// the pool is recycling.
+	spawnTimeout = 10 * time.Second
+	// maxResponse caps the gateway's response read buffer.
+	maxResponse = 64 << 10
+	// maxQuarantined caps the retained quarantine records (oldest are
+	// dropped first) so a long-lived pool under divergence churn does not
+	// grow without bound — each record can pin a full execution trace
+	// under Forensics. The divergence/crash/recycle counters keep counting
+	// past the cap.
+	maxQuarantined = 64
+)
+
 // Config shapes a fleet.
 type Config struct {
 	// Size is the number of concurrent MVEE sessions in the pool (>= 1).
@@ -67,17 +82,6 @@ type Config struct {
 	// Workers is the number of gateway goroutines draining the queue.
 	// Default 2*Size.
 	Workers int
-	// Retries is how many alternate members a request is re-dispatched to
-	// when connecting to a member fails (a member that died between
-	// selection and connect). Requests that already wrote bytes are never
-	// retried. 0 means the default (Size-1); negative disables retries.
-	Retries int
-	// MaxResponse caps the response read buffer. Default 64 KiB.
-	MaxResponse int
-	// SpawnTimeout bounds how long a spawned member may take to start
-	// listening, and how long a request waits for a healthy member while
-	// the pool is recycling. Default 10s.
-	SpawnTimeout time.Duration
 	// RequestTimeout bounds one request's write+read against a member; a
 	// member that accepts a connection and then hangs without diverging
 	// would otherwise pin a gateway worker (and wedge Close) forever.
@@ -86,12 +90,6 @@ type Config struct {
 	// DrainTimeout bounds the per-member session join during Close;
 	// members still running after it are killed. Default 30s.
 	DrainTimeout time.Duration
-	// MaxQuarantined caps the retained quarantine records (oldest are
-	// dropped first) so a long-lived pool under divergence churn does
-	// not grow without bound — each record can pin a full execution
-	// trace under Forensics. The divergence/crash/recycle counters keep
-	// counting past the cap. Default 64.
-	MaxQuarantined int
 	// Clock is the time source for the gateway's request watchdog. It
 	// defaults to the wall clock; chaos soaks running their sessions at
 	// -time-scale N install the matching scaled clock here so the
@@ -128,28 +126,11 @@ func (c *Config) fill() error {
 	if c.Workers <= 0 {
 		c.Workers = 2 * c.Size
 	}
-	switch {
-	case c.Retries == 0:
-		c.Retries = c.Size - 1
-	case c.Retries < 0:
-		c.Retries = 0
-	case c.Retries > c.Size-1:
-		c.Retries = c.Size - 1
-	}
-	if c.MaxResponse <= 0 {
-		c.MaxResponse = 64 << 10
-	}
-	if c.SpawnTimeout <= 0 {
-		c.SpawnTimeout = 10 * time.Second
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
-	}
-	if c.MaxQuarantined <= 0 {
-		c.MaxQuarantined = 64
 	}
 	if c.Clock == nil {
 		c.Clock = kernel.RealClock()
@@ -328,7 +309,7 @@ func (f *Fleet) runMember(m *member) {
 // accepts a connection (the warm-spawn barrier), or the session dies, or
 // the timeout passes.
 func (f *Fleet) awaitListener(m *member) bool {
-	deadline := time.Now().Add(f.cfg.SpawnTimeout)
+	deadline := time.Now().Add(spawnTimeout)
 	for {
 		if cc, errno := m.sess.Kernel().Connect(f.cfg.Port); errno == kernel.OK {
 			cc.Close()
@@ -373,7 +354,7 @@ func (f *Fleet) pick(tried map[*member]bool) *member {
 // quarantined at once the pool is briefly empty while replacements warm
 // up.
 func (f *Fleet) pickWait(tried map[*member]bool) *member {
-	deadline := time.Now().Add(f.cfg.SpawnTimeout)
+	deadline := time.Now().Add(spawnTimeout)
 	for {
 		if m := f.pick(tried); m != nil {
 			return m

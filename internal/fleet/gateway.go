@@ -119,8 +119,8 @@ func (f *Fleet) worker(id int) {
 	sh := &f.shards[id]
 	// One response-sized scratch buffer per worker: tryMember reads into
 	// it and copies out only the bytes actually received, instead of
-	// allocating MaxResponse per request on the hot path.
-	scratch := make([]byte, f.cfg.MaxResponse)
+	// allocating maxResponse per request on the hot path.
+	scratch := make([]byte, maxResponse)
 	var batch [gwBatch]*pending
 	for {
 		select {
@@ -174,17 +174,17 @@ func (f *Fleet) handle(p *pending, sh *latencyShard, scratch []byte) {
 	p.resp <- gwResult{data: data, err: err}
 }
 
-// serve dispatches one request to a member, re-dispatching to alternates
-// when CONNECTING to the chosen member fails — the member died between
-// selection and connect, so nothing reached it and the request is safe to
-// move. Once any bytes were written the request is never retried: the
-// gateway cannot know whether the member acted on them, and a request that
-// *caused* the divergence (an exploit payload) must burn at most one
-// session, not be walked across the whole pool.
+// serve dispatches one request to a member, re-dispatching to each other
+// member in turn when CONNECTING to the chosen member fails — the member
+// died between selection and connect, so nothing reached it and the
+// request is safe to move. Once any bytes were written the request is
+// never retried: the gateway cannot know whether the member acted on them,
+// and a request that *caused* the divergence (an exploit payload) must burn
+// at most one session, not be walked across the whole pool.
 func (f *Fleet) serve(req, scratch []byte) ([]byte, error) {
 	var tried map[*member]bool
 	var lastErr error
-	for attempt := 0; attempt <= f.cfg.Retries; attempt++ {
+	for attempt := 0; attempt < f.cfg.Size; attempt++ {
 		m := f.pickWait(tried)
 		if m == nil {
 			if lastErr != nil {
@@ -201,7 +201,7 @@ func (f *Fleet) serve(req, scratch []byte) ([]byte, error) {
 			return nil, err
 		}
 		if tried == nil {
-			tried = make(map[*member]bool, f.cfg.Retries+1)
+			tried = make(map[*member]bool, f.cfg.Size)
 		}
 		tried[m] = true
 	}

@@ -74,14 +74,14 @@ func (f *Fleet) quarantine(m *member, res *core.Result) {
 	// Bounded retention: drop the oldest records past the cap so churny
 	// long-lived pools don't accumulate forensics forever (the counters
 	// keep the full totals).
-	if over := len(f.quarantined) - f.cfg.MaxQuarantined; over > 0 {
+	if over := len(f.quarantined) - maxQuarantined; over > 0 {
 		f.quarantined = append(f.quarantined[:0:0], f.quarantined[over:]...)
 	}
 	f.quarMu.Unlock()
 }
 
 // Quarantined returns a copy of the retained quarantine records (up to
-// Config.MaxQuarantined, oldest first; older ones are dropped past the
+// maxQuarantined, oldest first; older ones are dropped past the
 // cap).
 func (f *Fleet) Quarantined() []Quarantine {
 	f.quarMu.Lock()

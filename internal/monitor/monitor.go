@@ -1013,7 +1013,9 @@ func (m *Monitor) slaveStep(v, tid int, proc *kernel.Proc, call *kernel.Call, cl
 // observe except the grouping. Per-variant calls (fork, mmap, exit) have
 // slave-side effects that later batch members could depend on, and
 // unmonitored calls never reach the rendezvous — a batch containing either
-// falls back to the per-call path, preserving semantics over speed.
+// falls back to the per-call path, preserving semantics over speed. So does
+// a run of one: it is exactly one per-call record, with that path's latency
+// sampling and signal boundary.
 //
 // Signal delivery happens ONCE per batch, at its end: the batch is one
 // syscall boundary, so a signal that lands mid-batch is stamped on the
@@ -1027,7 +1029,7 @@ func (m *Monitor) InvokeBatchOn(v, tid int, proc *kernel.Proc, calls []kernel.Ca
 	m.checkKilled()
 	for i := range calls {
 		cls := classify(calls[i].Nr)
-		if calls[i].Nr == kernel.SysMVEEAware || !cls.monitored || !cls.replicated || cls.perVariant {
+		if len(calls) == 1 || calls[i].Nr == kernel.SysMVEEAware || !cls.monitored || !cls.replicated || cls.perVariant {
 			for j := range calls {
 				rets[j] = m.InvokeOn(v, tid, proc, calls[j])
 			}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/kernel"
 )
 
@@ -33,20 +34,10 @@ func (r LoadResult) Throughput() float64 {
 // Connections are KEEP-ALIVE: each worker holds one open connection and
 // reuses it across requests, reconnecting transparently when the server
 // turns out to have closed it (the thread-pool and prefork modes close per
-// request; the evented mode keeps the connection). Responses are framed by
-// a single read — correct for any response the kernel delivers in one
-// chunk; use GenerateLoadSized when the expected response is larger.
+// request; the evented mode keeps the connection). A response is framed by
+// a single read, which holds any page that fits the kernel's 64 KiB pipe
+// buffer.
 func GenerateLoad(k *kernel.Kernel, port uint16, conns, requestsPerConn int) LoadResult {
-	return GenerateLoadSized(k, port, conns, requestsPerConn, 0)
-}
-
-// GenerateLoadSized is GenerateLoad with explicit response framing: expect
-// is the exact response size in bytes, and each request reads until that
-// many bytes arrived — which is what keeps request/response pairing sound
-// on a keep-alive connection when a response spans several reads (a page
-// larger than the kernel's 64 KiB pipe buffer necessarily does). expect=0
-// keeps the single-read framing.
-func GenerateLoadSized(k *kernel.Kernel, port uint16, conns, requestsPerConn, expect int) LoadResult {
 	start := time.Now()
 	var mu sync.Mutex
 	res := LoadResult{}
@@ -65,12 +56,12 @@ func GenerateLoadSized(k *kernel.Kernel, port uint16, conns, requestsPerConn, ex
 			open := false
 			for r := 0; r < requestsPerConn; r++ {
 				local.Requests++
-				got, ok := 0, false
+				got := 0
 				// Two attempts: a write error or an immediate EOF on a kept
 				// connection means the server closed it between requests —
 				// an ordinary keep-alive race, retried once on a fresh
 				// connection rather than counted as a failure.
-				for attempt := 0; attempt < 2 && !ok; attempt++ {
+				for attempt := 0; attempt < 2 && got == 0; attempt++ {
 					if !open {
 						c, errno := k.Connect(port)
 						if errno != kernel.OK {
@@ -83,22 +74,15 @@ func GenerateLoadSized(k *kernel.Kernel, port uint16, conns, requestsPerConn, ex
 						open = false
 						continue
 					}
-					got = 0
-					for {
-						n, err := cc.Read(buf)
-						if err != nil || n == 0 {
-							cc.Close()
-							open = false
-							break
-						}
-						got += n
-						if expect <= 0 || got >= expect {
-							ok = true
-							break
-						}
+					n, err := cc.Read(buf)
+					if err != nil || n == 0 {
+						cc.Close()
+						open = false
+						continue
 					}
+					got = n
 				}
-				if ok {
+				if got > 0 {
 					local.Responses++
 					local.Bytes += got
 				} else {
@@ -121,21 +105,20 @@ func GenerateLoadSized(k *kernel.Kernel, port uint16, conns, requestsPerConn, ex
 	return res
 }
 
-// Attack plays the adversary: it probes the vulnerable endpoint with a
-// gadget address "tailored to a specific running victim variant" (§5.5) —
-// here, the true handler address of the targeted variant, as an attacker
-// with a leak for that one variant would have. It returns the server's
-// response.
-func Attack(k *kernel.Kernel, port uint16, gadget uint64) (string, error) {
+// Request plays one client: it sends line on a fresh connection and returns
+// the server's response, read in one piece. The attacks (POST /upload
+// <gadget>), /count and the prefork worker-death endpoints are all one
+// Request.
+func Request(k *kernel.Kernel, port uint16, line string) (string, error) {
 	cc, errno := k.Connect(port)
 	if errno != kernel.OK {
 		return "", errno
 	}
 	defer cc.Close()
-	if _, err := cc.Write([]byte(fmt.Sprintf("POST /upload %x", gadget))); err != nil {
+	if _, err := cc.Write([]byte(line)); err != nil {
 		return "", err
 	}
-	buf := make([]byte, 4096)
+	buf := make([]byte, 8192)
 	n, err := cc.Read(buf)
 	if err != nil {
 		return "", err
@@ -143,20 +126,42 @@ func Attack(k *kernel.Kernel, port uint16, gadget uint64) (string, error) {
 	return string(buf[:n]), nil
 }
 
-// CountProbe issues a GET /count request and returns the response.
-func CountProbe(k *kernel.Kernel, port uint16) (string, error) {
-	cc, errno := k.Connect(port)
-	if errno != kernel.OK {
-		return "", errno
+// Start runs the server program in a new session and returns once its
+// listener is up: it probes with one GET / (served like any request) until
+// a connect succeeds, and fails if the session ends or 10 s pass first.
+// stop closes the listener and returns the session's result once the
+// server has shut down; a server still running a minute later is killed.
+func Start(opts core.Options, cfg Config) (s *core.Session, stop func() *core.Result, err error) {
+	cfg.fill()
+	s = core.NewSession(opts, Program(cfg))
+	done := make(chan *core.Result, 1)
+	go func() { done <- s.Run() }()
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	timeout := time.After(10 * time.Second)
+	for {
+		if cc, errno := s.Kernel().Connect(cfg.Port); errno == kernel.OK {
+			cc.Write([]byte("GET /"))
+			cc.Close()
+			return s, func() *core.Result {
+				s.Kernel().CloseListener(cfg.Port)
+				select {
+				case res := <-done:
+					return res
+				case <-time.After(time.Minute):
+					s.Kill()
+					return <-done
+				}
+			}, nil
+		}
+		select {
+		case res := <-done:
+			return nil, nil, fmt.Errorf("webserver: session ended before port %d listened (divergence: %v)", cfg.Port, res.Divergence)
+		case <-timeout:
+			s.Kill()
+			<-done
+			return nil, nil, fmt.Errorf("webserver: port %d not listening after 10s", cfg.Port)
+		case <-tick.C:
+		}
 	}
-	defer cc.Close()
-	if _, err := cc.Write([]byte("GET /count")); err != nil {
-		return "", err
-	}
-	buf := make([]byte, 256)
-	n, err := cc.Read(buf)
-	if err != nil {
-		return "", err
-	}
-	return string(buf[:n]), nil
 }

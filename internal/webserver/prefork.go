@@ -76,9 +76,8 @@ func runPreforkServer(t *core.Thread, cfg Config) {
 	srv := newPageSrv(t, cfg)
 	handlerPtr := srv.handlerPtr
 
-	sfd := t.Syscall(kernel.SysSocket, [6]uint64{}, nil).Val
-	t.Syscall(kernel.SysBind, [6]uint64{sfd, uint64(cfg.Port)}, nil)
-	if lr := t.Syscall(kernel.SysListen, [6]uint64{sfd, uint64(cfg.Port), 128}, nil); !lr.Ok() {
+	sfd, ok := listen(t, cfg.Port, false)
+	if !ok {
 		return
 	}
 
@@ -108,10 +107,10 @@ func runPreforkServer(t *core.Thread, cfg Config) {
 	}
 
 	// startEpoch forks the current generation's full worker set, waits for
-	// each worker to write its readiness byte (sent only after the worker
-	// grew its thread pool), then publishes the generation in EpochFile —
-	// so an observer that sees epoch N there knows generation N is really
-	// accepting.
+	// each worker to write its readiness byte (sent before any of its
+	// threads accepts), then publishes the generation in EpochFile — so an
+	// observer that sees epoch N there knows every worker of generation N
+	// is up and about to accept.
 	startEpoch := func() {
 		pr := t.Syscall(kernel.SysPipe2, [6]uint64{}, nil)
 		rfd, wfd := pr.Val, pr.Val2
@@ -157,13 +156,11 @@ func runPreforkServer(t *core.Thread, cfg Config) {
 			epoch++
 			t.RefreshLayout(epochSeed(epoch))
 			handlerPtr = t.CodeAddr(64)
-			nfd := t.Syscall(kernel.SysSocket, [6]uint64{}, nil).Val
-			t.Syscall(kernel.SysBind, [6]uint64{nfd, uint64(cfg.Port)}, nil)
-			// Takeover listen (Args[3]=1): atomically displace the old
-			// generation's listener. From here the old epoch is draining
-			// and every new connection reaches the new listener.
-			if lr := t.Syscall(kernel.SysListen,
-				[6]uint64{nfd, uint64(cfg.Port), 128, 1}, nil); !lr.Ok() {
+			// Takeover listen: atomically displace the old generation's
+			// listener. From here the old epoch is draining and every new
+			// connection reaches the new listener.
+			nfd, ok := listen(t, cfg.Port, true)
+			if !ok {
 				break
 			}
 			// Drop the parent's descriptor for the displaced listener NOW,
@@ -204,24 +201,17 @@ func runPreforkServer(t *core.Thread, cfg Config) {
 	}
 }
 
-// preforkWorker is one worker process: the initial thread grows the accept
-// pool to cfg.WorkerThreads vthreads (tid exhaustion shrinks the pool
-// instead of failing — Spawn returns nil at the same ordered position in
-// every variant), signals readiness, serves, and — once the listener dies —
-// joins its siblings so every in-flight request finishes before the
-// process exits.
+// preforkWorker is one worker process: the initial thread signals
+// readiness, grows the accept pool to cfg.WorkerThreads vthreads (tid
+// exhaustion shrinks the pool instead of failing — Spawn returns nil at the
+// same ordered position in every variant), serves, and — once the listener
+// dies — joins its siblings so every in-flight request finishes before the
+// process exits. Readiness goes first because a thread that accepts can
+// die serving (/quit, /killme) and take the process with it: a worker gone
+// before its readiness byte would leave the parent's startEpoch waiting
+// forever on a pipe it holds open itself.
 func preforkWorker(w *core.Thread, srv *pageSrv, sfd uint64,
 	myEpoch int, readyR, readyW uint64) {
-	var sibs []*core.ThreadHandle
-	for i := 1; i < srv.cfg.WorkerThreads; i++ {
-		h := w.Spawn(func(tt *core.Thread) {
-			workerAcceptLoop(tt, srv, sfd)
-		})
-		if h == nil {
-			break
-		}
-		sibs = append(sibs, h)
-	}
 	if readyW != 0 {
 		w.Syscall(kernel.SysWrite, [6]uint64{readyW}, []byte{'r'})
 		// Drop the inherited pipe references: fork copied the parent's
@@ -231,6 +221,16 @@ func preforkWorker(w *core.Thread, srv *pageSrv, sfd uint64,
 		// long-lived workers are held to.
 		w.Syscall(kernel.SysClose, [6]uint64{readyR}, nil)
 		w.Syscall(kernel.SysClose, [6]uint64{readyW}, nil)
+	}
+	var sibs []*core.ThreadHandle
+	for i := 1; i < srv.cfg.WorkerThreads; i++ {
+		h := w.Spawn(func(tt *core.Thread) {
+			workerAcceptLoop(tt, srv, sfd)
+		})
+		if h == nil {
+			break
+		}
+		sibs = append(sibs, h)
 	}
 	workerAcceptLoop(w, srv, sfd)
 	for _, h := range sibs {
@@ -267,11 +267,9 @@ func readPublishedEpoch(w *core.Thread) (int, bool) {
 }
 
 // workerAcceptLoop is one worker thread: accept on the shared listener,
-// serve the connection, repeat. EINTR from accept or recv — a signal
-// delivered while parked — retries after the handler ran; a failed accept
-// means this generation's listener died (shutdown, or a hot restart's
-// takeover) and the loop returns with its in-flight request already
-// finished.
+// serve the connection, repeat. A failed accept means this generation's
+// listener died (shutdown, or a hot restart's takeover) and the loop
+// returns with its in-flight request already finished.
 func workerAcceptLoop(w *core.Thread, srv *pageSrv, sfd uint64) {
 	// Per-thread request counter: prefork's answer to the thread-pool
 	// mode's custom-lock-protected global — no sharing, no lock, and the
@@ -282,47 +280,33 @@ func workerAcceptLoop(w *core.Thread, srv *pageSrv, sfd uint64) {
 	// in a fresh exact-sized allocation.
 	buf := make([]byte, recvBufSize)
 	for {
-		acc := w.Syscall(kernel.SysAccept, [6]uint64{sfd}, nil)
-		if acc.Err == kernel.EINTR {
-			continue
-		}
-		if !acc.Ok() {
+		fd, ok := accept(w, sfd)
+		if !ok {
 			return
 		}
-		fd := acc.Val
-		var r kernel.Ret
-		for {
-			r = w.SyscallInto(kernel.SysRecv, [6]uint64{fd, recvBufSize}, buf)
-			if r.Err != kernel.EINTR {
-				break
+		if line := receive(w, fd, buf); line != nil {
+			served++
+			switch {
+			case bytes.HasPrefix(line, []byte("GET /quit")):
+				// Orderly worker suicide: the parent reaps status 1 and
+				// forks a replacement. Exit-group unwinds any sibling
+				// threads at their next syscall boundary.
+				sendAll(w, fd, []byte("bye"))
+				w.Syscall(kernel.SysClose, [6]uint64{fd}, nil)
+				w.Exit(quitExit)
+			case bytes.HasPrefix(line, []byte("GET /killme")):
+				// Signal-path worker death: the worker SIGTERMs itself. The
+				// kill syscall's own boundary delivers the (unhandled,
+				// terminating) signal, so the process exits with
+				// 128+SIGTERM and the parent re-forks — the whole path runs
+				// through the replicated signal schedule.
+				sendAll(w, fd, []byte("bye"))
+				w.Syscall(kernel.SysClose, [6]uint64{fd}, nil)
+				w.Kill(w.Getpid(), kernel.SIGTERM)
+				continue
 			}
-		}
-		if !r.Ok() || r.Val == 0 {
-			w.Syscall(kernel.SysClose, [6]uint64{fd}, nil)
-			continue
-		}
-		line := r.Data
-		served++
-		switch {
-		case bytes.HasPrefix(line, []byte("GET /quit")):
-			// Orderly worker suicide: the parent reaps status 1 and forks
-			// a replacement. Exit-group unwinds any sibling threads at
-			// their next syscall boundary.
-			sendAll(w, fd, []byte("bye"))
-			w.Syscall(kernel.SysClose, [6]uint64{fd}, nil)
-			w.Exit(quitExit)
-		case bytes.HasPrefix(line, []byte("GET /killme")):
-			// Signal-path worker death: the worker SIGTERMs itself. The
-			// kill syscall's own boundary delivers the (unhandled,
-			// terminating) signal, so the process exits with 128+SIGTERM
-			// and the parent re-forks — the whole path runs through the
-			// replicated signal schedule.
-			sendAll(w, fd, []byte("bye"))
-			w.Syscall(kernel.SysClose, [6]uint64{fd}, nil)
-			w.Kill(w.Getpid(), kernel.SIGTERM)
-		default:
 			respond(w, srv, fd, line, served)
-			w.Syscall(kernel.SysClose, [6]uint64{fd}, nil)
 		}
+		w.Syscall(kernel.SysClose, [6]uint64{fd}, nil)
 	}
 }

@@ -25,36 +25,14 @@ func preforkCfg(port uint16) Config {
 }
 
 func TestPreforkServesStaticPageUnderMVEE(t *testing.T) {
-	cfg := preforkCfg(8200)
-	s, shutdown := startServer(t, cfg, 2, agent.WallOfClocks)
-	res := GenerateLoad(s.Kernel(), cfg.Port, 4, 25)
-	if res.Errors > 0 || res.Responses != res.Requests {
-		t.Fatalf("load: %+v", res)
-	}
-	if res.Bytes < res.Responses*4096 {
-		t.Fatalf("short responses: %d bytes over %d responses", res.Bytes, res.Responses)
-	}
-	final := shutdown()
-	if final.Divergence != nil {
-		t.Fatalf("prefork server diverged under benign load: %v", final.Divergence)
-	}
+	checkServesLoad(t, preforkCfg(8200), 25)
 }
 
 func TestPreforkCountEndpointIsConsistent(t *testing.T) {
 	// Worker-local counters: which worker serves which connection is part
 	// of the replicated accept stream, so /count responses are identical
 	// across variants with no locks at all.
-	cfg := preforkCfg(8201)
-	s, shutdown := startServer(t, cfg, 2, agent.WallOfClocks)
-	for round := 0; round < 25; round++ {
-		if _, err := CountProbe(s.Kernel(), cfg.Port); err != nil {
-			t.Fatalf("count probe %d: %v", round, err)
-		}
-	}
-	res := shutdown()
-	if res.Divergence != nil {
-		t.Fatalf("prefork /count diverged: %v", res.Divergence)
-	}
+	checkCountConsistent(t, preforkCfg(8201))
 }
 
 func TestPreforkAttackDetectedWithTwoVariants(t *testing.T) {
@@ -62,54 +40,13 @@ func TestPreforkAttackDetectedWithTwoVariants(t *testing.T) {
 	// send is caught before the leak escapes, and the fact that the
 	// vulnerable handler runs in a forked child changes nothing — the
 	// child's syscalls are monitored exactly like the root's.
-	for _, target := range []int{0, 1} {
-		cfg := preforkCfg(uint16(8202 + target))
-		cfg.Vulnerable = true
-		s, shutdown := startServer(t, cfg, 2, agent.WallOfClocks)
-		resp, err := Attack(s.Kernel(), cfg.Port, attackGadget(target, 77))
-		if err == nil && strings.Contains(resp, "PWNED") {
-			t.Fatalf("target=%d: leak escaped the MVEE: %q", target, resp)
-		}
-		res := shutdown()
-		if res.Divergence == nil {
-			t.Fatalf("target=%d: attack not detected", target)
-		}
-		if res.Divergence.Reason != "payload mismatch" {
-			t.Fatalf("target=%d: unexpected reason %q", target, res.Divergence.Reason)
-		}
-	}
+	checkAttackDetected(t, preforkCfg(8202))
 }
 
 func TestPreforkBenignTrafficWithVulnerableEndpointDoesNotDiverge(t *testing.T) {
 	cfg := preforkCfg(8210)
 	cfg.Vulnerable = true
-	s, shutdown := startServer(t, cfg, 2, agent.WallOfClocks)
-	res := GenerateLoad(s.Kernel(), cfg.Port, 4, 20)
-	if res.Errors > 0 {
-		t.Fatalf("benign load errored: %+v", res)
-	}
-	final := shutdown()
-	if final.Divergence != nil {
-		t.Fatalf("false positive: %v", final.Divergence)
-	}
-}
-
-// probe sends one request and returns the response body.
-func probe(k *kernel.Kernel, port uint16, req string) (string, error) {
-	cc, errno := k.Connect(port)
-	if errno != kernel.OK {
-		return "", errno
-	}
-	defer cc.Close()
-	if _, err := cc.Write([]byte(req)); err != nil {
-		return "", err
-	}
-	buf := make([]byte, 8192)
-	n, err := cc.Read(buf)
-	if err != nil {
-		return "", err
-	}
-	return string(buf[:n]), nil
+	checkServesLoad(t, cfg, 20)
 }
 
 func TestPreforkWorkerReapAndRefork(t *testing.T) {
@@ -121,12 +58,12 @@ func TestPreforkWorkerReapAndRefork(t *testing.T) {
 	cfg.Workers = 2
 	s, shutdown := startServer(t, cfg, 2, agent.WallOfClocks)
 	for round := 0; round < 3; round++ {
-		if resp, err := probe(s.Kernel(), cfg.Port, "GET /quit"); err != nil || resp != "bye" {
+		if resp, err := Request(s.Kernel(), cfg.Port, "GET /quit"); err != nil || resp != "bye" {
 			t.Fatalf("round %d: /quit: %q %v", round, resp, err)
 		}
 		// The replacement (and the surviving sibling) keep serving.
 		for i := 0; i < 6; i++ {
-			resp, err := probe(s.Kernel(), cfg.Port, "GET /")
+			resp, err := Request(s.Kernel(), cfg.Port, "GET /")
 			if err != nil || !strings.Contains(resp, "200 OK") {
 				t.Fatalf("round %d, request %d after refork: %q %v", round, i, resp, err)
 			}
@@ -147,11 +84,11 @@ func TestPreforkKilledWorkerIsReforked(t *testing.T) {
 	cfg.Workers = 2
 	s, shutdown := startServer(t, cfg, 2, agent.WallOfClocks)
 	for round := 0; round < 3; round++ {
-		if resp, err := probe(s.Kernel(), cfg.Port, "GET /killme"); err != nil || resp != "bye" {
+		if resp, err := Request(s.Kernel(), cfg.Port, "GET /killme"); err != nil || resp != "bye" {
 			t.Fatalf("round %d: /killme: %q %v", round, resp, err)
 		}
 		for i := 0; i < 6; i++ {
-			resp, err := probe(s.Kernel(), cfg.Port, "GET /")
+			resp, err := Request(s.Kernel(), cfg.Port, "GET /")
 			if err != nil || !strings.Contains(resp, "200 OK") {
 				t.Fatalf("round %d, request %d after kill: %q %v", round, i, resp, err)
 			}
@@ -170,8 +107,8 @@ func TestPreforkLeavesNoZombies(t *testing.T) {
 	cfg.Workers = 2
 	s, shutdown := startServer(t, cfg, 2, agent.WallOfClocks)
 	for round := 0; round < 4; round++ {
-		probe(s.Kernel(), cfg.Port, "GET /quit")
-		probe(s.Kernel(), cfg.Port, "GET /")
+		Request(s.Kernel(), cfg.Port, "GET /quit")
+		Request(s.Kernel(), cfg.Port, "GET /")
 	}
 	res := shutdown()
 	if res.Divergence != nil {
@@ -249,7 +186,7 @@ func TestPreforkStress(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 4; i++ {
-			probe(s.Kernel(), cfg.Port, "GET /quit")
+			Request(s.Kernel(), cfg.Port, "GET /quit")
 		}
 	}()
 	res := GenerateLoad(s.Kernel(), cfg.Port, 8, 15)
@@ -355,7 +292,7 @@ func TestPreforkHotRestartZeroDowntime(t *testing.T) {
 				if i%8 == 7 {
 					req = "GET /count"
 				}
-				resp, err := probe(s.Kernel(), cfg.Port, req)
+				resp, err := Request(s.Kernel(), cfg.Port, req)
 				if err != nil || (!strings.Contains(resp, "200 OK") && !strings.Contains(resp, "count=")) {
 					failed.Add(1)
 					t.Errorf("client %d request %d failed across reload: %q %v", c, i, resp, err)
@@ -415,14 +352,14 @@ func TestPreforkHotRestartSurvivesWorkerKillStorm(t *testing.T) {
 			if k%2 == 1 {
 				req = "GET /killme"
 			}
-			probe(s.Kernel(), cfg.Port, req)
+			Request(s.Kernel(), cfg.Port, req)
 			// A request racing a process death may legitimately drop (the
 			// exit-group tears down sibling threads mid-request — exactly
 			// what exit(2) does to a multi-threaded process), so retry; the
 			// pool must RECOVER, and the reload must still complete.
 			ok := false
 			for attempt := 0; attempt < 20 && !ok; attempt++ {
-				resp, err := probe(s.Kernel(), cfg.Port, "GET /")
+				resp, err := Request(s.Kernel(), cfg.Port, "GET /")
 				ok = err == nil && strings.Contains(resp, "200 OK")
 			}
 			if !ok {
@@ -456,11 +393,11 @@ func TestPreforkHotRestartRefreshesDiversity(t *testing.T) {
 	}
 	awaitEpoch(t, s.Kernel(), 1)
 	awaitQuiescence(t, s.Kernel(), 2*(1+cfg.Workers), 1)
-	resp, err := probe(s.Kernel(), cfg.Port, fmt.Sprintf("POST /upload %x", stale))
+	resp, err := Request(s.Kernel(), cfg.Port, fmt.Sprintf("POST /upload %x", stale))
 	if err == nil && strings.Contains(resp, "PWNED") {
 		t.Fatalf("stale layout leak still works after diversity refresh: %q", resp)
 	}
-	if resp, err := probe(s.Kernel(), cfg.Port, "GET /"); err != nil || !strings.Contains(resp, "200 OK") {
+	if resp, err := Request(s.Kernel(), cfg.Port, "GET /"); err != nil || !strings.Contains(resp, "200 OK") {
 		t.Fatalf("stale gadget burned the refreshed server: %q %v", resp, err)
 	}
 
@@ -475,7 +412,7 @@ func TestPreforkHotRestartRefreshesDiversity(t *testing.T) {
 	if fresh == stale {
 		t.Fatal("diversity refresh did not move the handler address")
 	}
-	if resp, err := Attack(s.Kernel(), cfg.Port, fresh); err == nil && strings.Contains(resp, "PWNED") {
+	if resp, err := Request(s.Kernel(), cfg.Port, fmt.Sprintf("POST /upload %x", fresh)); err == nil && strings.Contains(resp, "PWNED") {
 		t.Fatalf("re-harvested leak escaped the MVEE: %q", resp)
 	}
 	res := shutdown()

@@ -13,12 +13,14 @@
 // pointer is only meaningful in one variant; the divergent response write
 // is detected by the monitor before any output leaves the system.
 //
-// The serving path mirrors nginx's I/O strategy: the static page is
-// materialized as a FILE and served with zero-copy sendfile; multi-piece
-// responses gather their segments with one writev; and every mode recvs
-// into a reusable scratch buffer instead of allocating per request. The
-// evented mode additionally batches all of a poll wakeup's ready
-// connections into one replicated multi-record (core.Thread.SyscallBatch),
+// The three serving modes (thread pool, evented, prefork) differ only in
+// their concurrency shape: each listens, accepts, receives and responds
+// through one shared copy of that step. The serving path mirrors nginx's
+// I/O strategy: the static page is materialized as a FILE and served with
+// zero-copy sendfile; /count gathers its two segments with one writev; and
+// every mode recvs into a reusable scratch buffer instead of allocating per
+// request. The evented mode receives all of a poll wakeup's ready
+// connections as one replicated multi-record (core.Thread.SyscallBatch),
 // so a wakeup with K ready clients costs one cross-core handoff, not K.
 package webserver
 
@@ -111,8 +113,8 @@ func newUninstrumentedSpinLock() *uninstrumentedSpinLock {
 	return l
 }
 
-func (l *uninstrumentedSpinLock) Lock()   { <-l.state }
-func (l *uninstrumentedSpinLock) Unlock() { l.state <- struct{}{} }
+func (l *uninstrumentedSpinLock) Lock(*core.Thread)   { <-l.state }
+func (l *uninstrumentedSpinLock) Unlock(*core.Thread) { l.state <- struct{}{} }
 
 // Program builds the server program for the MVEE.
 func Program(cfg Config) core.Program {
@@ -136,44 +138,34 @@ func Program(cfg Config) core.Program {
 	}}
 }
 
-// pageSrv is the serving context every mode shares: the prebuilt response,
-// its iovec encoding (header and page kept as separate gather segments for
-// the vectored fallback), and the response FILE the zero-copy default path
-// serves from. Built once per process, before traffic flows.
+// pageSrv is the serving context every mode shares: the prebuilt response
+// and the response FILE the zero-copy path serves it from. Built once per
+// process, before traffic flows.
 type pageSrv struct {
 	cfg Config
 	// handlerPtr is the "function pointer" the vulnerability overwrites:
 	// it holds the variant-local code address of the page handler.
 	// Diversity (DCL) places it differently in every variant.
 	handlerPtr uint64
-	response   []byte // header + page: the full default-path response
-	iov        []byte // EncodeIovec(header, page): the writev fallback wire
-	iovcnt     uint64
-	pageFD     uint64 // read-only fd over the full response; 0 = unavailable
+	response   []byte // header + page: the static-page response
+	pageFD     uint64 // read-only fd over response; 0 = unavailable
 }
 
 // newPageSrv builds the serving context. Every syscall it makes is
 // replicated and sits before the accept loop in program order, so all
 // variants agree on the resulting descriptor.
 func newPageSrv(t *core.Thread, cfg Config) *pageSrv {
-	header := []byte(responseHeader)
-	page := []byte(strings.Repeat("x", cfg.PageSize))
-	srv := &pageSrv{
-		cfg:        cfg,
-		handlerPtr: t.CodeAddr(64),
-		response:   append(append(make([]byte, 0, len(header)+len(page)), header...), page...),
-		iov:        kernel.EncodeIovec(nil, header, page),
-		iovcnt:     2,
-	}
-	srv.pageFD = setupPageFile(t, cfg.Port, srv.response)
+	response := []byte(responseHeader + strings.Repeat("x", cfg.PageSize))
+	srv := &pageSrv{cfg: cfg, handlerPtr: t.CodeAddr(64), response: response}
+	srv.pageFD = setupPageFile(t, cfg.Port, response)
 	return srv
 }
 
 // setupPageFile materializes the response as a regular file and reopens it
-// read-only, giving respond's default path a source descriptor for
-// zero-copy sendfile — the nginx `sendfile on` configuration. Returns 0
-// (never a valid descriptor here) when any step fails; respond then falls
-// back to writev/send and the server keeps serving.
+// read-only, giving respond a source descriptor for zero-copy sendfile —
+// the nginx `sendfile on` configuration. Returns 0 (never a valid
+// descriptor here) when any step fails; respond then sends the in-memory
+// response and the server keeps serving.
 func setupPageFile(t *core.Thread, port uint16, response []byte) uint64 {
 	name := []byte(fmt.Sprintf("/srv/response-%d", port))
 	w := t.Syscall(kernel.SysOpen,
@@ -193,11 +185,56 @@ func setupPageFile(t *core.Thread, port uint16, response []byte) uint64 {
 	return r.Val
 }
 
-// request is one queued connection.
-type request struct {
-	fd uint64
+// listen opens a listener on port: socket, bind, listen. A takeover listen
+// atomically displaces the port's current listener and closes it (the
+// prefork hot restart). ok is false when the listen failed.
+func listen(t *core.Thread, port uint16, takeover bool) (fd uint64, ok bool) {
+	fd = t.Syscall(kernel.SysSocket, [6]uint64{}, nil).Val
+	t.Syscall(kernel.SysBind, [6]uint64{fd, uint64(port)}, nil)
+	args := [6]uint64{fd, uint64(port), 128}
+	if takeover {
+		args[3] = 1
+	}
+	return fd, t.Syscall(kernel.SysListen, args, nil).Ok()
 }
 
+// accept takes the next connection off listener sfd, retrying after a
+// signal interrupted the wait (its handler has run). ok is false once the
+// listener is gone: shutdown, or a hot restart's takeover.
+func accept(t *core.Thread, sfd uint64) (fd uint64, ok bool) {
+	for {
+		r := t.Syscall(kernel.SysAccept, [6]uint64{sfd}, nil)
+		if r.Err != kernel.EINTR {
+			return r.Val, r.Ok()
+		}
+	}
+}
+
+// receive reads one request line from connection fd into the thread's
+// scratch buffer, retrying after a signal interrupted the wait. It returns
+// nil when the peer is done with the connection.
+func receive(t *core.Thread, fd uint64, buf []byte) []byte {
+	for {
+		r := t.SyscallInto(kernel.SysRecv, [6]uint64{fd, recvBufSize}, buf)
+		if r.Err != kernel.EINTR {
+			return requestLine(r)
+		}
+	}
+}
+
+// requestLine is a receive's request line, or nil at EOF or on an error.
+// The line aliases the receive buffer: it is consumed before the next
+// receive into that buffer.
+func requestLine(r kernel.Ret) []byte {
+	if !r.Ok() || r.Val == 0 {
+		return nil
+	}
+	return r.Data
+}
+
+// runServer is the thread-pool serving mode: the initial thread accepts and
+// queues connections; cfg.PoolThreads workers each take one, serve its one
+// request and close it.
 func runServer(t *core.Thread, cfg Config) {
 	srv := newPageSrv(t, cfg)
 
@@ -206,38 +243,26 @@ func runServer(t *core.Thread, cfg Config) {
 	var customLock interface {
 		Lock(*core.Thread)
 		Unlock(*core.Thread)
-	}
-	var rawLock *uninstrumentedSpinLock
+	} = newUninstrumentedSpinLock()
 	if cfg.InstrumentCustomSync {
-		customLock = instrumented{synclib.NewSpinLock(t)}
-	} else {
-		rawLock = newUninstrumentedSpinLock()
+		customLock = synclib.NewSpinLock(t)
 	}
-	bumpCount := func(tt *core.Thread) uint32 {
-		if cfg.InstrumentCustomSync {
-			customLock.Lock(tt)
-			reqCount++
-			n := reqCount
-			customLock.Unlock(tt)
-			return n
-		}
-		rawLock.Lock()
+	bump := func(tt *core.Thread) uint32 {
+		customLock.Lock(tt)
 		reqCount++
 		n := reqCount
-		rawLock.Unlock()
+		customLock.Unlock(tt)
 		return n
 	}
 
 	// Thread pool fed through an instrumented (pthread-style) queue.
 	qmu := synclib.NewMutex(t)
 	qcond := synclib.NewCond(t)
-	var queue []request
+	var queue []uint64 // accepted connections
 	closed := false
 
-	sfd := t.Syscall(kernel.SysSocket, [6]uint64{}, nil).Val
-	t.Syscall(kernel.SysBind, [6]uint64{sfd, uint64(cfg.Port)}, nil)
-	lr := t.Syscall(kernel.SysListen, [6]uint64{sfd, uint64(cfg.Port), 128}, nil)
-	if !lr.Ok() {
+	sfd, ok := listen(t, cfg.Port, false)
+	if !ok {
 		return
 	}
 
@@ -257,23 +282,35 @@ func runServer(t *core.Thread, cfg Config) {
 					qmu.Unlock(tt)
 					return
 				}
-				req := queue[0]
+				fd := queue[0]
 				queue = queue[1:]
 				qmu.Unlock(tt)
-				handle(tt, srv, req, buf, bumpCount)
+				if line := receive(tt, fd, buf); line != nil {
+					// nginx touches its shared counters at several points
+					// while handling one request; model that with repeated
+					// bumps. Under the uninstrumented custom lock, the
+					// interleaving of these bumps across worker threads is
+					// scheduler-dependent and differs between variants.
+					n := bump(tt)
+					for i := 0; i < 8; i++ {
+						tt.Yield()
+						n = bump(tt)
+					}
+					respond(tt, srv, fd, line, n)
+				}
+				tt.Syscall(kernel.SysClose, [6]uint64{fd}, nil)
 			}
 		})
 	}
 
-	// Accept loop: runs until the listener is closed by the client side
-	// (accept returns an error).
+	// Accept loop: runs until the listener is closed by the client side.
 	for {
-		acc := t.Syscall(kernel.SysAccept, [6]uint64{sfd}, nil)
-		if !acc.Ok() {
+		fd, ok := accept(t, sfd)
+		if !ok {
 			break
 		}
 		qmu.Lock(t)
-		queue = append(queue, request{fd: acc.Val})
+		queue = append(queue, fd)
 		qcond.Signal(t)
 		qmu.Unlock(t)
 	}
@@ -284,34 +321,6 @@ func runServer(t *core.Thread, cfg Config) {
 	for _, w := range workers {
 		w.Join()
 	}
-}
-
-type instrumented struct{ l *synclib.SpinLock }
-
-func (i instrumented) Lock(t *core.Thread)   { i.l.Lock(t) }
-func (i instrumented) Unlock(t *core.Thread) { i.l.Unlock(t) }
-
-// handle serves one connection: reads the request line into the worker's
-// scratch buffer, dispatches.
-func handle(t *core.Thread, srv *pageSrv, req request, buf []byte,
-	bump func(*core.Thread) uint32) {
-	r := t.SyscallInto(kernel.SysRecv, [6]uint64{req.fd, recvBufSize}, buf)
-	if !r.Ok() || r.Val == 0 {
-		t.Syscall(kernel.SysClose, [6]uint64{req.fd}, nil)
-		return
-	}
-	line := r.Data // aliases buf; consumed before the next recv reuses it
-	// nginx touches its shared counters at several points while handling
-	// one request; model that with repeated bumps. Under the
-	// uninstrumented custom lock, the interleaving of these bumps across
-	// worker threads is scheduler-dependent and differs between variants.
-	n := bump(t)
-	for i := 0; i < 8; i++ {
-		t.Yield()
-		n = bump(t)
-	}
-	respond(t, srv, req.fd, line, n)
-	t.Syscall(kernel.SysClose, [6]uint64{req.fd}, nil)
 }
 
 // sendAll writes the whole payload, resuming after EINTR and after the
@@ -381,12 +390,11 @@ func sendFile(t *core.Thread, fd, src uint64, total int) bool {
 	return true
 }
 
-// respond dispatches one parsed request line and sends the response. It is
-// shared by the thread-pool, evented, and prefork serving modes. The
-// default (static page) path is zero-copy: one sendfile from the response
-// file straight to the socket. /count gathers its two pieces — the static
-// label and the formatted counter — with one writev. Each path degrades to
-// the next (writev, then plain sends) if its syscall is unavailable.
+// respond dispatches one request line and sends the response; every
+// serving mode answers through it. The static page is zero-copy: one
+// sendfile from the response file straight to the socket. /count gathers
+// its two pieces — the static label and the formatted counter — with one
+// writev. Either falls back to plain sends if its syscall is unavailable.
 func respond(t *core.Thread, srv *pageSrv, fd uint64, line []byte, count uint32) {
 	switch {
 	case srv.cfg.Vulnerable && bytes.HasPrefix(line, []byte("POST /upload")):
@@ -423,13 +431,9 @@ func respond(t *core.Thread, srv *pageSrv, fd uint64, line []byte, count uint32)
 			sendAll(t, fd, flat)
 		}
 	default:
-		if srv.pageFD != 0 && sendFile(t, fd, srv.pageFD, len(srv.response)) {
-			return
+		if srv.pageFD == 0 || !sendFile(t, fd, srv.pageFD, len(srv.response)) {
+			sendAll(t, fd, srv.response)
 		}
-		if len(srv.iov) > 0 && sendVec(t, fd, srv.iov, srv.iovcnt, srv.response) {
-			return
-		}
-		sendAll(t, fd, srv.response)
 	}
 }
 
@@ -452,16 +456,15 @@ type connState struct {
 // the master's poll parks on the kernel's poll wait set (allocation-free)
 // until traffic arrives, its revents array is replicated to the slaves,
 // and every variant's loop takes identical branches because the accept
-// results (and therefore the polled fd sets) are replicated too. When a
-// wakeup finds more than one connection ready, all of its recvs travel as
-// one replicated multi-record — one ring reservation and one cross-core
-// handoff per WAKEUP instead of per connection.
+// results (and therefore the polled fd sets) are replicated too. A
+// wakeup's ready connections receive as one replicated batch — one ring
+// reservation and one cross-core handoff per WAKEUP instead of per
+// connection.
 func runEventedServer(t *core.Thread, cfg Config) {
 	srv := newPageSrv(t, cfg)
 
-	sfd := t.Syscall(kernel.SysSocket, [6]uint64{}, nil).Val
-	t.Syscall(kernel.SysBind, [6]uint64{sfd, uint64(cfg.Port)}, nil)
-	if lr := t.Syscall(kernel.SysListen, [6]uint64{sfd, uint64(cfg.Port), 128}, nil); !lr.Ok() {
+	sfd, ok := listen(t, cfg.Port, false)
+	if !ok {
 		return
 	}
 
@@ -514,16 +517,17 @@ serve:
 			break
 		}
 		// Collect the wakeup's ready connections back to front (so the
-		// remove-by-swap in drop keeps untouched indices stable), then
-		// serve them — batched into one replicated multi-record when more
-		// than one is ready — and only then accept.
+		// remove-by-swap in drop keeps untouched indices stable), receive
+		// them as one batch — poll guaranteed none of the receives blocks —
+		// serve them, and only then accept. EOF or an error means the peer
+		// is done with this keep-alive connection.
 		ready = ready[:0]
 		for i := len(conns) - 1; i >= 0; i-- {
 			if kernel.DecodeRevents(r.Data, 1+i) != 0 {
 				ready = append(ready, i)
 			}
 		}
-		if len(ready) > 1 {
+		if len(ready) > 0 {
 			if cap(calls) < len(ready) {
 				calls = make([]kernel.Call, len(ready))
 				rets = make([]kernel.Ret, len(ready))
@@ -537,18 +541,13 @@ serve:
 				}
 			}
 			t.SyscallBatch(calls, rets)
-			for j, i := range ready {
-				if !serveReady(t, srv, conns[i].fd, rets[j], &reqCount) {
-					drop(i)
-				}
-			}
-		} else {
-			for _, i := range ready {
-				rr := t.SyscallInto(kernel.SysRecv,
-					[6]uint64{conns[i].fd, recvBufSize}, conns[i].buf)
-				if !serveReady(t, srv, conns[i].fd, rr, &reqCount) {
-					drop(i)
-				}
+		}
+		for j, i := range ready {
+			if line := requestLine(rets[j]); line != nil {
+				reqCount++
+				respond(t, srv, conns[i].fd, line, reqCount)
+			} else {
+				drop(i)
 			}
 		}
 		lev := kernel.DecodeRevents(r.Data, 0)
@@ -560,11 +559,11 @@ serve:
 		// gated on a zero-timeout single-entry probe of the listener — far
 		// cheaper than paying a full fd-set poll round per connection.
 		for lev&kernel.PollIn != 0 {
-			acc := t.Syscall(kernel.SysAccept, [6]uint64{sfd}, nil)
-			if !acc.Ok() {
+			fd, ok := accept(t, sfd)
+			if !ok {
 				break serve
 			}
-			conns = append(conns, connState{fd: acc.Val, buf: takeBuf()})
+			conns = append(conns, connState{fd: fd, buf: takeBuf()})
 			kernel.EncodePollFD(probeBuf, 0, int(sfd), kernel.PollIn)
 			pr := t.Syscall(kernel.SysPoll, [6]uint64{1, 0}, probeBuf)
 			if !pr.Ok() {
@@ -576,18 +575,4 @@ serve:
 	for _, c := range conns {
 		t.Syscall(kernel.SysClose, [6]uint64{c.fd}, nil)
 	}
-}
-
-// serveReady consumes one poll-ready connection's recv result: poll
-// guaranteed the recv could not block (data or EOF), so the event thread
-// never stalls on a slow client. EOF or an error means the peer is done
-// with this keep-alive connection — the caller closes and recycles the
-// slot; otherwise the request is served and the connection stays polled.
-func serveReady(t *core.Thread, srv *pageSrv, fd uint64, r kernel.Ret, reqCount *uint32) bool {
-	if !r.Ok() || r.Val == 0 {
-		return false
-	}
-	*reqCount++
-	respond(t, srv, fd, r.Data, *reqCount)
-	return true
 }

@@ -1,9 +1,9 @@
 package webserver
 
 import (
+	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/agent"
 	"repro/internal/core"
@@ -11,56 +11,82 @@ import (
 )
 
 // startServer launches the server under the MVEE and returns the session
-// plus a shutdown function that closes the listener and joins the session.
+// plus Start's shutdown function.
 func startServer(t *testing.T, cfg Config, variants int, kind agent.Kind) (*core.Session, func() *core.Result) {
 	t.Helper()
-	cfg.fill()
-	s := core.NewSession(core.Options{
+	s, stop, err := Start(core.Options{
 		Variants: variants, Agent: kind, ASLR: true, DCL: true, Seed: 77, MaxThreads: 64,
-	}, Program(cfg))
-	done := make(chan *core.Result, 1)
-	go func() { done <- s.Run() }()
-	// Wait for the listener to come up.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if cc, errno := s.Kernel().Connect(cfg.Port); errno == 0 {
-			cc.Write([]byte("GET /")) // handled and discarded
-			cc.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			s.Kill()
-			t.Fatal("server never started listening")
-		}
-		time.Sleep(time.Millisecond)
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	shutdown := func() *core.Result {
-		s.Kernel().CloseListener(cfg.Port)
-		select {
-		case res := <-done:
-			return res
-		case <-time.After(60 * time.Second):
-			s.Kill()
-			return <-done
-		}
-	}
-	return s, shutdown
+	return s, stop
 }
 
-func TestServesStaticPageUnderMVEE(t *testing.T) {
-	cfg := Config{Port: 8080, PoolThreads: 4, InstrumentCustomSync: true, PageSize: 4096}
+// The three serving modes pass one suite: each mode's tests run these
+// checks against its own Config.
+
+// checkServesLoad drives 4 keep-alive clients × requests GET / at two
+// variants: every request is answered with the whole page and nothing
+// diverges.
+func checkServesLoad(t *testing.T, cfg Config, requests int) {
+	t.Helper()
+	cfg.fill()
 	s, shutdown := startServer(t, cfg, 2, agent.WallOfClocks)
-	res := GenerateLoad(s.Kernel(), cfg.Port, 4, 25)
+	res := GenerateLoad(s.Kernel(), cfg.Port, 4, requests)
+	final := shutdown()
 	if res.Errors > 0 || res.Responses != res.Requests {
 		t.Fatalf("load: %+v", res)
 	}
-	if res.Bytes < res.Responses*4096 {
+	if res.Bytes < res.Responses*cfg.PageSize {
 		t.Fatalf("short responses: %d bytes over %d responses", res.Bytes, res.Responses)
 	}
-	final := shutdown()
 	if final.Divergence != nil {
-		t.Fatalf("instrumented server diverged: %v", final.Divergence)
+		t.Fatalf("diverged under benign load: %v", final.Divergence)
 	}
+}
+
+// checkAttackDetected aims the layout-targeted exploit at each of two
+// variants in turn, on cfg.Port and the port after it. The attack
+// connection must NOT receive the leak: the monitor kills the variants at
+// the divergent send, so the client sees an error or EOF.
+func checkAttackDetected(t *testing.T, cfg Config) {
+	t.Helper()
+	cfg.Vulnerable = true
+	for target := 0; target < 2; target++ {
+		s, shutdown := startServer(t, cfg, 2, agent.WallOfClocks)
+		resp, err := Request(s.Kernel(), cfg.Port, fmt.Sprintf("POST /upload %x", attackGadget(target, 77)))
+		if err == nil && strings.Contains(resp, "PWNED") {
+			t.Fatalf("target=%d: leak escaped the MVEE: %q", target, resp)
+		}
+		res := shutdown()
+		if res.Divergence == nil {
+			t.Fatalf("target=%d: attack not detected", target)
+		}
+		if res.Divergence.Reason != "payload mismatch" {
+			t.Fatalf("target=%d: unexpected reason %q", target, res.Divergence.Reason)
+		}
+		cfg.Port++
+	}
+}
+
+// checkCountConsistent asks for /count 25 times in turn: a mode whose
+// counter is deterministic across variants never diverges on it.
+func checkCountConsistent(t *testing.T, cfg Config) {
+	t.Helper()
+	s, shutdown := startServer(t, cfg, 2, agent.WallOfClocks)
+	for round := 0; round < 25; round++ {
+		if _, err := Request(s.Kernel(), cfg.Port, "GET /count"); err != nil {
+			t.Fatalf("count probe %d: %v", round, err)
+		}
+	}
+	if res := shutdown(); res.Divergence != nil {
+		t.Fatalf("/count diverged: %v", res.Divergence)
+	}
+}
+
+func TestServesStaticPageUnderMVEE(t *testing.T) {
+	checkServesLoad(t, Config{Port: 8080, PoolThreads: 4, InstrumentCustomSync: true, PageSize: 4096}, 25)
 }
 
 func TestUninstrumentedCustomSyncDiverges(t *testing.T) {
@@ -78,7 +104,7 @@ func TestUninstrumentedCustomSyncDiverges(t *testing.T) {
 		done := make(chan struct{}, 8)
 		for c := 0; c < 8; c++ {
 			go func() {
-				CountProbe(s.Kernel(), cfg.Port)
+				Request(s.Kernel(), cfg.Port, "GET /count")
 				done <- struct{}{}
 			}()
 		}
@@ -100,7 +126,7 @@ func TestInstrumentedCountEndpointIsConsistent(t *testing.T) {
 		done := make(chan struct{}, 4)
 		for c := 0; c < 4; c++ {
 			go func() {
-				CountProbe(s.Kernel(), cfg.Port)
+				Request(s.Kernel(), cfg.Port, "GET /count")
 				done <- struct{}{}
 			}()
 		}
@@ -127,7 +153,7 @@ func TestAttackSucceedsAgainstSingleVariant(t *testing.T) {
 	// running ... as a single variant inside our MVEE."
 	cfg := Config{Port: 8083, PoolThreads: 2, InstrumentCustomSync: true, Vulnerable: true}
 	s, shutdown := startServer(t, cfg, 1, agent.None)
-	resp, err := Attack(s.Kernel(), cfg.Port, attackGadget(0, 77))
+	resp, err := Request(s.Kernel(), cfg.Port, fmt.Sprintf("POST /upload %x", attackGadget(0, 77)))
 	if err != nil {
 		t.Fatalf("attack request failed: %v", err)
 	}
@@ -142,40 +168,13 @@ func TestAttackSucceedsAgainstSingleVariant(t *testing.T) {
 func TestAttackDetectedWithTwoVariants(t *testing.T) {
 	// The headline security result: with >= 2 variants the MVEE detects
 	// divergence and shuts down before the compromised output escapes.
-	for _, target := range []int{0, 1} {
-		cfg := Config{Port: uint16(8084 + target), PoolThreads: 2,
-			InstrumentCustomSync: true, Vulnerable: true}
-		s, shutdown := startServer(t, cfg, 2, agent.WallOfClocks)
-		resp, err := Attack(s.Kernel(), cfg.Port, attackGadget(target, 77))
-		// The attack connection must NOT receive the leak: the monitor
-		// kills the variants at the divergent send, so the client sees
-		// an error or EOF.
-		if err == nil && strings.Contains(resp, "PWNED") {
-			t.Fatalf("target=%d: leak escaped the MVEE: %q", target, resp)
-		}
-		res := shutdown()
-		if res.Divergence == nil {
-			t.Fatalf("target=%d: attack not detected", target)
-		}
-		if res.Divergence.Reason != "payload mismatch" {
-			t.Fatalf("target=%d: unexpected reason %q", target, res.Divergence.Reason)
-		}
-	}
+	checkAttackDetected(t, Config{Port: 8084, PoolThreads: 2, InstrumentCustomSync: true})
 }
 
 func TestBenignTrafficWithVulnerableEndpointDoesNotDiverge(t *testing.T) {
 	// The vulnerable build behaves identically across variants as long as
 	// nobody exploits it: no false positives.
-	cfg := Config{Port: 8090, PoolThreads: 4, InstrumentCustomSync: true, Vulnerable: true}
-	s, shutdown := startServer(t, cfg, 2, agent.WallOfClocks)
-	res := GenerateLoad(s.Kernel(), cfg.Port, 4, 20)
-	if res.Errors > 0 {
-		t.Fatalf("benign load errored: %+v", res)
-	}
-	final := shutdown()
-	if final.Divergence != nil {
-		t.Fatalf("false positive: %v", final.Divergence)
-	}
+	checkServesLoad(t, Config{Port: 8090, PoolThreads: 4, InstrumentCustomSync: true, Vulnerable: true}, 20)
 }
 
 func TestThroughputMeasurable(t *testing.T) {

@@ -43,17 +43,6 @@ func (p *Params) fill(defUnits, defWork int) {
 	}
 }
 
-// busy burns deterministic CPU time with no memory traffic.
-func busy(n int) uint32 {
-	x := uint32(2463534242)
-	for i := 0; i < n; i++ {
-		x ^= x << 13
-		x ^= x >> 17
-		x ^= x << 5
-	}
-	return x
-}
-
 // shapeCfg tunes a shape builder for one benchmark.
 type shapeCfg struct {
 	units        int        // default work units
@@ -62,15 +51,7 @@ type shapeCfg struct {
 	syscallEvery int        // one monitored syscall per this many units (0 = never)
 	stages       int        // pipeline stages / barrier phases
 	locks        int        // lock population (fine-grained shapes)
-	kernel       kernelFunc // computational core (kernels.go); nil = busy loop
-}
-
-// compute runs the benchmark's computational kernel for work unit i.
-func (c shapeCfg) compute(i, n int) uint32 {
-	if c.kernel != nil {
-		return c.kernel(i, n)
-	}
-	return busy(n)
+	kernel       kernelFunc // computational core (kernels.go)
 }
 
 // dataParallel models blackscholes/swaptions/freqmine/bodytrack: workers
@@ -95,7 +76,7 @@ func dataParallel(cfg shapeCfg) func(Params) core.Program {
 				hs[w] = t.Spawn(func(tt *core.Thread) {
 					var acc uint32
 					for u := 0; u < per; u++ {
-						acc += cfg.compute(w*per+u, p.WorkPerUnit)
+						acc += cfg.kernel(w*per+u, p.WorkPerUnit)
 						if cfg.syncEvery > 0 && u%cfg.syncEvery == 0 {
 							l := locks[(w+u)%nlocks]
 							l.Lock(tt)
@@ -141,7 +122,7 @@ func pipeline(cfg shapeCfg) func(Params) core.Program {
 					case s == 0: // producer
 						var acc uint32
 						for u := 0; u < p.Units; u++ {
-							acc += cfg.compute(u, p.WorkPerUnit)
+							acc += cfg.kernel(u, p.WorkPerUnit)
 							if cfg.syscallEvery > 0 && u%cfg.syscallEvery == 0 {
 								tt.Syscall(kernel.SysGettimeofday, [6]uint64{}, nil)
 							}
@@ -156,7 +137,7 @@ func pipeline(cfg shapeCfg) func(Params) core.Program {
 							if !ok {
 								break
 							}
-							acc += v + cfg.compute(int(v), p.WorkPerUnit)
+							acc += v + cfg.kernel(int(v), p.WorkPerUnit)
 							if cfg.syscallEvery > 0 && int(v)%cfg.syscallEvery == 0 {
 								tt.Syscall(kernel.SysWrite, [6]uint64{fd}, []byte{byte(acc)})
 							}
@@ -167,7 +148,7 @@ func pipeline(cfg shapeCfg) func(Params) core.Program {
 							if !ok {
 								break
 							}
-							cfg.compute(int(v)+s, p.WorkPerUnit)
+							cfg.kernel(int(v)+s, p.WorkPerUnit)
 							qs[s].put(tt, v+1)
 						}
 						qs[s].close(tt)
@@ -205,7 +186,7 @@ func barrierPhased(cfg shapeCfg) func(Params) core.Program {
 					for ph := 0; ph < phases; ph++ {
 						var acc uint32
 						for u := 0; u < perPhase; u++ {
-							acc += cfg.compute(ph*perPhase+u, p.WorkPerUnit)
+							acc += cfg.kernel(ph*perPhase+u, p.WorkPerUnit)
 							if cfg.syscallEvery > 0 && u%cfg.syscallEvery == 0 {
 								tt.Syscall(kernel.SysGettimeofday, [6]uint64{}, nil)
 							}
@@ -246,7 +227,7 @@ func taskQueue(cfg shapeCfg) func(Params) core.Program {
 						if !ok {
 							break
 						}
-						acc += cfg.compute(int(v), p.WorkPerUnit)
+						acc += cfg.kernel(int(v), p.WorkPerUnit)
 						if cfg.syncEvery > 0 && int(v)%cfg.syncEvery == 0 {
 							mu.Lock(tt)
 							done++
@@ -291,7 +272,7 @@ func fineGrained(cfg shapeCfg) func(Params) core.Program {
 				w := w
 				hs[w] = t.Spawn(func(tt *core.Thread) {
 					for u := 0; u < per; u++ {
-						cfg.compute(w*per+u, p.WorkPerUnit)
+						cfg.kernel(w*per+u, p.WorkPerUnit)
 						c := (w*per + u*7) % nlocks
 						locks[c].Lock(tt)
 						cells[c]++
@@ -325,7 +306,7 @@ func reduction(cfg shapeCfg) func(Params) core.Program {
 			for w := 0; w < p.Workers; w++ {
 				hs[w] = t.Spawn(func(tt *core.Thread) {
 					for u := 0; u < per; u++ {
-						acc := cfg.compute(u, p.WorkPerUnit)
+						acc := cfg.kernel(u, p.WorkPerUnit)
 						if cfg.syncEvery > 0 && u%cfg.syncEvery == 0 {
 							mu.Lock(tt)
 							global += acc

@@ -31,8 +31,8 @@ func TestRegistryComplete(t *testing.T) {
 		if b.PaperRunSec <= 0 {
 			t.Errorf("%s: missing paper run time", b.Name)
 		}
-		if b.build == nil {
-			t.Errorf("%s: no builder", b.Name)
+		if b.shape == nil || b.cfg.kernel == nil {
+			t.Errorf("%s: no shape or no kernel", b.Name)
 		}
 	}
 	if parsec != 12 || splash != 13 {
