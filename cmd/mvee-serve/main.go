@@ -3,15 +3,15 @@
 // quarantine and hot replacement. It drives a configurable client load
 // through the gateway (the simulated kernels have no real network, so the
 // load generator is built in), optionally injects layout-targeted exploit
-// payloads mid-run, and prints the fleet-wide stats plus every quarantine
-// record.
+// payloads mid-run, and prints the fleet's report (admin.Report, the
+// /statusz page) at the end.
 //
 // Usage:
 //
 //	mvee-serve -pool 4 -variants 2 -agent woc -conns 16 -requests 50
 //	mvee-serve -pool 4 -attacks 2                    # inject 2 exploits mid-run
 //	mvee-serve -pool 2 -no-instrument -forensics     # §5.5 benign-divergence churn
-//	mvee-serve -pool 8 -dispatch least -policy sensitive
+//	mvee-serve -pool 8 -policy sensitive
 //	mvee-serve -pool 4 -evented -attacks 1           # event-driven (poll) serving mode
 //	mvee-serve -pool 2 -prefork -worker-procs 4      # multi-process (fork) serving mode
 //	mvee-serve -prefork -worker-threads 4 -reloads 3 # multi-threaded workers, 3 hot restarts under load
@@ -43,7 +43,6 @@ func main() {
 	variants := flag.Int("variants", 2, "variants per session")
 	agentName := flag.String("agent", "woc", "sync agent per session: to | po | woc | none")
 	policyName := flag.String("policy", "strict", "monitor policy: strict | sensitive")
-	dispatch := flag.String("dispatch", "rr", "gateway dispatch: rr | least")
 	conns := flag.Int("conns", 16, "concurrent gateway clients")
 	requests := flag.Int("requests", 50, "requests per client")
 	queueCap := flag.Int("queue", 256, "gateway queue bound (backpressure)")
@@ -58,11 +57,11 @@ func main() {
 	seed := flag.Int64("seed", 2028, "base diversity seed")
 	attacks := flag.Int("attacks", 0, "exploit payloads injected mid-run (forces -vulnerable)")
 	noInstrument := flag.Bool("no-instrument", false, "leave the custom spinlock uninstrumented (§5.5 benign-divergence churn)")
-	forensics := flag.Bool("forensics", false, "record sessions so quarantines carry a replayable trace")
+	forensics := flag.Bool("forensics", false, "record sessions (Session.Record) so quarantines carry a replayable trace")
 	adminAddr := flag.String("admin", "", "serve the admin plane (/metrics, /statusz, /api/snapshot, /debug/pprof) on this host:port")
 	linger := flag.Duration("linger", 0, "keep the fleet (and admin plane) up this long after the load completes")
 	inject := flag.String("inject", "", `chaos fault plan, e.g. "target=listener latency=+2ms error=3% short-reads seed=7" (';' separates rules)`)
-	timeScale := flag.Float64("time-scale", 1, "run the kernel clocks N x faster than wall time (scales injected latencies and kernel timeouts)")
+	timeScale := flag.Float64("time-scale", 1, "run the session clock N x faster than wall time (scales injected latencies, kernel timeouts and the request watchdog)")
 	flag.Parse()
 
 	if *pool < 1 {
@@ -103,7 +102,7 @@ func main() {
 	sess := core.Options{
 		Variants: *variants, Agent: kind, Policy: policy,
 		ASLR: true, DCL: true, Seed: *seed, MaxThreads: maxThreads,
-		TimeScale: *timeScale,
+		Clock: kernel.NewScaledClock(*timeScale), Record: *forensics,
 	}
 	plan, err := chaos.Parse(*inject)
 	if err != nil {
@@ -120,19 +119,12 @@ func main() {
 	fcfg := webserver.FleetConfig(wcfg, sess, *pool)
 	fcfg.QueueCap = *queueCap
 	fcfg.Workers = *workers
-	fcfg.Forensics = *forensics
-	if *timeScale > 0 && *timeScale != 1 {
-		// The request watchdog must tick on the same accelerated time the
-		// sessions run on, or a 10x-scaled injected latency could outlive
-		// a wall-clock RequestTimeout.
-		fcfg.Clock = kernel.NewScaledClock(*timeScale)
-	}
-	if strings.HasPrefix(*dispatch, "least") {
-		fcfg.Dispatch = fleet.LeastLoaded
-	}
 
 	fmt.Printf("warming %d sessions x %d variants (%s agent, %s policy)...\n",
 		*pool, *variants, *agentName, *policyName)
+	if injector != nil {
+		fmt.Printf("chaos plan: %s\n", plan)
+	}
 	f, err := fleet.New(fcfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -206,40 +198,7 @@ func main() {
 	wg.Wait()
 
 	fmt.Println()
-	fmt.Println("== fleet stats ==")
-	fmt.Print(fleet.StatsTable(f.Stats()))
-
-	if injector != nil {
-		snap := f.Snapshot()
-		fmt.Printf("\n== chaos ==\nplan: %s\nfaults injected: %d (latency %d, error %d, timeout %d, short %d)\n",
-			plan, snap.Faults.Total(), snap.Faults.Latency, snap.Faults.Errors,
-			snap.Faults.Timeouts, snap.Faults.Shorts)
-	}
-
-	if quars := f.Quarantined(); len(quars) > 0 {
-		fmt.Println("\n== quarantined sessions ==")
-		for i, q := range quars {
-			fmt.Printf("[%d] slot %d gen %d seed %d: served %d requests over %v (%d syscalls, %d sync ops)\n",
-				i, q.Slot, q.Gen, q.Seed, q.Served, q.Uptime.Round(time.Microsecond), q.Syscalls, q.SyncOps)
-			if q.Divergence != nil {
-				fmt.Printf("    %v\n", q.Divergence)
-			} else {
-				fmt.Printf("    program crash: %v\n", q.Panic)
-			}
-			if q.Trace != nil {
-				fmt.Printf("    forensic trace captured: replayable offline\n")
-			}
-		}
-	}
-	fmt.Println("\n== pool members ==")
-	for _, m := range f.Snapshot().Members {
-		state := "healthy"
-		if !m.Healthy {
-			state = "down"
-		}
-		fmt.Printf("slot %d: gen %d seed %-12d epoch %d/%-12d %-7s served %d\n",
-			m.Slot, m.Gen, m.Seed, m.Epoch, m.EpochSeed, state, m.Served)
-	}
+	fmt.Print(admin.Report(f.Snapshot()))
 
 	if *linger > 0 {
 		fmt.Printf("\nlingering %v for admin scrapes...\n", *linger)

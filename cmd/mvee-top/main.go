@@ -1,28 +1,27 @@
-// Command mvee-top renders a running fleet's syscall matrix and health
-// from its admin plane (mvee-serve -admin), one-shot or continuously:
+// Command mvee-top prints a running fleet's report (admin.Report, the
+// /statusz page) from its admin plane (mvee-serve -admin), one-shot or
+// continuously:
 //
-//	mvee-top -addr 127.0.0.1:9090            # one snapshot
+//	mvee-top -addr 127.0.0.1:9090            # one report
 //	mvee-top -addr 127.0.0.1:9090 -watch 1s  # refresh until interrupted
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"time"
-
-	"repro/internal/admin"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9090", "admin-plane address of a running mvee-serve")
-	watch := flag.Duration("watch", 0, "refresh interval (0 = render once and exit)")
+	watch := flag.Duration("watch", 0, "refresh interval (0 = print once and exit)")
 	flag.Parse()
 
 	for {
-		snap, err := fetch(*addr)
+		report, err := fetch(*addr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mvee-top:", err)
 			os.Exit(1)
@@ -30,7 +29,7 @@ func main() {
 		if *watch > 0 {
 			fmt.Print("\033[H\033[2J") // clear: top-style refresh
 		}
-		render(snap)
+		fmt.Print(report)
 		if *watch <= 0 {
 			return
 		}
@@ -38,51 +37,15 @@ func main() {
 	}
 }
 
-func fetch(addr string) (admin.Snapshot, error) {
-	var snap admin.Snapshot
-	resp, err := http.Get("http://" + addr + "/api/snapshot")
+func fetch(addr string) (string, error) {
+	resp, err := http.Get("http://" + addr + "/statusz")
 	if err != nil {
-		return snap, err
+		return "", err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return snap, fmt.Errorf("GET /api/snapshot: status %s", resp.Status)
+		return "", fmt.Errorf("GET /statusz: status %s", resp.Status)
 	}
-	return snap, json.NewDecoder(resp.Body).Decode(&snap)
-}
-
-func render(s admin.Snapshot) {
-	st := s.Stats
-	fmt.Printf("fleet up %.1fs: %d served (%.0f req/s), %d errors, %d rejected | %d healthy | div %d crash %d recycled %d\n",
-		st.UptimeSeconds, st.Served, st.Throughput, st.Errors, st.Rejected,
-		st.Healthy, st.Divergences, st.Crashes, st.Recycled)
-	fmt.Printf("request latency: p50 %v p90 %v p99 %v max %v (%d samples)\n",
-		time.Duration(st.LatencyP50Ns), time.Duration(st.LatencyP90Ns),
-		time.Duration(st.LatencyP99Ns), time.Duration(st.LatencyMaxNs), st.LatencyCount)
-	fmt.Printf("waits: ring parks %d, futex parks %d / wakes %d, batched appends %d (%d items)\n\n",
-		s.Ring.Parks, s.Futex.Parks, s.Futex.Wakes, s.Ring.AppendBatches, s.Ring.AppendItems)
-
-	for _, m := range s.Members {
-		state := "healthy"
-		if !m.Healthy {
-			state = "down"
-		}
-		fmt.Printf("slot %d gen %d: %-7s inflight %d served %d syscalls %d procs %d\n",
-			m.Slot, m.Gen, state, m.Inflight, m.Served, m.Syscalls, len(m.Procs))
-	}
-
-	fmt.Println()
-	fmt.Print(admin.MatrixTable(s.Telemetry))
-
-	if n := len(s.Quarantined); n > 0 {
-		fmt.Printf("\n%d quarantined session(s); latest:\n", n)
-		q := s.Quarantined[n-1]
-		fmt.Printf("  slot %d gen %d seed %d: %s\n", q.Slot, q.Gen, q.Seed, q.Reason)
-		for v, tail := range q.Flight {
-			if len(tail) == 0 {
-				continue
-			}
-			fmt.Printf("  variant %d flight tail ends: %s\n", v, tail[len(tail)-1])
-		}
-	}
+	body, err := io.ReadAll(resp.Body)
+	return string(body), err
 }

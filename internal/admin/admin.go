@@ -2,8 +2,8 @@
 // (real host networking, unlike the fleet's simulated kernels) exposing
 //
 //	/metrics       Prometheus text format, no external dependencies
-//	/statusz       human-readable fleet health, process tables, quarantine log
-//	/api/snapshot  the full fleet.Snapshot as JSON (what mvee-top consumes)
+//	/statusz       Report: fleet health, process tables, quarantine log (what mvee-top prints)
+//	/api/snapshot  the full fleet.Snapshot as JSON
 //	/reload        POST: fleet-wide zero-downtime hot restart (SIGHUP sweep)
 //	/debug/pprof/  the standard Go profiler endpoints
 //

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/admin"
 	"repro/internal/agent"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/variant"
@@ -19,10 +20,13 @@ import (
 
 const testSeed = 77
 
-func newServedFleet(t *testing.T, cfg webserver.Config, size int) (*fleet.Fleet, string) {
+func newServedFleet(t *testing.T, cfg webserver.Config, size int, tune func(*core.Options)) (*fleet.Fleet, string) {
 	t.Helper()
 	sess := core.Options{Variants: 2, Agent: agent.WallOfClocks, ASLR: true, DCL: true,
 		Seed: testSeed, MaxThreads: 64}
+	if tune != nil {
+		tune(&sess)
+	}
 	f, err := fleet.New(webserver.FleetConfig(cfg, sess, size))
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
@@ -55,7 +59,7 @@ func get(t *testing.T, addr, path string) string {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	f, addr := newServedFleet(t, webserver.Config{Port: 8080, PoolThreads: 2, InstrumentCustomSync: true}, 2)
+	f, addr := newServedFleet(t, webserver.Config{Port: 8080, PoolThreads: 2, InstrumentCustomSync: true}, 2, nil)
 	for r := 0; r < 10; r++ {
 		if _, err := f.Do([]byte("GET /")); err != nil {
 			t.Fatalf("request %d: %v", r, err)
@@ -86,12 +90,24 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestSnapshotEndpointRoundTrips: /api/snapshot carries every counter
+// /metrics and /statusz show, hot restarts and injected faults included.
+// The member is a prefork server, whose parent answers SIGHUP with a hot
+// restart, under a plan that delays every accept.
 func TestSnapshotEndpointRoundTrips(t *testing.T) {
-	f, addr := newServedFleet(t, webserver.Config{Port: 8080, PoolThreads: 2, InstrumentCustomSync: true}, 1)
+	plan, err := chaos.Parse("target=listener latency=+1us seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := webserver.Config{Port: 8080, InstrumentCustomSync: true, Prefork: true, Workers: 2}
+	f, addr := newServedFleet(t, cfg, 1, func(o *core.Options) { o.Inject = chaos.New(plan) })
 	for r := 0; r < 5; r++ {
 		if _, err := f.Do([]byte("GET /")); err != nil {
 			t.Fatalf("request %d: %v", r, err)
 		}
+	}
+	if n := f.Reload(); n != 1 {
+		t.Fatalf("Reload signalled %d members, want 1", n)
 	}
 	var snap admin.Snapshot
 	if err := json.Unmarshal([]byte(get(t, addr, "/api/snapshot")), &snap); err != nil {
@@ -106,6 +122,12 @@ func TestSnapshotEndpointRoundTrips(t *testing.T) {
 	if len(snap.Members[0].Procs) == 0 || len(snap.Members[0].Flight) == 0 {
 		t.Fatalf("member snapshot lacks procs/flight: %+v", snap.Members[0])
 	}
+	if snap.Stats.Reloads != 1 {
+		t.Errorf("snapshot reloads = %d, want 1", snap.Stats.Reloads)
+	}
+	if snap.Faults.Latency == 0 || snap.Faults.Total() != snap.Faults.Latency {
+		t.Errorf("snapshot faults = %+v, want latency faults only", snap.Faults)
+	}
 }
 
 // TestStatuszShowsQuarantineFlightTail is the divergence-forensics
@@ -114,7 +136,7 @@ func TestSnapshotEndpointRoundTrips(t *testing.T) {
 func TestStatuszShowsQuarantineFlightTail(t *testing.T) {
 	cfg := webserver.Config{Port: 8080, PoolThreads: 2, InstrumentCustomSync: true,
 		Vulnerable: true, PageSize: 1024}
-	f, addr := newServedFleet(t, cfg, 2)
+	f, addr := newServedFleet(t, cfg, 2, nil)
 	gadget := variant.NewSpace(0, variant.Options{ASLR: true, DCL: true, Seed: testSeed}).AllocCode(64)
 	if resp, err := f.Do([]byte(fmt.Sprintf("POST /upload %x", gadget))); err == nil && strings.Contains(string(resp), "PWNED") {
 		t.Fatalf("leak escaped: %q", resp)

@@ -1,7 +1,6 @@
 package admin
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/fleet"
@@ -14,17 +13,17 @@ import (
 // non-serializable parts flattened — Stats reduced to numbers (its
 // histogram becomes quantiles), Quarantine's Panic rendered to a string
 // and its Trace reduced to a presence bit (a trace can be megabytes; the
-// admin plane reports it, forensic replay consumes it in-process). Both
-// the /api/snapshot handler and cmd/mvee-top use this one type, so the
-// CLI decodes exactly what the server encodes.
+// admin plane reports it, forensic replay consumes it in-process). The
+// /api/snapshot handler encodes it; a client decodes the same type.
 type Snapshot struct {
-	Taken       time.Time              `json:"taken"`
-	Stats       Stats                  `json:"stats"`
-	Members     []fleet.MemberSnapshot `json:"members"`
-	Telemetry   *telemetry.Snapshot    `json:"telemetry,omitempty"`
-	Ring        ring.Metrics           `json:"ring"`
-	Futex       futex.Metrics          `json:"futex"`
-	Quarantined []QuarantineInfo       `json:"quarantined,omitempty"`
+	Taken       time.Time               `json:"taken"`
+	Stats       Stats                   `json:"stats"`
+	Members     []fleet.MemberSnapshot  `json:"members"`
+	Telemetry   *telemetry.Snapshot     `json:"telemetry,omitempty"`
+	Ring        ring.Metrics            `json:"ring"`
+	Futex       futex.Metrics           `json:"futex"`
+	Quarantined []QuarantineInfo        `json:"quarantined,omitempty"`
+	Faults      telemetry.FaultSnapshot `json:"faults"`
 }
 
 // Stats is the wire form of fleet.Stats.
@@ -36,6 +35,7 @@ type Stats struct {
 	Deadlocks     uint64  `json:"deadlocks"`
 	Crashes       uint64  `json:"crashes"`
 	Recycled      uint64  `json:"recycled"`
+	Reloads       uint64  `json:"reloads"`
 	Healthy       int     `json:"healthy"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Throughput    float64 `json:"throughput"`
@@ -71,6 +71,7 @@ func SnapshotJSON(s fleet.Snapshot) Snapshot {
 		Telemetry: s.Telemetry,
 		Ring:      s.Ring,
 		Futex:     s.Futex,
+		Faults:    s.Faults,
 		Stats: Stats{
 			Served:        s.Stats.Served,
 			Errors:        s.Stats.Errors,
@@ -79,6 +80,7 @@ func SnapshotJSON(s fleet.Snapshot) Snapshot {
 			Deadlocks:     s.Stats.Deadlocks,
 			Crashes:       s.Stats.Crashes,
 			Recycled:      s.Stats.Recycled,
+			Reloads:       s.Stats.Reloads,
 			Healthy:       s.Stats.Healthy,
 			UptimeSeconds: s.Stats.Uptime.Seconds(),
 			Throughput:    s.Stats.Throughput(),
@@ -91,23 +93,15 @@ func SnapshotJSON(s fleet.Snapshot) Snapshot {
 		},
 	}
 	for _, q := range s.Quarantined {
-		qi := QuarantineInfo{
+		out.Quarantined = append(out.Quarantined, QuarantineInfo{
 			Slot: q.Slot, Gen: q.Gen, Seed: q.Seed,
+			Kind: q.Kind(), Reason: q.Reason(),
 			Served: q.Served, Uptime: q.Uptime,
 			Syscalls: q.Syscalls, SyncOps: q.SyncOps,
 			HasTrace: q.Trace != nil,
 			Flight:   q.Flight,
 			When:     q.When,
-		}
-		switch {
-		case q.Divergence != nil:
-			qi.Kind, qi.Reason = "divergence", q.Divergence.Error()
-		case q.Deadlock != nil:
-			qi.Kind, qi.Reason = "deadlock", q.Deadlock.String()
-		default:
-			qi.Kind, qi.Reason = "crash", fmt.Sprint(q.Panic)
-		}
-		out.Quarantined = append(out.Quarantined, qi)
+		})
 	}
 	return out
 }

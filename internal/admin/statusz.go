@@ -11,14 +11,22 @@ import (
 	"repro/internal/telemetry"
 )
 
-// handleStatusz renders the human-facing health page: the fleet stats
-// table, every member's session and process-table detail, and the
-// quarantine log with each record's flight-recorder tails.
+// handleStatusz serves Report over one snapshot.
 func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
-	snap := s.fleet.Snapshot()
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Write([]byte(Report(s.fleet.Snapshot())))
+}
+
+// Report renders the fleet's human-facing health report from one snapshot:
+// the stats table, every member's session and process-table detail, the
+// merged syscall matrix, the chaos and wait counters, and the quarantine
+// log with each record's flight-recorder tails. It is the one renderer of
+// fleet state: /statusz serves it, mvee-serve prints it at the end of a
+// run, and mvee-top fetches it.
+func Report(snap fleet.Snapshot) string {
 	var b strings.Builder
 
-	fmt.Fprintf(&b, "== fleet ==\n%s\n", fleet.StatsTable(s.fleet.Stats()))
+	fmt.Fprintf(&b, "== fleet ==\n%s\n", fleet.StatsTable(snap.Stats))
 
 	fmt.Fprintf(&b, "\n== members ==\n")
 	for _, m := range snap.Members {
@@ -35,7 +43,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	}
 
 	if snap.Telemetry != nil {
-		fmt.Fprintf(&b, "\n== syscall matrix (merged) ==\n%s", MatrixTable(snap.Telemetry))
+		fmt.Fprintf(&b, "\n== syscall matrix (merged) ==\n%s", matrixTable(snap.Telemetry))
 	}
 
 	if snap.Faults.Total() > 0 {
@@ -51,17 +59,8 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	if len(snap.Quarantined) > 0 {
 		fmt.Fprintf(&b, "\n== quarantined sessions ==\n")
 		for i, q := range snap.Quarantined {
-			var reason string
-			switch {
-			case q.Divergence != nil:
-				reason = q.Divergence.Error()
-			case q.Deadlock != nil:
-				reason = q.Deadlock.String()
-			default:
-				reason = fmt.Sprintf("program crash: %v", q.Panic)
-			}
 			fmt.Fprintf(&b, "[%d] slot %d gen %d seed %d at %s\n    %s\n    served %d over %v (%d syscalls, %d sync ops)\n",
-				i, q.Slot, q.Gen, q.Seed, q.When.Format(time.RFC3339), reason,
+				i, q.Slot, q.Gen, q.Seed, q.When.Format(time.RFC3339), q.Reason(),
 				q.Served, q.Uptime.Round(time.Microsecond), q.Syscalls, q.SyncOps)
 			if q.Trace != nil {
 				fmt.Fprintf(&b, "    forensic trace captured (replayable offline)\n")
@@ -74,15 +73,13 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 	}
-
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write([]byte(b.String()))
+	return b.String()
 }
 
-// MatrixTable renders the merged syscall matrix as an aligned text table:
+// matrixTable renders the merged syscall matrix as an aligned text table:
 // one row per sysno with activity, count and sampled p50/p99 latency per
-// variant. Shared by /statusz and cmd/mvee-top.
-func MatrixTable(t *telemetry.Snapshot) string {
+// variant.
+func matrixTable(t *telemetry.Snapshot) string {
 	if t == nil || len(t.Cells) == 0 {
 		return "(no telemetry)\n"
 	}

@@ -265,9 +265,6 @@ func New(p *Plan) *Injector {
 // Injected reports how many calls have had at least one fault injected.
 func (in *Injector) Injected() uint64 { return in.injected.Load() }
 
-// Plan returns the injector's plan (for banner/echo output).
-func (in *Injector) Plan() *Plan { return in.plan }
-
 // Decide implements kernel.FaultInjector. It is nil-receiver safe, so a
 // nil *Injector stored in the interface (a disabled plan passed through
 // layers that don't check) decides nothing rather than crashing.

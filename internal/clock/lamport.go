@@ -1,6 +1,6 @@
 // Package clock provides the logical-clock machinery used by the MVEE.
 //
-// Three kinds of clocks appear in the paper:
+// Two kinds of clocks appear in the paper:
 //
 //   - A Lamport logical clock per monitor (the "syscall ordering clock",
 //     §4.1) that stamps ordered system calls in the master variant and is
@@ -10,8 +10,6 @@
 //     clock in the sense of Torres-Rojas and Ahamad: it never misses a
 //     happens-before edge, though hash collisions may introduce spurious
 //     ordering.
-//   - Vector clocks, used by tests as an independent oracle for
-//     happens-before relationships.
 package clock
 
 import (
@@ -32,22 +30,6 @@ func (c *Lamport) Now() uint64 { return c.t.Load() }
 // This matches the paper's usage: the master records the current time into
 // the buffer and then increments the clock.
 func (c *Lamport) Tick() uint64 { return c.t.Add(1) - 1 }
-
-// Advance sets the clock forward to at least t. It never moves the clock
-// backwards. Advance is used when merging timelines (Lamport's receive
-// rule): a monitor that observes a timestamp t updates its clock to
-// max(local, t).
-func (c *Lamport) Advance(t uint64) {
-	for {
-		cur := c.t.Load()
-		if cur >= t {
-			return
-		}
-		if c.t.CompareAndSwap(cur, t) {
-			return
-		}
-	}
-}
 
 // Waiting for a clock value is the caller's job, not this package's: the
 // replication paths test Now inline and hand the comparison to ring.Await

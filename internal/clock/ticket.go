@@ -23,6 +23,3 @@ type Tickets struct {
 
 // Take returns the next ticket (0, 1, 2, ...). Safe for concurrent use.
 func (t *Tickets) Take() uint64 { return t.n.Add(1) - 1 }
-
-// Issued returns how many tickets have been handed out.
-func (t *Tickets) Issued() uint64 { return t.n.Load() }

@@ -57,13 +57,6 @@ func (w *Wall) Tick(cid int) uint64 { return w.clocks[cid].Add(1) - 1 }
 // wocSlave.Before — and a closure-taking wait API here would allocate on
 // the per-sync-op path. The old WaitFor was removed for that reason.)
 
-// Reset zeroes every clock. Used when a wall is recycled between runs.
-func (w *Wall) Reset() {
-	for i := range w.clocks {
-		w.clocks[i].Store(0)
-	}
-}
-
 // mix is a 64-bit finalizer (splitmix64-style) providing cheap, well
 // distributed hashing of addresses onto clocks.
 func mix(x uint64) uint64 {

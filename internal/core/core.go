@@ -63,13 +63,10 @@ type Options struct {
 	// kernel: the chaos plane. Faults are decided once, in the master's
 	// execution of replicated calls, and replicated to every variant.
 	Inject kernel.FaultInjector
-	// Clock substitutes the kernel's time source (virtual time for
-	// deterministic tests). Nil keeps the default.
+	// Clock substitutes the kernel's time source: virtual time for
+	// deterministic tests, or kernel.NewScaledClock(n) for latency soaks
+	// on n× accelerated time. Nil keeps the wall clock.
 	Clock kernel.Clock
-	// TimeScale, when > 0 and != 1 and Clock is nil, runs the kernel on a
-	// clock that passes TimeScale× faster than wall time — the
-	// -time-scale knob for latency soaks.
-	TimeScale float64
 	// Record captures the session's nondeterminism (sync-op tickets and
 	// syscall records) into Result.Trace for later offline replay. It
 	// forces the wall-of-clocks agent.
@@ -212,8 +209,6 @@ func NewSession(opts Options, prog Program) *Session {
 	}
 	if opts.Clock != nil {
 		kern.SetClock(opts.Clock)
-	} else if opts.TimeScale > 0 && opts.TimeScale != 1 {
-		kern.SetClock(kernel.NewScaledClock(opts.TimeScale))
 	}
 	if opts.Inject != nil {
 		kern.SetInjector(opts.Inject)

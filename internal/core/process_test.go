@@ -353,26 +353,30 @@ func TestTwoPendingTerminatingSignals(t *testing.T) {
 	}
 }
 
+// awaitStat holds the calling guest thread until path exists. The polling
+// goes through replicated stat syscalls: the master's branch outcomes
+// replicate, so every variant's loop runs the same number of iterations —
+// polling kern.ReadFile directly from guest code would give each variant
+// its own timing and diverge.
+func awaitStat(th *Thread, path string) {
+	for {
+		if th.Syscall(kernel.SysStat, [6]uint64{}, []byte(path)).Ok() {
+			return
+		}
+		th.Syscall(kernel.SysNanosleep, [6]uint64{uint64(5e5)}, nil)
+	}
+}
+
+// touch creates path: the other side of awaitStat.
+func touch(th *Thread, path string) {
+	fd := th.Syscall(kernel.SysOpen, [6]uint64{kernel.OCreat | kernel.OWronly}, []byte(path)).Val
+	th.Syscall(kernel.SysClose, [6]uint64{fd}, nil)
+}
+
 func TestSigprocmaskDefersDelivery(t *testing.T) {
 	// A blocked signal stays pending across syscall boundaries; unblocking
 	// it delivers at the very next boundary (the sigprocmask return).
 	kern := kernel.New()
-	// Guest-side file polling goes through replicated stat syscalls: the
-	// master's branch outcomes replicate, so every variant's loop runs the
-	// same number of iterations — polling kern.ReadFile directly from
-	// guest code would give each variant its own timing and diverge.
-	await := func(th *Thread, path string) {
-		for {
-			if th.Syscall(kernel.SysStat, [6]uint64{}, []byte(path)).Ok() {
-				return
-			}
-			th.Syscall(kernel.SysNanosleep, [6]uint64{uint64(5e5)}, nil)
-		}
-	}
-	touch := func(th *Thread, path string) {
-		fd := th.Syscall(kernel.SysOpen, [6]uint64{kernel.OCreat | kernel.OWronly}, []byte(path)).Val
-		th.Syscall(kernel.SysClose, [6]uint64{fd}, nil)
-	}
 	prog := Program{Name: "mask-defer", Main: func(th *Thread) {
 		child := th.Fork(func(c *Thread) {
 			order := ""
@@ -382,7 +386,7 @@ func TestSigprocmaskDefersDelivery(t *testing.T) {
 			touch(c, "/masked")
 			// Boundaries pass with the signal blocked and pending: wait
 			// until the parent's kill has definitely landed.
-			await(c, "/killed")
+			awaitStat(c, "/killed")
 			order += "work"
 			c.Syscall(kernel.SysSigprocmask, [6]uint64{kernel.SigUnblock, 1 << kernel.SIGUSR1}, nil)
 			// Delivery happened at the unblock boundary, before this line.
@@ -390,7 +394,7 @@ func TestSigprocmaskDefersDelivery(t *testing.T) {
 			c.Syscall(kernel.SysWrite, [6]uint64{fd}, []byte(order))
 			c.Syscall(kernel.SysClose, [6]uint64{fd}, nil)
 		})
-		await(th, "/masked")
+		awaitStat(th, "/masked")
 		th.Kill(child.Pid, kernel.SIGUSR1)
 		touch(th, "/killed")
 		for {
@@ -406,6 +410,102 @@ func TestSigprocmaskDefersDelivery(t *testing.T) {
 	if data, _ := kern.ReadFile("/order"); string(data) != "worksignal" {
 		t.Fatalf("order = %q, want \"worksignal\" (delivery deferred past the masked region)", data)
 	}
+}
+
+// TestIgnoredSignalsAreDiscarded covers SIG_IGN (Thread.IgnoreSignal): a
+// signal a process ignores is discarded, whether it arrives while ignored
+// or was already pending when the process chose to ignore it.
+func TestIgnoredSignalsAreDiscarded(t *testing.T) {
+	// waitStatus reaps the one child and returns its exit status.
+	waitStatus := func(th *Thread) int {
+		for {
+			_, st, errno := th.Wait()
+			if errno != kernel.EINTR {
+				return st
+			}
+		}
+	}
+	t.Run("kill-while-ignored", func(t *testing.T) {
+		// SIGTERM ends a process by default. Ignored, a kill of it neither
+		// ends the child nor EINTRs the read it is parked in: the read
+		// returns the parent's bytes and the child exits 0.
+		status := -1
+		prog := Program{Name: "sigign-kill", Main: func(th *Thread) {
+			pr := th.Syscall(kernel.SysPipe2, [6]uint64{}, nil)
+			rfd, wfd := pr.Val, pr.Val2
+			child := th.Fork(func(c *Thread) {
+				if !c.IgnoreSignal(kernel.SIGTERM) {
+					c.Exit(4)
+				}
+				r := c.Syscall(kernel.SysRead, [6]uint64{rfd, 16}, nil)
+				switch {
+				case r.Err == kernel.EINTR:
+					c.Exit(2)
+				case !r.Ok() || string(r.Data) != "go":
+					c.Exit(3)
+				}
+				c.Exit(0)
+			})
+			awaitParkedReaders(th, rfd)
+			if errno := th.Kill(child.Pid, kernel.SIGTERM); errno != kernel.OK {
+				t.Errorf("kill: %v", errno)
+			}
+			// The kill kicked the parked reader. A delivered SIGTERM would
+			// end the child, or EINTR its read, while the pipe is still
+			// empty; this sleep gives it the time to.
+			th.Syscall(kernel.SysNanosleep, [6]uint64{uint64(5e6)}, nil)
+			th.Syscall(kernel.SysWrite, [6]uint64{wfd}, []byte("go"))
+			if st := waitStatus(th); th.IsMaster() {
+				status = st
+			}
+		}}
+		res := runWithTimeout(t, Options{Variants: 2, Agent: agent.WallOfClocks, ASLR: true, Seed: 3}, prog)
+		if res.Divergence != nil {
+			t.Fatalf("diverged: %v", res.Divergence)
+		}
+		if status != 0 {
+			t.Fatalf("child status = %d, want 0 (2: read EINTRed, %d: SIGTERM delivered)", status, 128+kernel.SIGTERM)
+		}
+	})
+	t.Run("ignore-discards-pending", func(t *testing.T) {
+		// A SIGUSR1 that is pending while blocked is discarded when the
+		// process ignores it, so a handler installed afterwards and then
+		// unblocked never runs.
+		status := -1
+		prog := Program{Name: "sigign-pending", Main: func(th *Thread) {
+			child := th.Fork(func(c *Thread) {
+				ran := false
+				c.Syscall(kernel.SysSigprocmask, [6]uint64{kernel.SigBlock, 1 << kernel.SIGUSR1}, nil)
+				touch(c, "/masked")
+				awaitStat(c, "/killed") // SIGUSR1 is pending and blocked
+				c.IgnoreSignal(kernel.SIGUSR1)
+				c.Sigaction(kernel.SIGUSR1, func(*Thread, int) { ran = true })
+				// The unblock's return is a boundary: a SIGUSR1 still
+				// pending would be delivered there, or at the getpid.
+				c.Syscall(kernel.SysSigprocmask, [6]uint64{kernel.SigUnblock, 1 << kernel.SIGUSR1}, nil)
+				c.Getpid()
+				if ran {
+					c.Exit(2)
+				}
+				c.Exit(0)
+			})
+			awaitStat(th, "/masked")
+			if errno := th.Kill(child.Pid, kernel.SIGUSR1); errno != kernel.OK {
+				t.Errorf("kill: %v", errno)
+			}
+			touch(th, "/killed")
+			if st := waitStatus(th); th.IsMaster() {
+				status = st
+			}
+		}}
+		res := runWithTimeout(t, Options{Variants: 2, Agent: agent.WallOfClocks}, prog)
+		if res.Divergence != nil {
+			t.Fatalf("diverged: %v", res.Divergence)
+		}
+		if status != 0 {
+			t.Fatalf("child status = %d, want 0 (2: the handler ran for a signal sent before SIG_IGN)", status)
+		}
+	})
 }
 
 func TestForkSharesDescriptionsAcrossProcesses(t *testing.T) {

@@ -25,18 +25,6 @@ func (t *Thread) NewSyncVar() *SyncVar {
 	return &SyncVar{addr: t.vs.space.AllocData(4)}
 }
 
-// NewSyncVars allocates n adjacent synchronization variables (modelling a
-// struct of sync fields; adjacent 32-bit vars may share a wall clock,
-// §4.5).
-func (t *Thread) NewSyncVars(n int) []*SyncVar {
-	base := t.vs.space.AllocData(uint64(4 * n))
-	vars := make([]*SyncVar, n)
-	for i := range vars {
-		vars[i] = &SyncVar{addr: base + uint64(4*i)}
-	}
-	return vars
-}
-
 // CAS is an instrumented compare-and-swap (a LOCK CMPXCHG, type (i)).
 func (t *Thread) CAS(v *SyncVar, old, new uint32) bool {
 	t.vs.agent.Before(t.ID, v.addr)

@@ -102,10 +102,3 @@ func (s *Scheduler) passLocked() {
 	s.holder = next
 	s.cond.Broadcast()
 }
-
-// Holder reports the current token holder (for tests).
-func (s *Scheduler) Holder() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.holder
-}

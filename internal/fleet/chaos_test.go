@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admin"
 	"repro/internal/chaos"
 	"repro/internal/fleet"
 	"repro/internal/kernel"
@@ -55,57 +56,18 @@ func TestChaosSoak(t *testing.T) {
 	sess := sessOpts()
 	sess.Telemetry = true
 	sess.Inject = injector
-	sess.TimeScale = 10
-	fc := webserver.FleetConfig(cfg, sess, pool)
-	// The request watchdog must tick on the same accelerated time the
-	// session kernels run on.
-	fc.Clock = kernel.NewScaledClock(10)
-	f, err := fleet.New(fc)
+	// One accelerated clock drives the session kernels and the gateway's
+	// request watchdog.
+	sess.Clock = kernel.NewScaledClock(10)
+	f, err := fleet.New(webserver.FleetConfig(cfg, sess, pool))
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
 	defer f.Close()
 
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < requests; r++ {
-				req := []byte("GET /")
-				if r%8 == 7 {
-					req = []byte("GET /count")
-				}
-				// Chaos makes individual request failures legitimate (an
-				// injected reset mid-response surfaces as a gateway error);
-				// the counters below are what must stay clean.
-				f.Do(req)
-			}
-		}()
-	}
-	// The kill storm, interleaved with the load: each kill takes down the
-	// serving worker after it responds, and the parent's waitpid loop
-	// re-forks a replacement while the surviving workers keep serving.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for k := 0; k < kills; k++ {
-			req := []byte("GET /quit")
-			if k%2 == 1 {
-				req = []byte("GET /killme")
-			}
-			f.Do(req)
-		}
-	}()
-	wg.Wait()
-
+	storm(f, clients, requests, kills, nil)
 	s := f.Stats()
-	if s.Divergences != 0 {
-		t.Fatalf("chaos soak diverged %d times: %+v\nquarantines: %+v", s.Divergences, s, f.Quarantined())
-	}
-	if s.Crashes != 0 {
-		t.Fatalf("chaos soak crashed %d sessions: %+v\nquarantines: %+v", s.Crashes, s, f.Quarantined())
-	}
+	checkNoQuarantines(t, f, "chaos soak")
 	if s.Served == 0 {
 		t.Fatal("nothing was served — the storm killed the fleet outright")
 	}
@@ -118,18 +80,74 @@ func TestChaosSoak(t *testing.T) {
 	// zombies, and at most one descriptor — the shared listener — per
 	// process (slave-variant procs hold zero: replicated descriptor calls
 	// execute only in the master's process). Anything above that is a
-	// leaked proc or fd from the kill/re-fork churn; poll briefly, since
-	// the last re-fork may still be in flight.
-	wantProcs := sessOpts().Variants * (1 + workers)
+	// leaked proc or fd from the kill/re-fork churn.
+	awaitLeakFree(t, f, sessOpts().Variants*(1+workers))
+}
+
+// storm runs, concurrently, clients × requests gateway requests (every
+// 8th probes /count), a kill storm of kills requests that take down the
+// serving worker after it responds (/quit exits, /killme SIGTERMs; the
+// parent's waitpid loop re-forks a replacement while the surviving
+// workers keep serving), and extra when it is not nil, and waits for all
+// of them. Chaos makes individual request failures legitimate (an
+// injected reset mid-response surfaces as a gateway error); the counters
+// are what must stay clean.
+func storm(f *fleet.Fleet, clients, requests, kills int, extra func()) {
+	var wg sync.WaitGroup
+	run := func(fn func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn()
+		}()
+	}
+	for c := 0; c < clients; c++ {
+		run(func() {
+			for r := 0; r < requests; r++ {
+				req := []byte("GET /")
+				if r%8 == 7 {
+					req = []byte("GET /count")
+				}
+				f.Do(req)
+			}
+		})
+	}
+	run(func() {
+		for k := 0; k < kills; k++ {
+			req := []byte("GET /quit")
+			if k%2 == 1 {
+				req = []byte("GET /killme")
+			}
+			f.Do(req)
+		}
+	})
+	if extra != nil {
+		run(extra)
+	}
+	wg.Wait()
+}
+
+// checkNoQuarantines fails the test, with the fleet's report, when any
+// session diverged or crashed.
+func checkNoQuarantines(t *testing.T, f *fleet.Fleet, what string) {
+	t.Helper()
+	if s := f.Stats(); s.Divergences != 0 || s.Crashes != 0 {
+		t.Fatalf("%s: %d divergences, %d crashes\n%s", what, s.Divergences, s.Crashes, admin.Report(f.Snapshot()))
+	}
+}
+
+// awaitLeakFree polls until leakReport finds nothing — the last re-fork
+// may still be in flight — and fails with the fleet's report after 30 s.
+func awaitLeakFree(t *testing.T, f *fleet.Fleet, wantProcs int) {
+	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	var last string
 	for {
-		last = leakReport(f.Snapshot(), wantProcs)
+		last := leakReport(f.Snapshot(), wantProcs)
 		if last == "" {
-			break
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("fleet never quiesced leak-free: %s\n%s", last, procTable(f.Snapshot()))
+			t.Fatalf("fleet never quiesced leak-free: %s\n%s", last, admin.Report(f.Snapshot()))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -159,19 +177,6 @@ func leakReport(snap fleet.Snapshot, wantProcs int) string {
 		}
 	}
 	return ""
-}
-
-// procTable renders every member's process table for failure messages.
-func procTable(snap fleet.Snapshot) string {
-	var b []byte
-	for _, m := range snap.Members {
-		b = fmt.Appendf(b, "slot %d gen %d:\n", m.Slot, m.Gen)
-		for _, p := range m.Procs {
-			b = fmt.Appendf(b, "  pid %-5d vpid %-3d parent %-3d %-8s fds %d\n",
-				p.Pid, p.Vpid, p.Parent, p.State, p.OpenFDs)
-		}
-	}
-	return string(b)
 }
 
 // TestReloadUnderChaos drives hot restarts THROUGH the storm: while the
@@ -204,60 +209,24 @@ func TestReloadUnderChaos(t *testing.T) {
 
 	sess := sessOpts()
 	sess.Inject = injector
-	sess.TimeScale = 10
-	fc := webserver.FleetConfig(cfg, sess, pool)
-	fc.Clock = kernel.NewScaledClock(10)
-	f, err := fleet.New(fc)
+	sess.Clock = kernel.NewScaledClock(10)
+	f, err := fleet.New(webserver.FleetConfig(cfg, sess, pool))
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
 	defer f.Close()
 
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < requests; r++ {
-				req := []byte("GET /")
-				if r%8 == 7 {
-					req = []byte("GET /count")
-				}
-				f.Do(req)
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for k := 0; k < kills; k++ {
-			req := []byte("GET /quit")
-			if k%2 == 1 {
-				req = []byte("GET /killme")
-			}
-			f.Do(req)
-		}
-	}()
 	// The reload sweeps, fired while the load and the kill storm are both
 	// in full swing: each one lands at the parents' next waitpid boundary
 	// and starts an epoch swap mid-churn.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	storm(f, clients, requests, kills, func() {
 		for r := 0; r < reloads; r++ {
 			time.Sleep(2 * time.Millisecond)
 			f.Reload()
 		}
-	}()
-	wg.Wait()
-
+	})
 	s := f.Stats()
-	if s.Divergences != 0 {
-		t.Fatalf("reload-under-chaos diverged %d times: %+v\nquarantines: %+v", s.Divergences, s, f.Quarantined())
-	}
-	if s.Crashes != 0 {
-		t.Fatalf("reload-under-chaos crashed %d sessions: %+v\nquarantines: %+v", s.Crashes, s, f.Quarantined())
-	}
+	checkNoQuarantines(t, f, "reload under chaos")
 	if s.Served == 0 {
 		t.Fatal("nothing was served through the reload storm")
 	}
@@ -267,18 +236,7 @@ func TestReloadUnderChaos(t *testing.T) {
 
 	// Same leak-free quiescence bar as the plain soak: the displaced
 	// generations must drain completely even though they died mid-churn.
-	wantProcs := sessOpts().Variants * (1 + workers)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if leakReport(f.Snapshot(), wantProcs) == "" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fleet never quiesced leak-free after reloads: %s\n%s",
-				leakReport(f.Snapshot(), wantProcs), procTable(f.Snapshot()))
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitLeakFree(t, f, sessOpts().Variants*(1+workers))
 	// Every member advanced its worker generation (back-to-back SIGHUPs
 	// may coalesce while a parent is mid-swap, so >= 1 is the guarantee;
 	// the sweep counter above pins the exact number of sweeps).

@@ -7,13 +7,13 @@
 //
 // The fleet owns the whole session lifecycle. Members are spawned warm
 // (the gateway only dispatches to a member once its listener answers),
-// requests are dispatched round-robin or least-loaded, the gateway queue
-// is bounded so overload surfaces as backpressure instead of unbounded
-// memory growth, and Close drains gracefully. When the monitor kills a
-// session because its variants diverged — an attack, or a §5.5-style
+// requests are dispatched round-robin, the gateway queue is bounded so
+// overload surfaces as backpressure instead of unbounded memory growth,
+// and Close drains gracefully. When the monitor kills a session because
+// its variants diverged — an attack, or a §5.5-style
 // uninstrumented synchronization primitive — the fleet quarantines the
 // session (capturing the monitor.Divergence and the session's forensic
-// counters, plus the full execution trace when Config.Forensics is set)
+// counters, plus the full execution trace when Session.Record is set)
 // and hot-replaces it with a fresh session so the pool keeps serving. The
 // replacement is re-randomized: its diversity seed differs from the
 // quarantined session's, so a layout leak that let an attacker divert one
@@ -33,17 +33,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Dispatch selects how the gateway spreads requests over healthy members.
-type Dispatch int
-
-const (
-	// RoundRobin cycles through the healthy members in slot order.
-	RoundRobin Dispatch = iota
-	// LeastLoaded picks the healthy member with the fewest in-flight
-	// requests.
-	LeastLoaded
-)
-
 const (
 	// spawnTimeout bounds how long a spawned member may take to start
 	// listening, and how long a request waits for a healthy member while
@@ -54,8 +43,8 @@ const (
 	// maxQuarantined caps the retained quarantine records (oldest are
 	// dropped first) so a long-lived pool under divergence churn does not
 	// grow without bound — each record can pin a full execution trace
-	// under Forensics. The divergence/crash/recycle counters keep counting
-	// past the cap.
+	// under Session.Record. The divergence/crash/recycle counters keep
+	// counting past the cap.
 	maxQuarantined = 64
 )
 
@@ -67,15 +56,19 @@ type Config struct {
 	// diversity). Session.Seed seeds slot 0's initial layout; respawned
 	// sessions are re-randomized (see recycle.go). Session.Kernel must be
 	// nil: every member owns a private kernel, which is what lets all
-	// members listen on the same Port without colliding.
+	// members listen on the same Port without colliding. Session.Clock
+	// drives the member kernels and the gateway's request watchdog alike,
+	// so a RequestTimeout tightens with an accelerated (scaled) clock; nil
+	// is the wall clock. Session.Record makes every quarantine carry the
+	// session's execution trace, replayable offline with core Replay; it
+	// forces the wall-of-clocks agent and costs memory proportional to
+	// session activity, so leave it off for long-lived pools.
 	Session core.Options
 	// Program is the server program every session runs. It must listen on
 	// Port and serve one response per accepted connection.
 	Program core.Program
 	// Port is the port the program listens on inside each session kernel.
 	Port uint16
-	// Dispatch selects the member-selection policy.
-	Dispatch Dispatch
 	// QueueCap bounds the gateway queue; a full queue rejects TryDo with
 	// ErrOverloaded and blocks Do (backpressure). Default 256.
 	QueueCap int
@@ -90,18 +83,6 @@ type Config struct {
 	// DrainTimeout bounds the per-member session join during Close;
 	// members still running after it are killed. Default 30s.
 	DrainTimeout time.Duration
-	// Clock is the time source for the gateway's request watchdog. It
-	// defaults to the wall clock; chaos soaks running their sessions at
-	// -time-scale N install the matching scaled clock here so the
-	// watchdog's RequestTimeout tightens in proportion to the (scaled)
-	// injected latencies it guards against.
-	Clock kernel.Clock
-	// Forensics records every session (core.Options.Record) so a
-	// quarantined session's Quarantine carries the full execution trace,
-	// replayable offline with core Replay. Recording forces the
-	// wall-of-clocks agent and costs memory proportional to session
-	// activity; leave it off for long-lived pools.
-	Forensics bool
 }
 
 func (c *Config) fill() error {
@@ -132,12 +113,9 @@ func (c *Config) fill() error {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
-	if c.Clock == nil {
-		c.Clock = kernel.RealClock()
+	if c.Session.Clock == nil {
+		c.Session.Clock = kernel.RealClock()
 	}
-	// Forensics implies recording; a caller-set Session.Record is
-	// honored either way (the trace then lands in Quarantine.Trace).
-	c.Session.Record = c.Session.Record || c.Forensics
 	// The fleet always runs its sessions with telemetry: the syscall
 	// matrix and flight recorders are what the admin plane and the
 	// quarantine forensics are built on, and the per-call cost is one
@@ -322,28 +300,16 @@ func (f *Fleet) awaitListener(m *member) bool {
 	}
 }
 
-// pick returns a healthy member not in tried, or nil. See Dispatch.
+// pick returns the next healthy member not in tried, round-robin in slot
+// order, or nil.
 func (f *Fleet) pick(tried map[*member]bool) *member {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	if f.cfg.Dispatch == LeastLoaded {
-		var best *member
-		var bestLoad int64
-		for _, m := range f.slots {
-			if m == nil || tried[m] || !m.healthy.Load() {
-				continue
-			}
-			if l := m.inflight.Load(); best == nil || l < bestLoad {
-				best, bestLoad = m, l
-			}
-		}
-		return best
-	}
 	n := len(f.slots)
 	at := int(f.rr.Add(1)-1) % n
 	for i := 0; i < n; i++ {
 		m := f.slots[(at+i)%n]
-		if m != nil && !tried[m] && m.healthy.Load() {
+		if !tried[m] && m.healthy.Load() {
 			return m
 		}
 	}
@@ -376,21 +342,27 @@ type MemberInfo struct {
 	Served   uint64
 }
 
-// Members returns a snapshot of every pool slot.
-func (f *Fleet) Members() []MemberInfo {
+func (m *member) info() MemberInfo {
+	return MemberInfo{
+		Slot: m.slot, Gen: m.gen, Seed: m.seed,
+		Healthy:  m.healthy.Load(),
+		Inflight: m.inflight.Load(),
+		Served:   m.served.Load(),
+	}
+}
+
+// members returns the slots' current members, in slot order.
+func (f *Fleet) members() []*member {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	out := make([]MemberInfo, 0, len(f.slots))
-	for _, m := range f.slots {
-		if m == nil {
-			continue
-		}
-		out = append(out, MemberInfo{
-			Slot: m.slot, Gen: m.gen, Seed: m.seed,
-			Healthy:  m.healthy.Load(),
-			Inflight: m.inflight.Load(),
-			Served:   m.served.Load(),
-		})
+	return append([]*member(nil), f.slots...)
+}
+
+// Members returns a snapshot of every pool slot.
+func (f *Fleet) Members() []MemberInfo {
+	var out []MemberInfo
+	for _, m := range f.members() {
+		out = append(out, m.info())
 	}
 	return out
 }
@@ -436,13 +408,11 @@ func (f *Fleet) Stats() Stats {
 		snap := f.shards[i].h.Snapshot()
 		s.Latency.Merge(&snap)
 	}
-	f.mu.RLock()
-	for _, m := range f.slots {
-		if m != nil && m.healthy.Load() {
+	for _, m := range f.members() {
+		if m.healthy.Load() {
 			s.Healthy++
 		}
 	}
-	f.mu.RUnlock()
 	return s
 }
 
@@ -454,15 +424,9 @@ func (f *Fleet) Stats() Stats {
 // only graceful for programs that handle SIGHUP; a member program with the
 // default disposition terminates instead.
 func (f *Fleet) Reload() int {
-	f.mu.RLock()
-	slots := append([]*member(nil), f.slots...)
-	f.mu.RUnlock()
 	n := 0
-	for _, m := range slots {
-		if m == nil || !m.healthy.Load() {
-			continue
-		}
-		if m.sess.Signal(kernel.SIGHUP) {
+	for _, m := range f.members() {
+		if m.healthy.Load() && m.sess.Signal(kernel.SIGHUP) {
 			n++
 		}
 	}
@@ -485,13 +449,7 @@ func (f *Fleet) Close() {
 	// the closed flip above (see Do), so after this wait the queue is
 	// provably empty.
 	f.wg.Wait()
-	f.mu.RLock()
-	slots := append([]*member(nil), f.slots...)
-	f.mu.RUnlock()
-	for _, m := range slots {
-		if m == nil {
-			continue
-		}
+	for _, m := range f.members() {
 		m.healthy.Store(false)
 		<-m.ready
 		m.sess.Kernel().CloseListener(f.cfg.Port)

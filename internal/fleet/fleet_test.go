@@ -202,11 +202,11 @@ func TestFleetQuarantinesInjectedDivergence(t *testing.T) {
 // TestFleetRecyclesBenignDivergence reproduces the paper's §5.5 negative
 // result inside the fleet: with the nginx-style custom spinlock left
 // uninstrumented, traffic causes a benign divergence; the pool must
-// quarantine the diverged session (with a forensic trace, since Forensics
-// is on), record the divergence, respawn, and continue serving.
+// quarantine the diverged session (with a forensic trace, since its
+// sessions record), record the divergence, respawn, and continue serving.
 func TestFleetRecyclesBenignDivergence(t *testing.T) {
 	cfg := webserver.Config{Port: 8080, PoolThreads: 4, InstrumentCustomSync: false}
-	f := newTestFleet(t, cfg, 2, func(fc *fleet.Config) { fc.Forensics = true })
+	f := newTestFleet(t, cfg, 2, func(fc *fleet.Config) { fc.Session.Record = true })
 
 	// Hammer the endpoint that exposes the custom-lock-protected counter
 	// until some session's variants drift apart.
@@ -231,7 +231,7 @@ func TestFleetRecyclesBenignDivergence(t *testing.T) {
 		t.Fatalf("quarantine without divergence verdict: %+v", q)
 	}
 	if q.Trace == nil {
-		t.Fatalf("Forensics fleet did not capture the execution trace: %+v", q)
+		t.Fatalf("recording fleet did not capture the execution trace: %+v", q)
 	}
 	if q.Trace.Program != "nginx-sim" {
 		t.Fatalf("trace names %q", q.Trace.Program)
@@ -550,29 +550,6 @@ func TestFleetRequestTimeoutUnwedgesHungMember(t *testing.T) {
 	}
 	if el := time.Since(start); el > 5*time.Second {
 		t.Fatalf("watchdog did not fire: request took %v", el)
-	}
-}
-
-// TestFleetLeastLoadedDispatch sanity-checks the alternative policy end
-// to end.
-func TestFleetLeastLoadedDispatch(t *testing.T) {
-	cfg := webserver.Config{Port: 8080, PoolThreads: 2, InstrumentCustomSync: true, PageSize: 512}
-	f := newTestFleet(t, cfg, 3, func(fc *fleet.Config) { fc.Dispatch = fleet.LeastLoaded })
-	var wg sync.WaitGroup
-	for c := 0; c < 6; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < 10; r++ {
-				if _, err := f.Do([]byte("GET /")); err != nil {
-					t.Errorf("least-loaded request: %v", err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if s := f.Stats(); s.Served < 60 {
-		t.Fatalf("served %d < 60", s.Served)
 	}
 }
 

@@ -220,7 +220,7 @@ func (f *Fleet) tryMember(m *member, req, scratch []byte) ([]byte, error, bool) 
 	if errno != kernel.OK {
 		return nil, fmt.Errorf("fleet: connect to slot %d (gen %d): %w", m.slot, m.gen, errno), true
 	}
-	watchdog := f.cfg.Clock.AfterFunc(f.cfg.RequestTimeout, cc.Close)
+	watchdog := f.cfg.Session.Clock.AfterFunc(f.cfg.RequestTimeout, cc.Close)
 	defer watchdog.Stop()
 	defer cc.Close()
 	if _, err := cc.Write(req); err != nil {
@@ -234,8 +234,8 @@ func (f *Fleet) tryMember(m *member, req, scratch []byte) ([]byte, error, bool) 
 	return append([]byte(nil), scratch[:n]...), nil, false
 }
 
-// StatsTable renders the fleet stats as an aligned table (for
-// cmd/mvee-serve and /statusz). Every Stats field appears: the counters,
+// StatsTable renders the fleet stats as an aligned table (the head of
+// admin.Report). Every Stats field appears: the counters,
 // the uptime, and the latency histogram's sample count, mean, quantiles,
 // and max.
 func StatsTable(s Stats) string {

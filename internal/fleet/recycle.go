@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -14,7 +15,7 @@ import (
 // detector proved it permanently wedged: enough to
 // attribute the death (which slot, which generation, which layout seed),
 // to judge its blast radius (requests served, uptime, syscall and
-// sync-op volume), and — when the fleet runs with Config.Forensics — to
+// sync-op volume), and — when the fleet's sessions run with Record — to
 // re-execute the whole session offline via core's Replay support.
 type Quarantine struct {
 	Slot int // pool slot the session occupied
@@ -36,7 +37,7 @@ type Quarantine struct {
 	Uptime   time.Duration
 	Syscalls uint64
 	SyncOps  uint64
-	// Trace is the recorded execution (nil unless Config.Forensics):
+	// Trace is the recorded execution (nil unless Session.Record):
 	// replaying it deterministically reproduces the run that diverged.
 	Trace *trace.Trace
 	// Flight is each variant's flight-recorder tail, frozen by the monitor
@@ -44,6 +45,29 @@ type Quarantine struct {
 	// oldest first (see internal/telemetry).
 	Flight [][]telemetry.FlightRecord
 	When   time.Time
+}
+
+// Kind names what killed the session: "divergence", "deadlock" or "crash".
+func (q *Quarantine) Kind() string {
+	kind, _ := q.verdict()
+	return kind
+}
+
+// Reason renders the verdict of Kind: the monitor's divergence, the
+// detector's wait-for report, or the program's panic.
+func (q *Quarantine) Reason() string {
+	_, reason := q.verdict()
+	return reason
+}
+
+func (q *Quarantine) verdict() (kind, reason string) {
+	switch {
+	case q.Divergence != nil:
+		return "divergence", q.Divergence.Error()
+	case q.Deadlock != nil:
+		return "deadlock", q.Deadlock.String()
+	}
+	return "crash", fmt.Sprintf("program crash: %v", q.Panic)
 }
 
 // quarantine captures the diverged member's forensic record.
@@ -61,10 +85,10 @@ func (f *Fleet) quarantine(m *member, res *core.Result) {
 		Flight:     res.Flight,
 		When:       time.Now(),
 	}
-	switch {
-	case res.Divergence != nil:
+	switch q.Kind() {
+	case "divergence":
 		f.divergences.Add(1)
-	case res.Deadlock != nil:
+	case "deadlock":
 		f.deadlocks.Add(1)
 	default:
 		f.crashes.Add(1)

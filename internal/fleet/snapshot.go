@@ -58,24 +58,11 @@ func (f *Fleet) Snapshot() Snapshot {
 		Futex:       futex.ReadMetrics(),
 		Quarantined: f.Quarantined(),
 	}
-	f.mu.RLock()
-	members := make([]*member, 0, len(f.slots))
-	for _, m := range f.slots {
-		if m != nil {
-			members = append(members, m)
-		}
-	}
-	f.mu.RUnlock()
-	for _, m := range members {
+	for _, m := range f.members() {
 		ms := MemberSnapshot{
-			MemberInfo: MemberInfo{
-				Slot: m.slot, Gen: m.gen, Seed: m.seed,
-				Healthy:  m.healthy.Load(),
-				Inflight: m.inflight.Load(),
-				Served:   m.served.Load(),
-			},
-			Syscalls: m.sess.Monitor().Syscalls(0),
-			Procs:    m.sess.Kernel().Snapshot(),
+			MemberInfo: m.info(),
+			Syscalls:   m.sess.Monitor().Syscalls(0),
+			Procs:      m.sess.Kernel().Snapshot(),
 		}
 		if b, ok := m.sess.Kernel().ReadFile(EpochFile); ok {
 			if e, seed, _, valid := ParseEpochState(b); valid {

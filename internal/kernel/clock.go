@@ -10,9 +10,9 @@ import (
 // nanosleep, poll timeouts, gettimeofday, fault-injection delays — reads
 // time and arms timers through this interface instead of the time package,
 // so tests and soaks can substitute virtual or accelerated time for wall
-// time. The fleet watchdog accepts a Clock too, which is what lets a whole
-// chaos soak run at -time-scale 10 without dilating the test's real-time
-// budget.
+// time. The fleet's request watchdog arms its timers on the session Clock
+// too, which is what lets a whole chaos soak run at -time-scale 10 without
+// dilating the test's real-time budget.
 type Clock interface {
 	// Now returns the current instant on this clock.
 	Now() time.Time

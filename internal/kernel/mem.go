@@ -92,10 +92,3 @@ func (as *AddressSpace) Mapped(addr uint64) bool {
 	}
 	return false
 }
-
-// Regions returns the number of live mmap regions (for tests).
-func (as *AddressSpace) Regions() int {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	return len(as.regions)
-}

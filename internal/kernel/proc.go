@@ -371,10 +371,6 @@ func (p *Proc) NextTid() int { return p.tids.take() }
 // inherit the board.
 func (p *Proc) SetBlockBoard(b *BlockBoard) { p.board = b }
 
-// Board returns the process's deadlock board (nil when disarmed). The core
-// layer uses it to register futex sleeps, which happen outside the kernel.
-func (p *Proc) Board() *BlockBoard { return p.board }
-
 // blk builds the calling thread's blocker (block.go) for the sleep sites
 // of one call. A plain value on the caller's stack: no allocation.
 func (p *Proc) blk(tid, fd int) blocker { return blocker{p: p, tid: tid, fd: fd} }

@@ -369,23 +369,3 @@ func (k *Kernel) ApplySlaveWait(p *Proc, pid int) {
 	}
 	child.autoReap = true
 }
-
-// Zombies reports how many unreaped zombies p currently has (for tests).
-func (p *Proc) Zombies() int {
-	p.kern.treeMu.Lock()
-	defer p.kern.treeMu.Unlock()
-	n := 0
-	for _, c := range p.children {
-		if c.state == procZombie {
-			n++
-		}
-	}
-	return n
-}
-
-// Children reports how many live or zombie children p has (for tests).
-func (p *Proc) Children() int {
-	p.kern.treeMu.Lock()
-	defer p.kern.treeMu.Unlock()
-	return len(p.children)
-}

@@ -125,7 +125,6 @@ func (d *Divergence) Error() string {
 
 // Config sizes a Monitor.
 type Config struct {
-	Variants   int
 	MaxThreads int
 	RingCap    int
 	Policy     Policy
@@ -347,7 +346,6 @@ type Monitor struct {
 // kernel process.
 func New(kern *kernel.Kernel, procs []*kernel.Proc, cfg Config) *Monitor {
 	cfg.fill()
-	cfg.Variants = len(procs)
 	m := &Monitor{
 		cfg:      cfg,
 		kern:     kern,
@@ -357,7 +355,7 @@ func New(kern *kernel.Kernel, procs []*kernel.Proc, cfg Config) *Monitor {
 		unmon:    make([]counter, len(procs)),
 	}
 	m.replay = cfg.Replay != nil
-	m.publish = cfg.Variants > 1 || cfg.Capture
+	m.publish = len(procs) > 1 || cfg.Capture
 	// Clocks: one per variant; replay additionally needs the "slave"
 	// clock at index 1.
 	m.clocks = make([]orderClock, len(procs))
@@ -366,7 +364,7 @@ func New(kern *kernel.Kernel, procs []*kernel.Proc, cfg Config) *Monitor {
 	}
 	m.clockParks = make([]futex.Parker, len(m.clocks))
 	if cfg.Telemetry {
-		// Sized by len(m.clocks), not cfg.Variants: replay runs a single
+		// Sized by len(m.clocks), not len(procs): replay runs a single
 		// variant through the slave path under variant index 1.
 		m.tel = telemetry.New(len(m.clocks))
 	}
@@ -487,7 +485,7 @@ func (m *Monitor) lockstepped(cls class) bool {
 }
 
 // Variants returns the number of variants under supervision.
-func (m *Monitor) Variants() int { return m.cfg.Variants }
+func (m *Monitor) Variants() int { return len(m.procs) }
 
 // Policy returns the comparison policy.
 func (m *Monitor) Policy() Policy { return m.cfg.Policy }
@@ -733,7 +731,7 @@ func (m *Monitor) submitDigest(v, tid int, call *kernel.Call, exit bool) {
 // cursor advances: once the cursor passes it the slave may overwrite the
 // slot, and the arena slot a spilled payload lives in, with its next digest.
 func (m *Monitor) awaitDigests(tid int, call *kernel.Call, cls class, exit bool) {
-	for g := 0; g < m.cfg.Variants-1; g++ {
+	for g := 0; g < len(m.procs)-1; g++ {
 		ib := m.inbox(g, tid)
 		// The master is the inbox's only consumer, so its read position is
 		// the inbox cursor: a word on a line only this thread writes.
@@ -773,19 +771,33 @@ func (m *Monitor) validateDigest(v, tid int, call *kernel.Call, cls class, exit 
 	if exit {
 		return nil
 	}
-	if call.Nr != d.Nr {
-		return fail("system call number mismatch")
+	if reason := mismatch(call, d.Nr, &d.Args, d.Payload(), true); reason != "" {
+		return fail(reason)
+	}
+	return nil
+}
+
+// mismatch is the one comparison of a variant's call against the master's
+// (a slave's digest, or a record against a slave's call): the syscall
+// number, then, when full, the arguments argMask selects and the payload.
+// It returns the divergence reason, or "" when the calls agree.
+func mismatch(call *kernel.Call, nr kernel.Sysno, args *[6]uint64, payload []byte, full bool) string {
+	if call.Nr != nr {
+		return "system call number mismatch"
+	}
+	if !full {
+		return ""
 	}
 	mask := argMask(call.Nr)
 	for i := 0; i < 6; i++ {
-		if mask&(1<<i) != 0 && call.Args[i] != d.Args[i] {
-			return fail(fmt.Sprintf("argument %d mismatch", i))
+		if mask&(1<<i) != 0 && call.Args[i] != args[i] {
+			return fmt.Sprintf("argument %d mismatch", i)
 		}
 	}
-	if !bytes.Equal(call.Data, d.Payload()) {
-		return fail("payload mismatch")
+	if !bytes.Equal(call.Data, payload) {
+		return "payload mismatch"
 	}
-	return nil
+	return ""
 }
 
 // awaitTurn blocks until variant v's copy of the syscall ordering clock
@@ -838,7 +850,7 @@ func (m *Monitor) passTurn(v int) {
 // real-time order of master execution, which is what keeps the slaves'
 // replay deadlock-free.
 func (m *Monitor) enter(tid int, call *kernel.Call, cls class) (ts uint64, late bool) {
-	if m.cfg.Variants > 1 && m.lockstepped(cls) {
+	if len(m.procs) > 1 && m.lockstepped(cls) {
 		if late = cls.pure && call.Buf == nil; !late {
 			m.awaitDigests(tid, call, cls, false)
 		}
@@ -1182,20 +1194,9 @@ func (m *Monitor) compare(v, tid int, call *kernel.Call, rec *Record, cls class)
 	if rec.Exit {
 		return fail("slave issued a system call where master's thread exited")
 	}
-	if call.Nr != rec.Nr {
-		return fail("system call number mismatch")
-	}
-	if m.cfg.Policy == PolicySecuritySensitive && !cls.sensitive {
-		return nil
-	}
-	mask := argMask(call.Nr)
-	for i := 0; i < 6; i++ {
-		if mask&(1<<i) != 0 && call.Args[i] != rec.Args[i] {
-			return fail(fmt.Sprintf("argument %d mismatch", i))
-		}
-	}
-	if !bytes.Equal(call.Data, rec.Payload()) {
-		return fail("payload mismatch")
+	full := m.cfg.Policy != PolicySecuritySensitive || cls.sensitive
+	if reason := mismatch(call, rec.Nr, &rec.Args, rec.Payload(), full); reason != "" {
+		return fail(reason)
 	}
 	return nil
 }

@@ -114,9 +114,6 @@ func NewLog[T any](capacity, groups int) *Log[T] {
 // Cap returns the capacity of the log.
 func (l *Log[T]) Cap() int { return len(l.slots) }
 
-// Groups returns the number of consumer groups.
-func (l *Log[T]) Groups() int { return len(l.cursors) }
-
 // Append publishes v and returns its sequence number. Append blocks (spins,
 // then backs off) while the slot it needs is still unread by the slowest
 // consumer group; this is the back-pressure a bounded shared ring applies

@@ -153,12 +153,6 @@ type (
 // NewFleet builds the pool, warms every session, and starts the gateway.
 var NewFleet = fleet.New
 
-// The gateway dispatch policies.
-const (
-	FleetRoundRobin  = fleet.RoundRobin
-	FleetLeastLoaded = fleet.LeastLoaded
-)
-
 // NewSession prepares a session without starting it; use it when the test
 // or tool needs the Kernel (to seed files or connect clients) before and
 // after the run.
