@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/futex"
 	"repro/internal/ring"
-	"repro/internal/shm"
 )
 
 // Kind selects a replication strategy.
@@ -109,32 +108,6 @@ type Config struct {
 	MaxThreads int // maximum logical threads per variant
 	BufCap     int // sync buffer capacity (entries)
 	WallSize   int // number of clocks for WallOfClocks (power of two)
-	// Registry, if non-nil, is the System-V-style shared memory namespace
-	// the sync buffers are published in: the monitor creates the
-	// segments, each variant's agent attaches (§4.5), and the segments
-	// are mapped at non-overlapping addresses per variant (§5.4).
-	Registry *shm.Registry
-}
-
-// SyncBufferKey is the IPC key under which an exchange publishes its sync
-// buffers.
-const SyncBufferKey shm.Key = 0x53594e43 // "SYNC"
-
-// publishBuffers registers the exchange's shared state in the registry and
-// attaches every variant at a distinct address.
-func publishBuffers(cfg Config, payload any, size int) {
-	if cfg.Registry == nil {
-		return
-	}
-	if _, err := cfg.Registry.Create(SyncBufferKey, size, payload); err != nil {
-		return // already published (exchange recreated on same registry)
-	}
-	for v := 0; v <= cfg.Slaves; v++ {
-		// Non-overlapping mappings: the monitor "does ensure that each
-		// buffer is mapped at different, non-overlapping addresses in
-		// all variants" (§5.4).
-		cfg.Registry.Attach(SyncBufferKey, v, 0x7f00_0000_0000+uint64(v)*0x10_0000_0000)
-	}
 }
 
 func (c *Config) fill() {

@@ -46,7 +46,6 @@ func newTOExchange(cfg Config, partial bool) *orderExchange {
 	for g := range ex.groups {
 		ex.groups[g] = &poGroup{consumed: make(map[uint64]bool)}
 	}
-	publishBuffers(cfg, ex.log, cfg.BufCap*16)
 	return ex
 }
 

@@ -65,7 +65,6 @@ func newWoCExchange(cfg Config) *wocExchange {
 	for g := range ex.walls {
 		ex.walls[g] = clock.NewWall(cfg.WallSize)
 	}
-	publishBuffers(cfg, ex.bufs, cfg.MaxThreads*cfg.BufCap*12)
 	return ex
 }
 

@@ -19,7 +19,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/monitor"
 	"repro/internal/ring"
-	"repro/internal/shm"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/variant"
@@ -151,7 +150,6 @@ type Session struct {
 	kern  *kernel.Kernel
 	mon   *monitor.Monitor
 	ex    agent.Exchange
-	ipc   *shm.Registry
 	cap   *agent.Capture
 	vars  []*variantState
 	dl    *deadlockState
@@ -249,13 +247,11 @@ func NewSession(opts Options, prog Program) *Session {
 		mcfg.Replay = opts.Replay.Syscalls
 	}
 	s.mon = monitor.New(kern, procs, mcfg)
-	s.ipc = &shm.Registry{}
 	acfg := agent.Config{
 		Slaves:     opts.Variants - 1,
 		MaxThreads: opts.MaxThreads,
 		BufCap:     opts.SyncBufCap,
 		WallSize:   opts.WallSize,
-		Registry:   s.ipc,
 	}
 	switch {
 	case opts.Replay != nil:
@@ -334,10 +330,6 @@ func (s *Session) Monitor() *monitor.Monitor { return s.mon }
 // Telemetry exposes the session's telemetry recorder (nil unless
 // Options.Telemetry was set).
 func (s *Session) Telemetry() *telemetry.Recorder { return s.mon.Telemetry() }
-
-// IPC exposes the session's shared-memory namespace, where the agent
-// exchange publishes its sync buffers (§4.5).
-func (s *Session) IPC() *shm.Registry { return s.ipc }
 
 // Start launches the program in all variants and returns immediately;
 // Wait collects the outcome. Calling Start more than once is a no-op.
@@ -539,36 +531,23 @@ func (t *Thread) run(fn func(*Thread)) {
 	// false deadlock.
 	defer t.board().ThreadExit(t.ID)
 	defer func() {
-		if r := recover(); r != nil {
-			switch r {
-			case monitor.ErrKilled, agent.ErrStopped, ring.ErrStopped, ErrVariantKilled:
-				return // session teardown; exit quietly
-			default:
-				switch rv := r.(type) {
-				case procExit:
-					// Process termination (Thread.Exit, or a terminating
-					// signal delivered at a syscall boundary): perform the
-					// kernel exit and the thread-exit rendezvous. Both are
-					// monitored events at a deterministic position, so
-					// master and slaves unwind at the same point.
-					t.finishProc(rv.status)
-					return
-				case threadKill:
-					// Exit-group: a sibling ended the process; this thread
-					// retires itself without touching the exit status.
-					t.finishThread()
-					return
-				}
-				// A genuine program panic: record it, tear the session
-				// down, and unwind quietly — a library must not crash
-				// the embedding process for a program bug.
-				t.sess.panicMu.Lock()
-				if t.sess.panicVal == nil {
-					t.sess.panicVal = r
-				}
-				t.sess.panicMu.Unlock()
-				t.sess.mon.Kill(nil)
+		r := recover()
+		if r == nil {
+			return
+		}
+		switch nr, arg, ok := exitCall(r); {
+		case nr != kernel.SysInvalid:
+			t.finish(nr, arg)
+		case !ok:
+			// A genuine program panic: record it, tear the session
+			// down, and unwind quietly — a library must not crash the
+			// embedding process for a program bug.
+			t.sess.panicMu.Lock()
+			if t.sess.panicVal == nil {
+				t.sess.panicVal = r
 			}
+			t.sess.panicMu.Unlock()
+			t.sess.mon.Kill(nil)
 		}
 	}()
 	fn(t)
@@ -587,49 +566,44 @@ func (t *Thread) run(fn func(*Thread)) {
 	t.sess.mon.ThreadExit(t.vs.id, t.ID)
 }
 
-// finishProc performs the kernel process exit and the thread-exit
-// rendezvous from inside the trampoline's recover; session-teardown panics
-// raised by either are swallowed (the session is dying anyway, and a panic
-// escaping a deferred function would crash the embedder).
-func (t *Thread) finishProc(status int) {
-	defer func() {
-		r := recover()
-		switch r {
-		case nil, monitor.ErrKilled, agent.ErrStopped, ring.ErrStopped, ErrVariantKilled:
-			return
-		}
-		switch r.(type) {
-		case procExit, threadKill:
-			// A second terminating signal (or the exit-group marker)
-			// delivered at the exit boundary: the process is already dying,
-			// so the repeat is moot — and re-panicking here would escape
-			// the trampoline's recover and crash the embedder.
-			return
-		}
-		panic(r)
-	}()
-	t.syscall(kernel.SysExit, uint64(status))
-	t.sess.mon.ThreadExit(t.vs.id, t.ID)
+// exitCall classifies a value recovered in a vthread. The session's
+// teardown panics (kill, agent or ring stop, an interrupted futex wait)
+// return ok with nr SysInvalid: the session is dying, and the thread
+// unwinds with nothing left to do. procExit (Thread.Exit, or a terminating
+// signal delivered at a syscall boundary) returns the process exit with its
+// status; threadKill (a sibling ended the process) returns the thread exit.
+// Anything else is a program panic: ok is false.
+func exitCall(r any) (nr kernel.Sysno, arg uint64, ok bool) {
+	switch rv := r.(type) {
+	case procExit:
+		return kernel.SysExit, uint64(rv.status), true
+	case threadKill:
+		return kernel.SysThreadExit, 0, true
+	}
+	switch r {
+	case monitor.ErrKilled, agent.ErrStopped, ring.ErrStopped, ErrVariantKilled:
+		return kernel.SysInvalid, 0, true
+	}
+	return kernel.SysInvalid, 0, false
 }
 
-// finishThread is finishProc for a thread retired by exit-group: it issues
-// the thread-exit syscall (the last sibling's completes the process's
-// zombie transition kernel-side) and the monitor rendezvous, swallowing
-// session-teardown panics like finishProc does.
-func (t *Thread) finishThread() {
+// finish issues the exit syscall nr and the thread-exit rendezvous from
+// inside the trampoline's recover. Both are monitored events at a
+// deterministic position, so master and slaves unwind at the same point;
+// the last sibling's thread exit completes the process's zombie transition
+// kernel-side. Control-flow panics raised by either are swallowed: the
+// session or the process is already dying (a second terminating signal at
+// the exit boundary is moot), and a panic escaping a deferred function
+// would crash the embedder.
+func (t *Thread) finish(nr kernel.Sysno, arg uint64) {
 	defer func() {
-		r := recover()
-		switch r {
-		case nil, monitor.ErrKilled, agent.ErrStopped, ring.ErrStopped, ErrVariantKilled:
-			return
+		if r := recover(); r != nil {
+			if _, _, ok := exitCall(r); !ok {
+				panic(r)
+			}
 		}
-		switch r.(type) {
-		case procExit, threadKill:
-			return
-		}
-		panic(r)
 	}()
-	t.syscall(kernel.SysThreadExit)
+	t.syscall(nr, arg)
 	t.sess.mon.ThreadExit(t.vs.id, t.ID)
 }
 

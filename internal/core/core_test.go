@@ -430,38 +430,6 @@ func TestManyThreadsManyLocks(t *testing.T) {
 	}
 }
 
-func TestSyncBuffersPublishedInSharedMemory(t *testing.T) {
-	// §4.5: the agents attach to the sync buffers through the System V
-	// interface, and §5.4: the buffer is mapped at different,
-	// non-overlapping addresses in all variants.
-	prog := Program{Name: "shm-probe", Main: func(th *Thread) {
-		v := th.NewSyncVar()
-		th.Store(v, 1)
-	}}
-	s := NewSession(Options{Variants: 3, Agent: agent.WallOfClocks}, prog)
-	seg, err := s.IPC().Get(agent.SyncBufferKey)
-	if err != nil {
-		t.Fatalf("sync buffer segment missing: %v", err)
-	}
-	if seg.Attached() != 3 {
-		t.Fatalf("segment attached %d times, want 3", seg.Attached())
-	}
-	addrs := map[uint64]bool{}
-	for v := 0; v < 3; v++ {
-		a := seg.AddrIn(v)
-		if a == 0 {
-			t.Fatalf("variant %d not attached", v)
-		}
-		if addrs[a] {
-			t.Fatalf("variants share mapping address %#x", a)
-		}
-		addrs[a] = true
-	}
-	if res := s.Run(); res.Divergence != nil {
-		t.Fatalf("divergence: %v", res.Divergence)
-	}
-}
-
 func TestWallCollisionsStillCorrect(t *testing.T) {
 	// §4.5: hash collisions map unrelated variables onto one clock, which
 	// "introduces unnecessary serialization and hence potentially also

@@ -94,29 +94,48 @@ func (t *Thread) RefreshLayout(seed int64) {
 }
 
 // FutexWait blocks until a FutexWake on v, provided v still holds val
-// (sys_futex FUTEX_WAIT). Futexes are per variant and unordered — the
-// agents already order all the sync ops around them (§4.1, footnote 5).
+// (sys_futex FUTEX_WAIT). The check of v and the enqueue are one sync op,
+// bracketed by the agent like a CAS; the sleep runs outside the order. So
+// every variant checks v at the master's position and queues behind the
+// waiters the master's queue held (§4.1, footnote 5; DESIGN §4).
 // After waking, callers must re-check their predicate; the session may be
 // tearing down, which the next instrumented op or syscall will surface.
 func (t *Thread) FutexWait(v *SyncVar, val uint32) {
 	t.checkKilled()
-	if b := t.board(); b != nil {
-		// Register the blocking site before the wait: the board's watcher
-		// validates the registration against the futex table's waiter count,
-		// so a Wait that returns immediately (value already changed) is
-		// never counted as asleep.
+	t.vs.agent.Before(t.ID, v.addr)
+	woken := t.vs.futex.Register(&v.word, val)
+	t.vs.agent.After(t.ID, v.addr)
+	if woken != nil {
+		// The deadlock board validates its cells against the table's
+		// waiter count, so a wake that lands before the cell reads as a
+		// wake in flight, never as a sleeper.
+		b := t.board()
 		b.FutexPark(t.ID, v.addr, t.vs.futex, &v.word)
-		t.vs.futex.Wait(&v.word, val)
+		<-woken
 		b.FutexUnpark(t.ID)
-	} else {
-		t.vs.futex.Wait(&v.word, val)
 	}
 	t.checkKilled()
 }
 
-// FutexWake wakes up to n waiters on v (sys_futex FUTEX_WAKE).
+// FutexWake wakes up to n waiters on v, oldest first (sys_futex
+// FUTEX_WAKE). The wake is an ordered sync op, so it releases the waiters
+// the master's wake released.
 func (t *Thread) FutexWake(v *SyncVar, n int) int {
-	return t.vs.futex.Wake(&v.word, n)
+	t.vs.agent.Before(t.ID, v.addr)
+	k := t.vs.futex.Wake(&v.word, n)
+	t.vs.agent.After(t.ID, v.addr)
+	return k
+}
+
+// AddWake adds delta to v and wakes up to n of its futex waiters, oldest
+// first, as one sync op: FUTEX_WAKE_OP's shape, for a primitive that
+// publishes a change and wakes its sleepers (Cond.Signal,
+// Semaphore.Release) with one ticket instead of two.
+func (t *Thread) AddWake(v *SyncVar, delta uint32, n int) {
+	t.vs.agent.Before(t.ID, v.addr)
+	v.word.Add(delta)
+	t.vs.futex.Wake(&v.word, n)
+	t.vs.agent.After(t.ID, v.addr)
 }
 
 func (t *Thread) checkKilled() {

@@ -90,28 +90,47 @@ func (t *Table) release(w *atomic.Uint32, q *queue) {
 	t.mu.Unlock()
 }
 
+// Register is FUTEX_WAIT's check-and-enqueue step without the sleep. If
+// *w != val it returns nil (EAGAIN). Otherwise it queues the caller as w's
+// newest waiter and returns the channel the Wake that releases it (or
+// InterruptAll) closes; the caller sleeps by receiving from it. Splitting
+// the step from the sleep lets a caller order the check and the enqueue
+// against other accesses to w without holding that order while it sleeps.
+func (t *Table) Register(w *atomic.Uint32, val uint32) <-chan struct{} {
+	q := t.acquire(w)
+	q.mu.Lock()
+	var ch chan struct{}
+	switch {
+	case w.Load() != val: // EAGAIN: ch stays nil
+	case q.interrupted:
+		ch = interrupted
+	default:
+		ch = make(chan struct{})
+		q.waiters = append(q.waiters, ch)
+	}
+	q.mu.Unlock()
+	// A registered waiter keeps the queue in the table (release only
+	// removes empty queues); whoever pops it last removes the queue.
+	t.release(w, q)
+	return ch
+}
+
+// interrupted is the already-closed channel Register hands out once the
+// table has been interrupted.
+var interrupted = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
 // Wait blocks the caller until a Wake on w, provided *w == val at entry.
 // It returns true if it was registered (and subsequently woken or
 // interrupted), false if the value had already changed (EAGAIN).
 func (t *Table) Wait(w *atomic.Uint32, val uint32) bool {
-	q := t.acquire(w)
-	q.mu.Lock()
-	if w.Load() != val {
-		q.mu.Unlock()
-		t.release(w, q)
+	ch := t.Register(w, val)
+	if ch == nil {
 		return false
 	}
-	if q.interrupted {
-		q.mu.Unlock()
-		t.release(w, q)
-		return true
-	}
-	ch := make(chan struct{})
-	q.waiters = append(q.waiters, ch)
-	q.mu.Unlock()
-	// The registered waiter keeps the queue in the table (release only
-	// removes empty queues); whoever pops it last removes the queue.
-	t.release(w, q)
 	<-ch
 	return true
 }

@@ -1,11 +1,20 @@
 package futex
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
+
+// waitFor yields until cond holds. The tests order themselves on the
+// queues' observable state (Table.Waiters, Parker.Waiters), never on a
+// sleep that only usually suffices.
+func waitFor(cond func() bool) {
+	for !cond() {
+		runtime.Gosched()
+	}
+}
 
 func TestWaitReturnsFalseOnChangedValue(t *testing.T) {
 	var tbl Table
@@ -23,10 +32,7 @@ func TestWaitWake(t *testing.T) {
 	go func() {
 		done <- tbl.Wait(&w, 0)
 	}()
-	// Wait for the waiter to park.
-	for tbl.Waiters(&w) == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(func() bool { return tbl.Waiters(&w) == 1 })
 	w.Store(1)
 	if n := tbl.Wake(&w, 1); n != 1 {
 		t.Fatalf("Wake released %d, want 1", n)
@@ -56,9 +62,7 @@ func TestWakeN(t *testing.T) {
 			woken.Done()
 		}()
 	}
-	for tbl.Waiters(&w) < waiters {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(func() bool { return tbl.Waiters(&w) == waiters })
 	if n := tbl.Wake(&w, 2); n != 2 {
 		t.Fatalf("Wake(2) released %d", n)
 	}
@@ -76,19 +80,42 @@ func TestDistinctWordsAreIndependent(t *testing.T) {
 		tbl.Wait(&w1, 0)
 		close(released)
 	}()
-	for tbl.Waiters(&w1) == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(func() bool { return tbl.Waiters(&w1) == 1 })
 	if n := tbl.Wake(&w2, 1); n != 0 {
 		t.Fatalf("Wake on w2 released a waiter on w1")
 	}
-	select {
-	case <-released:
-		t.Fatal("waiter on w1 released by wake on w2")
-	case <-time.After(10 * time.Millisecond):
+	// Wake dequeues the waiters it releases before it returns, so a waiter
+	// still queued on w1 was not released.
+	if n := tbl.Waiters(&w1); n != 1 {
+		t.Fatalf("%d waiters left on w1 after a wake on w2, want 1", n)
 	}
 	tbl.Wake(&w1, 1)
 	<-released
+}
+
+// Wake(w, 1) releases the oldest waiter. A mutex or semaphore that wakes
+// one relies on it: with futex waits replayed in the master's order, the
+// oldest waiter is the same thread in every variant.
+func TestWakeOneReleasesInRegistrationOrder(t *testing.T) {
+	var tbl Table
+	var w atomic.Uint32
+	const waiters = 4
+	released := make(chan int, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			tbl.Wait(&w, 0)
+			released <- i
+		}()
+		waitFor(func() bool { return tbl.Waiters(&w) == i+1 })
+	}
+	for i := 0; i < waiters; i++ {
+		if n := tbl.Wake(&w, 1); n != 1 {
+			t.Fatalf("Wake(1) released %d, want 1", n)
+		}
+		if got := <-released; got != i {
+			t.Fatalf("wake %d released waiter %d, want %d (registration order)", i, got, i)
+		}
+	}
 }
 
 // A miniature mutex built on the futex, locking/unlocking under heavy

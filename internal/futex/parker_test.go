@@ -26,9 +26,7 @@ func TestTableRemovesDrainedQueues(t *testing.T) {
 		}
 		for i := range words {
 			w := &words[i]
-			for tbl.Waiters(w) == 0 {
-				time.Sleep(time.Millisecond)
-			}
+			waitFor(func() bool { return tbl.Waiters(w) == 1 })
 		}
 		for i := range words {
 			tbl.WakeAll(&words[i])
@@ -66,9 +64,7 @@ func TestTableInterruptAllDropsQueues(t *testing.T) {
 		tbl.Wait(&w, 0)
 		close(done)
 	}()
-	for tbl.Waiters(&w) == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(func() bool { return tbl.Waiters(&w) == 1 })
 	tbl.InterruptAll()
 	<-done
 	if n := tbl.Queues(); n != 0 {
@@ -171,9 +167,7 @@ func TestParkerBroadcast(t *testing.T) {
 		}()
 	}
 	// Let most of them actually park before the flag flips.
-	for p.Waiters() < n/2 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(func() bool { return p.Waiters() >= n/2 })
 	flag.Store(true)
 	p.Wake()
 	wg.Wait()

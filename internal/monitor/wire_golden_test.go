@@ -11,8 +11,9 @@ import (
 	"repro/internal/trace"
 )
 
-// TestRecordWireGolden locks the trace.Version 5 record encoding
-// byte-for-byte. The wire layout (wire.go) is
+// TestRecordWireGolden locks the trace.Version 6 record encoding
+// byte-for-byte (version 6 changed the sync-op stream, not these bytes,
+// which are version 5's). The wire layout (wire.go) is
 //
 //	u32 Nr | 6×u64 Args | u64 Val | u64 Val2 | u32 Err | u32 Sig |
 //	u8 Inj | u32 len(Data) | Data | u64 Ts | u8 flags | u32 plen | payload
@@ -21,8 +22,8 @@ import (
 // widened without bumping trace.Version — shows up here as a byte diff, not
 // as a silently unreadable trace three sessions later.
 func TestRecordWireGolden(t *testing.T) {
-	if trace.Version != 5 {
-		t.Fatalf("trace.Version = %d; this golden pins version 5 — record a new golden alongside the bump", trace.Version)
+	if trace.Version != 6 {
+		t.Fatalf("trace.Version = %d; this golden pins version 6 — record a new golden alongside the bump", trace.Version)
 	}
 
 	r := monitor.Record{
@@ -65,7 +66,7 @@ func TestRecordWireGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("v5 record encoding drifted:\n got  %s\n want %s",
+		t.Fatalf("v6 record encoding drifted:\n got  %s\n want %s",
 			hex.EncodeToString(got), hex.EncodeToString(want))
 	}
 

@@ -50,18 +50,13 @@ func (m *Mutex) TryLock(t *core.Thread) bool {
 	return false
 }
 
-// Unlock releases m and wakes the waiters if contention was announced.
-//
-// All waiters are woken, not one. Under record/replay, a single wake can be
-// consumed by a thread whose replay ticket is not yet due, leaving the
-// thread whose ticket IS due asleep with no further wake coming — a replay
-// deadlock. Waking everyone keeps the master semantically correct (every
-// waiter re-runs the acquire protocol) and guarantees slave liveness: the
-// due thread is always among the woken.
+// Unlock releases m and, if contention was announced, wakes one waiter:
+// the oldest, which is the same thread in every variant because futex
+// waits and wakes replay in the master's order.
 func (m *Mutex) Unlock(t *core.Thread) {
 	t.NoteRelease(m.w.Addr())
 	if t.Xchg(m.w, 0) == 2 {
-		t.FutexWake(m.w, 1<<30)
+		t.FutexWake(m.w, 1)
 	}
 }
 
@@ -115,18 +110,14 @@ func (c *Cond) Wait(t *core.Thread, m *Mutex) {
 	m.Lock(t)
 }
 
-// Signal wakes at least one waiter. At the futex level all sleepers are
-// released (see Mutex.Unlock for why); pthreads permits spurious wakeups,
-// so callers' predicate loops absorb the extra wakeups.
+// Signal wakes one waiter.
 func (c *Cond) Signal(t *core.Thread) {
-	t.Add(c.seq, 1)
-	t.FutexWake(c.seq, 1<<30)
+	t.AddWake(c.seq, 1, 1)
 }
 
 // Broadcast wakes all waiters.
 func (c *Cond) Broadcast(t *core.Thread) {
-	t.Add(c.seq, 1)
-	t.FutexWake(c.seq, 1<<30)
+	t.AddWake(c.seq, 1, 1<<30)
 }
 
 // Barrier blocks parties threads until all have arrived — the phase
@@ -152,8 +143,7 @@ func (b *Barrier) Wait(t *core.Thread) {
 	if t.Add(b.count, 1) == b.parties {
 		// Last arriver: reset the count, advance the generation, wake.
 		t.Store(b.count, 0)
-		t.Add(b.gen, 1)
-		t.FutexWake(b.gen, 1<<30)
+		t.AddWake(b.gen, 1, 1<<30)
 		return
 	}
 	for t.Load(b.gen) == gen {
@@ -195,11 +185,9 @@ func (s *Semaphore) TryAcquire(t *core.Thread) bool {
 	return c > 0 && t.CAS(s.v, c, c-1)
 }
 
-// Release increments the semaphore and wakes the waiters (all, for replay
-// liveness; see Mutex.Unlock).
+// Release increments the semaphore and wakes one waiter.
 func (s *Semaphore) Release(t *core.Thread) {
-	t.Add(s.v, 1)
-	t.FutexWake(s.v, 1<<30)
+	t.AddWake(s.v, 1, 1)
 }
 
 // RWMutex is a writer-preference-free read-write lock built from a mutex
@@ -231,8 +219,7 @@ func (rw *RWMutex) RLock(t *core.Thread) {
 func (rw *RWMutex) RUnlock(t *core.Thread) {
 	t.NoteRelease(rw.rzero.Addr())
 	if t.Add(rw.readers, ^uint32(0)) == 0 { // decrement
-		t.Add(rw.rzero, 1)
-		t.FutexWake(rw.rzero, 1<<30)
+		t.AddWake(rw.rzero, 1, 1<<30)
 	}
 }
 

@@ -28,7 +28,9 @@ import (
 // vectored/zero-copy transfer calls). The record layout is unchanged; the
 // bump exists because Sysno values ARE the wire format, and a v4 reader
 // would render the new numbers as unknown syscalls.
-const Version = 5
+// Version 6: futex waits and wakes take sync-op tickets, so a v5 stream
+// lacks the tickets a v6 replay consumes.
+const Version = 6
 
 // Trace is one recorded execution.
 type Trace struct {
