@@ -394,7 +394,7 @@ func TestSemaphoreTryAcquire(t *testing.T) {
 }
 
 func TestMutexHandoffUnderHeavyContention(t *testing.T) {
-	// 8 threads on one lock: the futex slow path (state 2, wake-all) gets
+	// 8 threads on one lock: the futex slow path (state 2, wake-one) gets
 	// exercised constantly; totals and replay must hold.
 	prog := core.Program{Name: "contended", Main: func(th *core.Thread) {
 		mu := NewMutex(th)
