@@ -6,7 +6,7 @@ import (
 )
 
 func TestCaptureCollectsMasterTickets(t *testing.T) {
-	ex, cap := NewCapturingExchange(Config{Slaves: 0, MaxThreads: 2, BufCap: 64, WallSize: 64})
+	ex := NewCapturingExchange(Config{Slaves: 0, MaxThreads: 2, BufCap: 64, WallSize: 64})
 	m := ex.MasterAgent()
 	var wg sync.WaitGroup
 	for tid := 0; tid < 2; tid++ {
@@ -20,7 +20,7 @@ func TestCaptureCollectsMasterTickets(t *testing.T) {
 		}(tid)
 	}
 	wg.Wait()
-	ops := cap.Stop()
+	ops := StopTape(ex)
 	ex.Stop()
 	if len(ops[0]) != 20 || len(ops[1]) != 20 {
 		t.Fatalf("captured %d/%d tickets, want 20/20", len(ops[0]), len(ops[1]))
@@ -36,7 +36,7 @@ func TestCaptureCollectsMasterTickets(t *testing.T) {
 }
 
 func TestCaptureAlongsideLiveSlave(t *testing.T) {
-	ex, cap := NewCapturingExchange(Config{Slaves: 1, MaxThreads: 1, BufCap: 64, WallSize: 64})
+	ex := NewCapturingExchange(Config{Slaves: 1, MaxThreads: 1, BufCap: 64, WallSize: 64})
 	m := ex.MasterAgent()
 	s := ex.SlaveAgent(0)
 	const ops = 30
@@ -53,7 +53,7 @@ func TestCaptureAlongsideLiveSlave(t *testing.T) {
 		m.After(0, 0x1000)
 	}
 	<-done
-	got := cap.Stop()
+	got := StopTape(ex)
 	ex.Stop()
 	if len(got[0]) != ops {
 		t.Fatalf("captured %d tickets alongside a live slave, want %d", len(got[0]), ops)
@@ -63,7 +63,7 @@ func TestCaptureAlongsideLiveSlave(t *testing.T) {
 func TestReplayExchangeReplaysTrace(t *testing.T) {
 	// Record a 2-thread interleaving, then replay it and verify the same
 	// per-variable serialization (the replay harness invariant).
-	ex, cap := NewCapturingExchange(Config{Slaves: 0, MaxThreads: 2, BufCap: 256, WallSize: 64})
+	ex := NewCapturingExchange(Config{Slaves: 0, MaxThreads: 2, BufCap: 256, WallSize: 64})
 	m := ex.MasterAgent()
 	// Interleave two threads on one variable with a known master order.
 	var counter uint32
@@ -85,7 +85,7 @@ func TestReplayExchangeReplaysTrace(t *testing.T) {
 		}(tid)
 	}
 	wg.Wait()
-	ops := cap.Stop()
+	ops := StopTape(ex)
 	ex.Stop()
 
 	rex := NewReplayExchange(ops, Config{MaxThreads: 2, WallSize: 64})

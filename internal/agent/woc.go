@@ -37,11 +37,10 @@ type wocExchange struct {
 	// threads contend here only if the original program already contended
 	// on variables hashing to c.
 	locks []sync.Mutex
-	// bufs[tid] is master thread tid's sync buffer, created lazily on its
-	// first sync op (see buf): sessions sized for MaxThreads rarely run
-	// them all, and eager allocation of every buffer dominates exchange
-	// construction.
-	bufs  []atomic.Pointer[ring.Log[WEntry]]
+	// bufs holds each master thread's sync buffer, created on its first sync
+	// op: recording, it has one more consumer group, the tape; replaying, it
+	// is preloaded with the trace.
+	bufs  ring.Table[WEntry]
 	walls []*clock.Wall // one local wall per slave group
 	// wallParks[g] parks slave group g's threads once a wall-time wait has
 	// spun past the pause phase; every local Tick by a sibling thread
@@ -50,7 +49,6 @@ type wocExchange struct {
 	// (rare) parked waiters a re-check.
 	wallParks []futex.Parker
 	stop      stopFlag
-	tape      *Capture // non-nil when recording: one more consumer group (trace.go)
 }
 
 func newWoCExchange(cfg Config) *wocExchange {
@@ -58,50 +56,60 @@ func newWoCExchange(cfg Config) *wocExchange {
 		cfg:       cfg,
 		wall:      clock.NewWall(cfg.WallSize),
 		locks:     make([]sync.Mutex, cfg.WallSize),
-		bufs:      make([]atomic.Pointer[ring.Log[WEntry]], cfg.MaxThreads),
 		walls:     make([]*clock.Wall, cfg.Slaves),
 		wallParks: make([]futex.Parker, cfg.Slaves),
 	}
+	ex.bufs = ring.NewTable[WEntry](cfg.MaxThreads, cfg.BufCap, cfg.Slaves, &ex.stop.stopped)
 	for g := range ex.walls {
 		ex.walls[g] = clock.NewWall(cfg.WallSize)
 	}
 	return ex
 }
 
-// buf returns thread tid's sync buffer, creating it on first use. The fast
-// path is one atomic load; the master-records vs slave-replays creation
-// race is settled by a compare-and-swap.
-func (ex *wocExchange) buf(tid int) *ring.Log[WEntry] {
-	if b := ex.bufs[tid].Load(); b != nil {
-		return b
-	}
-	b := ring.NewLog[WEntry](ex.cfg.BufCap, max(ex.cfg.Slaves, 1))
-	b.SetStop(&ex.stop.stopped)
-	if !ex.bufs[tid].CompareAndSwap(nil, b) {
-		return ex.bufs[tid].Load()
-	}
-	if ex.tape != nil {
-		ex.tape.start(tid, b)
-	}
-	return b
+// NewCapturingExchange returns a wall-of-clocks exchange for cfg.Slaves live
+// slaves whose sync buffers also record every ticket the master logs, in the
+// spirit of RecPlay [35] (§6): the tape is one more consumer group, so it
+// applies the back-pressure a slow slave would. StopTape collects the
+// recording.
+func NewCapturingExchange(cfg Config) Exchange {
+	cfg.fill()
+	ex := newWoCExchange(cfg) // its table is empty: no buffer exists yet
+	ex.bufs = ring.NewRecordingTable[WEntry](cfg.MaxThreads, cfg.BufCap, cfg.Slaves, &ex.stop.stopped)
+	return ex
 }
+
+// NewReplayExchange returns an exchange whose sync buffers are preloaded with
+// a recording's ticket streams. Only SlaveAgent(0) is meaningful: the
+// replayed variant consumes the trace exactly as an online slave consumes a
+// live master. MasterAgent must not be used.
+func NewReplayExchange(ops [][]WEntry, cfg Config) Exchange {
+	cfg.fill()
+	cfg.Slaves = 1
+	ex := newWoCExchange(cfg)
+	ex.bufs = ring.NewPreloadedTable(ops, cfg.MaxThreads, cfg.BufCap, &ex.stop.stopped)
+	return ex
+}
+
+// StopTape ends the recording of an exchange made by NewCapturingExchange and
+// returns its per-thread ticket streams; nil for any other exchange. Call it
+// only after the recorded session has finished.
+func StopTape(ex Exchange) [][]WEntry {
+	if w, ok := ex.(*wocExchange); ok {
+		return w.bufs.StopTape()
+	}
+	return nil
+}
+
+// buf returns thread tid's sync buffer.
+func (ex *wocExchange) buf(tid int) *ring.Log[WEntry] { return ex.bufs.Get(tid) }
 
 func (ex *wocExchange) Kind() Kind { return WallOfClocks }
 
+// Stop sets the stop flag and wakes every wait set of the exchange — every
+// sync buffer and every wall — as its owner must (ring.Await).
 func (ex *wocExchange) Stop() {
 	ex.stop.stopped.Store(true)
-	ex.wakeParked()
-}
-
-// wakeParked wakes every wait set of the exchange — every sync buffer and
-// every wall — as the owner of a stop flag must once it has set it
-// (ring.Await): the exchange's own, or a Capture's.
-func (ex *wocExchange) wakeParked() {
-	for i := range ex.bufs {
-		if b := ex.bufs[i].Load(); b != nil {
-			b.Interrupt()
-		}
-	}
+	ex.bufs.Interrupt()
 	for g := range ex.wallParks {
 		ex.wallParks[g].Wake()
 	}

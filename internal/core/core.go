@@ -150,7 +150,6 @@ type Session struct {
 	kern  *kernel.Kernel
 	mon   *monitor.Monitor
 	ex    agent.Exchange
-	cap   *agent.Capture
 	vars  []*variantState
 	dl    *deadlockState
 	start time.Time
@@ -198,9 +197,6 @@ func NewSession(opts Options, prog Program) *Session {
 			opts.WallSize = opts.Replay.WallSize
 		}
 	}
-	if opts.Record {
-		opts.Agent = agent.WallOfClocks
-	}
 	kern := opts.Kernel
 	if kern == nil {
 		kern = kernel.New()
@@ -247,33 +243,20 @@ func NewSession(opts Options, prog Program) *Session {
 		mcfg.Replay = opts.Replay.Syscalls
 	}
 	s.mon = monitor.New(kern, procs, mcfg)
-	acfg := agent.Config{
+	s.ex = s.newExchange(agent.Config{
 		Slaves:     opts.Variants - 1,
 		MaxThreads: opts.MaxThreads,
 		BufCap:     opts.SyncBufCap,
 		WallSize:   opts.WallSize,
-	}
-	switch {
-	case opts.Replay != nil:
-		s.ex = agent.NewReplayExchange(opts.Replay.SyncOps, acfg)
-		s.vars[0].agent = s.ex.SlaveAgent(0)
-	case opts.Record:
-		s.ex, s.cap = agent.NewCapturingExchange(acfg)
-		for v := 0; v < opts.Variants; v++ {
-			if v == 0 {
-				s.vars[v].agent = s.ex.MasterAgent()
-			} else {
-				s.vars[v].agent = s.ex.SlaveAgent(v - 1)
-			}
+	})
+	for v, vs := range s.vars {
+		if opts.Replay != nil {
+			v = 1 // the replayed variant is slave 1 of the recording
 		}
-	default:
-		s.ex = agent.NewExchange(s.agentKind(), acfg)
-		for v := 0; v < opts.Variants; v++ {
-			if v == 0 {
-				s.vars[v].agent = s.ex.MasterAgent()
-			} else {
-				s.vars[v].agent = s.ex.SlaveAgent(v - 1)
-			}
+		if v == 0 {
+			vs.agent = s.ex.MasterAgent()
+		} else {
+			vs.agent = s.ex.SlaveAgent(v - 1)
 		}
 	}
 	// Teardown: when the monitor kills the session, stop the agent
@@ -311,13 +294,20 @@ func (s *Session) OnDivergence(f func(*monitor.Divergence)) {
 	s.hooks.divergence = append(s.hooks.divergence, f)
 }
 
-// agentKind degrades the agent to None for single-variant sessions: with no
-// slaves there is nothing to replicate.
-func (s *Session) agentKind() agent.Kind {
-	if s.opts.Variants <= 1 {
-		return agent.None
+// newExchange builds the session's sync-op exchange, and is the one place
+// that decides its strategy: a recording and a replay use wall-of-clocks,
+// whose tickets are the trace's sync-op streams, and any other single-variant
+// session has nothing to replicate.
+func (s *Session) newExchange(acfg agent.Config) agent.Exchange {
+	switch {
+	case s.opts.Replay != nil:
+		return agent.NewReplayExchange(s.opts.Replay.SyncOps, acfg)
+	case s.opts.Record:
+		return agent.NewCapturingExchange(acfg)
+	case s.opts.Variants <= 1:
+		return agent.NewExchange(agent.None, acfg)
 	}
-	return s.opts.Agent
+	return agent.NewExchange(s.opts.Agent, acfg)
 }
 
 // Kernel exposes the session's kernel so tests and load generators can
@@ -381,7 +371,7 @@ func (s *Session) collect() {
 			Program:    s.prog.Name,
 			MaxThreads: s.opts.MaxThreads,
 			WallSize:   s.opts.WallSize,
-			SyncOps:    s.cap.Stop(),
+			SyncOps:    agent.StopTape(s.ex),
 			Syscalls:   s.mon.StopCapture(),
 		}
 	}

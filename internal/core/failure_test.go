@@ -2,15 +2,29 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/agent"
 	"repro/internal/kernel"
+	"repro/internal/ring"
 )
 
 // Failure-injection coverage: sessions must tear down cleanly no matter
 // where a variant is parked when things go wrong.
+
+// awaitParkedThread waits, for at most 10 s, until parked reports the
+// evidence that a thread is asleep where the kill must reach it — so a kill
+// test exercises the wake sweep, not an earlier syscall boundary.
+func awaitParkedThread(t *testing.T, what string, parked func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !parked(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("no thread parked %s", what)
+		}
+	}
+}
 
 func TestProgramPanicIsCapturedNotFatal(t *testing.T) {
 	prog := Program{Name: "panics", Main: func(th *Thread) {
@@ -30,17 +44,17 @@ func TestProgramPanicIsCapturedNotFatal(t *testing.T) {
 func TestExternalKillUnblocksKernelWaiters(t *testing.T) {
 	// A thread blocked in a pipe read with no writer is only freed by the
 	// session kill interrupting the kernel.
-	started := make(chan struct{})
+	rfd := make(chan int, 1)
 	prog := Program{Name: "stuck-in-kernel", Main: func(th *Thread) {
 		p := th.Syscall(kernel.SysPipe2, [6]uint64{}, nil)
-		close(started)
+		rfd <- int(p.Val)
 		th.Syscall(kernel.SysRead, [6]uint64{p.Val, 16}, nil) // blocks forever
 	}}
 	s := NewSession(Options{Variants: 1}, prog)
 	done := make(chan *Result, 1)
 	go func() { done <- s.Run() }()
-	<-started
-	time.Sleep(5 * time.Millisecond)
+	fd := <-rfd
+	awaitParkedThread(t, "in the pipe read", func() bool { return s.vars[0].proc.PipeWaiters(fd) > 0 })
 	s.Kill()
 	select {
 	case <-done:
@@ -50,17 +64,17 @@ func TestExternalKillUnblocksKernelWaiters(t *testing.T) {
 }
 
 func TestExternalKillUnblocksFutexWaiters(t *testing.T) {
-	started := make(chan struct{})
+	word := make(chan *SyncVar, 1)
 	prog := Program{Name: "stuck-in-futex", Main: func(th *Thread) {
 		v := th.NewSyncVar()
-		close(started)
+		word <- v
 		th.FutexWait(v, 0) // no waker exists
 	}}
 	s := NewSession(Options{Variants: 1}, prog)
 	done := make(chan *Result, 1)
 	go func() { done <- s.Run() }()
-	<-started
-	time.Sleep(5 * time.Millisecond)
+	v := <-word
+	awaitParkedThread(t, "in the futex wait", func() bool { return s.vars[0].futex.Waiters(&v.word) > 0 })
 	s.Kill()
 	select {
 	case <-done:
@@ -80,8 +94,13 @@ func TestExternalKillUnblocksAgentWaiters(t *testing.T) {
 	}}
 	s := NewSession(Options{Variants: 2, Agent: agent.WallOfClocks}, prog)
 	done := make(chan *Result, 1)
+	since := ring.ReadMetrics().Parks
 	go func() { done <- s.Run() }()
-	time.Sleep(10 * time.Millisecond)
+	// Two waits park: the slave's for its ticket, and the master's exit
+	// rendezvous waiting for that slave.
+	awaitParkedThread(t, "at the WoC ticket", func() bool {
+		return s.vars[1].agent.Stalls() > 0 && ring.ReadMetrics().Parks-since >= 2
+	})
 	s.Kill()
 	select {
 	case <-done:

@@ -10,8 +10,8 @@ import (
 	"repro/internal/kernel"
 )
 
-// Recording must not throttle what it records. The two tapes (agent.Capture,
-// monitor.RecordCapture) once polled every 2 ms, which capped a master thread
+// Recording must not throttle what it records. The tapes of the sync buffers
+// and of the record rings once polled every 2 ms, which capped a master thread
 // at one sync buffer of tickets and one ring of records per poll: this shape —
 // fluidanimate's, as benchmark/'s sync_fine runs it: two threads, 200 000
 // spinlock ops with a little work between them, a syscall now and then — ran

@@ -129,7 +129,7 @@ type Config struct {
 	RingCap    int
 	Policy     Policy
 	// Capture adds a tape consumer group that drains every record into
-	// memory for offline replay (see trace.go). Records then carry their
+	// memory for offline replay (see StopCapture). Records then carry their
 	// input payloads, and since the tape retains them indefinitely, large
 	// payloads and Buf results are freshly allocated instead of recycled.
 	Capture bool
@@ -278,26 +278,19 @@ type Monitor struct {
 	// tickets dispenses the master's ordering tickets (see the type
 	// comment); clocks[0] is the corresponding "now serving" word.
 	tickets clock.Tickets
-	// rings[tid] carries master records to the slaves; group g serves
-	// slave variant g+1. scons[g][tid] is that slave thread's read
-	// position. Rings are created lazily on first use (see
-	// Monitor.ring): a session sized for MaxThreads=64 typically runs a
-	// dozen threads, and eagerly allocating 64 record rings dominates both
-	// session construction (zeroing megabytes of slots) and steady-state
-	// GC cost (the slots hold pointers, so the collector scans them on
-	// every cycle, used or not).
-	rings     []atomic.Pointer[ring.Log[Record]]
-	ringCap   int
-	ringGroup int
-	scons     [][]slaveCons
-	// inboxes[g][tid] carries slave g+1's call digests to the master for
+	// rings holds each thread's ring of master records for the slaves;
+	// group g serves slave variant g+1, and under Capture a last group is
+	// the tape. scons[g][tid] is that slave thread's read position. Under
+	// Replay the table is preloaded with the trace.
+	rings ring.Table[Record]
+	scons [][]slaveCons
+	// inboxes[g] carries slave g+1's call digests to the master for
 	// lockstep calls: the master waits for (and validates) every slave's
 	// equivalent call before executing it, or for a pure call before
 	// returning its result to the master's guest (see enter) — so no
 	// effectful call runs until all variants have made it (§2). The master's
-	// read position is the inbox's one cursor. Lazily created like rings
-	// (see Monitor.inbox).
-	inboxes [][]atomic.Pointer[ring.Log[digest]]
+	// read position is the inbox's one cursor.
+	inboxes []ring.Table[digest]
 
 	// darenas[g][tid] recycles slave g+1's oversized digest payloads —
 	// digests are never retained, so these always recycle.
@@ -319,10 +312,8 @@ type Monitor struct {
 
 	// publish is true when master records have at least one consumer
 	// (live slaves or the capture tape).
-	publish   bool
-	replay    bool
-	tapeGroup int
-	capture   *RecordCapture
+	publish bool
+	replay  bool
 
 	killed   atomic.Bool
 	diverged atomic.Pointer[Divergence]
@@ -350,7 +341,6 @@ func New(kern *kernel.Kernel, procs []*kernel.Proc, cfg Config) *Monitor {
 		cfg:      cfg,
 		kern:     kern,
 		procs:    procs,
-		rings:    make([]atomic.Pointer[ring.Log[Record]], cfg.MaxThreads),
 		syscalls: make([]counter, len(procs)),
 		unmon:    make([]counter, len(procs)),
 	}
@@ -369,32 +359,17 @@ func New(kern *kernel.Kernel, procs []*kernel.Proc, cfg Config) *Monitor {
 		m.tel = telemetry.New(len(m.clocks))
 	}
 	slaves := len(procs) - 1
-	groups := slaves
-	if cfg.Capture {
-		m.tapeGroup = groups
-		groups++
+	switch {
+	case m.replay:
+		// The replayed variant is slave 1 of the recording.
+		m.rings = ring.NewPreloadedTable(cfg.Replay, cfg.MaxThreads, cfg.RingCap, &m.killed)
+		slaves = 1
+	case cfg.Capture:
+		m.rings = ring.NewRecordingTable[Record](cfg.MaxThreads, cfg.RingCap, slaves, &m.killed)
+	default:
+		m.rings = ring.NewTable[Record](cfg.MaxThreads, cfg.RingCap, slaves, &m.killed)
 	}
-	ringCap := cfg.RingCap
-	if m.replay {
-		groups = 1
-		// Replay has no live producer to back-pressure: size the rings
-		// to hold the complete trace.
-		for _, stream := range cfg.Replay {
-			if len(stream) > ringCap {
-				ringCap = len(stream)
-			}
-		}
-	}
-	if groups < 1 {
-		groups = 1 // rings still need a consumer group; unused for 1 variant
-	}
-	m.ringCap = ringCap
-	m.ringGroup = groups
-	consGroups := slaves
-	if m.replay {
-		consGroups = 1
-	}
-	m.scons = make([][]slaveCons, consGroups)
+	m.scons = make([][]slaveCons, slaves)
 	for g := range m.scons {
 		m.scons[g] = make([]slaveCons, cfg.MaxThreads)
 	}
@@ -406,39 +381,17 @@ func New(kern *kernel.Kernel, procs []*kernel.Proc, cfg Config) *Monitor {
 		m.outArenas = make([]spillArena, cfg.MaxThreads)
 	}
 	m.btickets = make([][]uint64, cfg.MaxThreads)
-	if cfg.Capture {
-		m.capture = &RecordCapture{m: m, recs: make([][]Record, cfg.MaxThreads)}
-	}
-	if m.replay {
-		m.prefillReplay(cfg.Replay)
-	}
-	m.inboxes = make([][]atomic.Pointer[ring.Log[digest]], len(procs)-1)
+	m.inboxes = make([]ring.Table[digest], len(procs)-1)
 	m.darenas = make([][]spillArena, len(procs)-1)
 	for g := range m.inboxes {
-		m.inboxes[g] = make([]atomic.Pointer[ring.Log[digest]], cfg.MaxThreads)
+		m.inboxes[g] = ring.NewTable[digest](cfg.MaxThreads, inboxCap, 1, &m.killed)
 		m.darenas[g] = make([]spillArena, cfg.MaxThreads)
 	}
 	return m
 }
 
-// ring returns thread tid's syscall ring, creating it on first use. The
-// fast path is a single atomic load; creation races (master publishing vs
-// slave consuming the same thread's first call) are settled by one
-// compare-and-swap, with the loser discarding its candidate.
-func (m *Monitor) ring(tid int) *ring.Log[Record] {
-	if r := m.rings[tid].Load(); r != nil {
-		return r
-	}
-	r := ring.NewLog[Record](m.ringCap, m.ringGroup)
-	r.SetStop(&m.killed)
-	if !m.rings[tid].CompareAndSwap(nil, r) {
-		return m.rings[tid].Load()
-	}
-	if m.capture != nil {
-		m.capture.start(tid, r)
-	}
-	return r
-}
+// ring returns thread tid's syscall ring.
+func (m *Monitor) ring(tid int) *ring.Log[Record] { return m.rings.Get(tid) }
 
 // inboxCap sizes the per-(slave, thread) digest inboxes. The lockstep
 // protocol bounds the in-flight depth intrinsically: a slave submits a
@@ -448,19 +401,8 @@ func (m *Monitor) ring(tid int) *ring.Log[Record] {
 // creation cheap; 64 is pure slack.
 const inboxCap = 64
 
-// inbox returns slave g+1's digest inbox for thread tid, creating it on
-// first use (see ring).
-func (m *Monitor) inbox(g, tid int) *ring.Log[digest] {
-	if ib := m.inboxes[g][tid].Load(); ib != nil {
-		return ib
-	}
-	ib := ring.NewLog[digest](inboxCap, 1)
-	ib.SetStop(&m.killed)
-	if !m.inboxes[g][tid].CompareAndSwap(nil, ib) {
-		return m.inboxes[g][tid].Load()
-	}
-	return ib
-}
+// inbox returns slave g+1's digest inbox for thread tid.
+func (m *Monitor) inbox(g, tid int) *ring.Log[digest] { return m.inboxes[g].Get(tid) }
 
 // digest is a slave's account of the call it is about to make, submitted to
 // the master for pre-execution validation. The payload travels in the same
@@ -479,9 +421,10 @@ type digest struct {
 // master's record (see slaveStep). Under the strict policy every monitored
 // call is lockstepped; under the relaxed policy only security-sensitive calls
 // are, and the rest follow the run-ahead (leader/follower) protocol, checked
-// by the slave (compare).
+// by the slave (compare). Under Replay nothing is: the replayed variant is
+// slave 1 with no master to lockstep against, and the trace is the authority.
 func (m *Monitor) lockstepped(cls class) bool {
-	return m.cfg.Policy == PolicyStrictLockstep || cls.sensitive
+	return !m.replay && (m.cfg.Policy == PolicyStrictLockstep || cls.sensitive)
 }
 
 // Variants returns the number of variants under supervision.
@@ -529,20 +472,11 @@ func (m *Monitor) Kill(d *Divergence) {
 // rings, digest inboxes, ordering-clock waits) so it re-checks the kill
 // flag and unwinds. The killed flag is already set when this runs, and
 // every park site re-checks it inside the Prepare window, so a thread that
-// parks after this sweep never sleeps through the kill. RecordCapture.Stop
-// uses the same sweep for the tapes' flag.
+// parks after this sweep never sleeps through the kill.
 func (m *Monitor) wakeParked() {
-	for i := range m.rings {
-		if r := m.rings[i].Load(); r != nil {
-			r.Interrupt()
-		}
-	}
+	m.rings.Interrupt()
 	for g := range m.inboxes {
-		for i := range m.inboxes[g] {
-			if ib := m.inboxes[g][i].Load(); ib != nil {
-				ib.Interrupt()
-			}
-		}
+		m.inboxes[g].Interrupt()
 	}
 	for i := range m.clockParks {
 		m.clockParks[i].Wake()
@@ -579,13 +513,11 @@ func (m *Monitor) FlightTail() [][]telemetry.FlightRecord {
 }
 
 // StopCapture ends the record capture (if any) and returns the per-thread
-// record streams. Call only after the session has finished.
-func (m *Monitor) StopCapture() [][]Record {
-	if m.capture == nil {
-		return nil
-	}
-	return m.capture.Stop()
-}
+// record streams. Call only after the session has finished. The tape owns its
+// copies outright: under Capture, place copies payloads and Buf results into
+// fresh allocations, never arenas. A copy carries its slot's leftovers (see
+// payloadBox), so only Payload() says what a record carries.
+func (m *Monitor) StopCapture() [][]Record { return m.rings.StopTape() }
 
 func (m *Monitor) checkKilled() {
 	if m.killed.Load() {
@@ -647,9 +579,8 @@ func (m *Monitor) InvokeOn(v, tid int, proc *kernel.Proc, call kernel.Call) kern
 // dispatch routes a monitored call to the master execute or slave replay
 // path.
 func (m *Monitor) dispatch(v, tid int, proc *kernel.Proc, call *kernel.Call, cls class) kernel.Ret {
-	if m.replay && v == 0 {
-		// The replayed variant consumes the trace like an online slave.
-		return m.slaveCall(1, tid, proc, call, cls)
+	if m.replay {
+		v = 1 // the replayed variant is slave 1 of the recording
 	}
 	if v == 0 {
 		return m.masterCall(tid, proc, call, cls)
@@ -667,6 +598,9 @@ func (m *Monitor) flightAppend(v, tid int, nr kernel.Sysno, args *[6]uint64, pay
 	m.tel.Flights[v].Append(nr, tid, telemetry.Digest(args, payload), ts, sig)
 }
 
+// exitMarker is the class of a thread exit: lockstepped under every policy.
+var exitMarker = class{sensitive: true}
+
 // ThreadExit publishes (master) or validates (slave) a thread-exit marker,
 // so that a variant thread making more or fewer syscalls than its
 // counterparts is caught as divergence.
@@ -675,24 +609,18 @@ func (m *Monitor) ThreadExit(v, tid int) {
 		return // tearing down anyway; nothing to validate
 	}
 	if m.replay {
-		rec := m.nextRecord(1, tid)
-		if !rec.Exit {
-			m.Kill(&Divergence{Variant: 1, Tid: tid,
-				Reason: "replayed thread exited while trace records a system call",
-				Master: renderRecord(rec), Slave: "thread exit"})
-			panic(ErrKilled)
-		}
-		m.advance(1, tid)
-		return
+		v = 1 // the replayed variant is slave 1 of the recording
 	}
 	if v == 0 {
 		if m.publish {
-			m.awaitDigests(tid, &kernel.Call{}, class{}, true)
+			m.awaitDigests(tid, &kernel.Call{}, exitMarker, true)
 			m.ring(tid).Append(Record{Exit: true})
 		}
 		return
 	}
-	m.submitDigest(v, tid, &kernel.Call{}, true)
+	if m.lockstepped(exitMarker) {
+		m.submitDigest(v, tid, &kernel.Call{}, true)
+	}
 	rec := m.nextRecord(v, tid)
 	if !rec.Exit {
 		m.Kill(&Divergence{Variant: v, Tid: tid,
@@ -884,7 +812,7 @@ func (m *Monitor) place(tid int, r *ring.Log[Record], seq uint64, call *kernel.C
 	rec := r.Slot(seq)
 	rec.Ret, rec.Ts = *ret, ts
 	rec.Ordered, rec.Exit = cls.ordered, false
-	if cls.pure || m.capture != nil {
+	if cls.pure || m.cfg.Capture {
 		rec.SetPayload(call.Data)
 	} else {
 		rec.n = 0
@@ -940,10 +868,9 @@ func (m *Monitor) masterCall(tid int, proc *kernel.Proc, call *kernel.Call, cls 
 // slaveCall submits thread tid's call for the master's validation when it is
 // lockstepped — no effectful call runs, and no pure result reaches the
 // master's guest, until every slave has arrived — and then takes the slave
-// step. (Replay has no master to validate against; the trace is the
-// authority.)
+// step.
 func (m *Monitor) slaveCall(v, tid int, proc *kernel.Proc, call *kernel.Call, cls class) kernel.Ret {
-	if m.lockstepped(cls) && !m.replay {
+	if m.lockstepped(cls) {
 		m.submitDigest(v, tid, call, false)
 	}
 	return m.slaveStep(v, tid, proc, call, cls)
@@ -963,7 +890,7 @@ func (m *Monitor) slaveCall(v, tid int, proc *kernel.Proc, call *kernel.Call, cl
 // meeting a record of a non-sensitive one, or a thread-exit marker).
 func (m *Monitor) slaveStep(v, tid int, proc *kernel.Proc, call *kernel.Call, cls class) kernel.Ret {
 	rec := m.nextRecord(v, tid)
-	if cls.pure || m.replay || !m.lockstepped(cls) || rec.Nr != call.Nr {
+	if cls.pure || !m.lockstepped(cls) || rec.Nr != call.Nr {
 		if d := m.compare(v, tid, call, rec, cls); d != nil {
 			m.Kill(d)
 			panic(ErrKilled)
@@ -1056,12 +983,11 @@ func (m *Monitor) InvokeBatchOn(v, tid int, proc *kernel.Proc, calls []kernel.Ca
 			tel.Matrix.Inc(v, tid, calls[i].Nr)
 		}
 	}
-	if m.replay || v != 0 {
-		sv := v
-		if m.replay {
-			sv = 1 // the replayed variant consumes the trace like a slave
-		}
-		m.slaveBatch(sv, tid, proc, calls, rets)
+	if m.replay {
+		v = 1 // the replayed variant is slave 1 of the recording
+	}
+	if v != 0 {
+		m.slaveBatch(v, tid, proc, calls, rets)
 		return
 	}
 	m.masterBatch(tid, proc, calls, rets)
@@ -1129,11 +1055,9 @@ func (m *Monitor) masterBatch(tid int, proc *kernel.Proc, calls []kernel.Call, r
 // digests are consumed positionally from a per-thread inbox, so the master
 // still validates digest i against its call i.
 func (m *Monitor) slaveBatch(v, tid int, proc *kernel.Proc, calls []kernel.Call, rets []kernel.Ret) {
-	if !m.replay {
-		for i := range calls {
-			if m.lockstepped(classify(calls[i].Nr)) {
-				m.submitDigest(v, tid, &calls[i], false)
-			}
+	for i := range calls {
+		if m.lockstepped(classify(calls[i].Nr)) {
+			m.submitDigest(v, tid, &calls[i], false)
 		}
 	}
 	for i := range calls {

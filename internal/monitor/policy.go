@@ -52,9 +52,9 @@ type class struct {
 // classify implements Table-4.1-style routing:
 //
 //   - sched_yield, gettid and futex never reach the monitor. The paper
-//     treats sys_futex as unordered (footnote 5); since the sync agents
-//     already order all inter-thread communication, per-variant futexes
-//     are safe.
+//     treats sys_futex as unordered (footnote 5); here no guest issues
+//     SysFutex, since core's Thread.FutexWait and FutexWake are sync ops the
+//     agents order (DESIGN §4).
 //   - brk/mmap/munmap/mprotect/clone execute in every variant (address
 //     spaces are per-variant and intentionally different) but are ordered
 //     and compared with address arguments masked out.
