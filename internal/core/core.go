@@ -611,13 +611,15 @@ func (t *Thread) Syscall(nr kernel.Sysno, args [6]uint64, data []byte) kernel.Re
 }
 
 // SyscallInto is Syscall with a caller-provided destination buffer for
-// input-replicating calls (read/recv): the master's kernel execution fills
-// buf directly, slaves copy the replicated record's bytes into their own
-// buf, and Ret.Data aliases buf's prefix. This is how a serving loop
-// recycles ONE scratch buffer across requests instead of paying the
+// calls that return bytes (read/recv, and poll's revents array — poll
+// needs both: data is its input fd set, buf receives the result): the
+// master's kernel execution fills buf directly, slaves copy the replicated
+// record's bytes into their own buf, and Ret.Data aliases buf's prefix, so
+// each variant owns its result. This is how a serving loop recycles ONE
+// scratch buffer across requests and wakeups instead of paying the
 // exact-sized allocation the bufferless path makes per call.
-func (t *Thread) SyscallInto(nr kernel.Sysno, args [6]uint64, buf []byte) kernel.Ret {
-	ret := t.sess.mon.InvokeOn(t.vs.id, t.ID, t.proc, kernel.Call{Nr: nr, Args: args, Buf: buf, Tid: t.ID})
+func (t *Thread) SyscallInto(nr kernel.Sysno, args [6]uint64, data, buf []byte) kernel.Ret {
+	ret := t.sess.mon.InvokeOn(t.vs.id, t.ID, t.proc, kernel.Call{Nr: nr, Args: args, Data: data, Buf: buf, Tid: t.ID})
 	if ret.Sig != 0 {
 		t.deliver(int(ret.Sig))
 	}

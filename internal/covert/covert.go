@@ -59,10 +59,20 @@ func spin(n int) uint32 {
 // enough to dominate scheduling noise in the replicated timestamp deltas.
 const delayIterations = 800000
 
-// tsTrials is the per-bit repetition count of the timestamp channel.
-// Scheduling noise only ever ADDS to a measured delta, so the minimum of a
-// few trials is a robust estimator even on a loaded single-CPU host.
-const tsTrials = 3
+// tsRounds is how many times the timestamp channel sends each phase's
+// whole message. Scheduling noise only ever ADDS to a measured delta, so a
+// bit's minimum over its samples is its noise-free level — provided one
+// sample escapes the noise. The rounds interleave (every bit once, then
+// every bit again), so a noise burst that outlasts one bit's exchange lands
+// on one sample of several bits instead of on every sample of one bit.
+const tsRounds = 5
+
+// preamble is the number of known bits, a 1 and then a 0, that start each
+// round of the timestamp channel ahead of the secret's bits. They calibrate
+// the decision threshold: halfway between the two levels this run
+// measured, instead of a fixed share of whatever the largest delta
+// happened to be.
+const preamble = 2
 
 // Role derives a variant's send phase from its secret, modelling the
 // paper's "probabilistically decide whether a variant is the master or
@@ -91,36 +101,29 @@ func TimestampChannel() core.Program {
 		var results [2]uint64
 		for phase := 0; phase < 2; phase++ {
 			sending := role == phase
-			var deltas [SecretBits]uint64
-			for bit := 0; bit < SecretBits; bit++ {
-				minDelta := ^uint64(0)
-				for trial := 0; trial < tsTrials; trial++ {
+			// Slots 0 and 1 carry the preamble, slot preamble+i secret bit
+			// i. Each slot keeps its minimum delta over the rounds.
+			var deltas [preamble + SecretBits]uint64
+			for i := range deltas {
+				deltas[i] = ^uint64(0)
+			}
+			for round := 0; round < tsRounds; round++ {
+				for slot := range deltas {
+					one := slot == 0 || slot >= preamble && secret>>uint(slot-preamble)&1 == 1
 					t1 := t.Syscall(kernel.SysGettimeofday, [6]uint64{}, nil).Val
-					if sending && secret>>uint(bit)&1 == 1 {
+					if sending && one {
 						spin(delayIterations)
 					}
 					t2 := t.Syscall(kernel.SysGettimeofday, [6]uint64{}, nil).Val
-					if d := t2 - t1; d < minDelta {
-						minDelta = d
-					}
-				}
-				deltas[bit] = minDelta
-			}
-			// Decode with a threshold at a quarter of the largest
-			// per-bit minimum: a "1" bit's minimum is never below the
-			// spin time; a "0" bit's minimum sheds scheduling noise.
-			var max uint64
-			for _, d := range deltas {
-				if d > max {
-					max = d
+					deltas[slot] = min(deltas[slot], t2-t1)
 				}
 			}
-			threshold := max / 4
-			if threshold == 0 {
-				threshold = 1
-			}
+			// A "1" bit's minimum is never below the spin time; a "0"
+			// bit's minimum sheds scheduling noise. The preamble measured
+			// both levels; split the difference.
+			threshold := (deltas[0] + deltas[1]) / 2
 			for bit := 0; bit < SecretBits; bit++ {
-				if deltas[bit] > threshold {
+				if deltas[preamble+bit] > threshold {
 					results[phase] |= 1 << uint(bit)
 				}
 			}
@@ -142,27 +145,36 @@ const (
 	probeDelayIterations = 50000
 )
 
+// lockRounds is how many times the trylock channel sends the whole secret.
+// One probe misreads a bit when the scheduler stalls the receiver past a
+// "1" hold or the sender past the probe of a "0"; the receiver decodes each
+// bit by majority vote over the rounds, which interleave so that one stall
+// costs several bits one vote each rather than one bit all of its votes.
+const lockRounds = 5
+
 // TrylockChannel builds the §5.4 trylock PoC program: per bit, thread 1
-// (sender) takes a mutex, announces the round, and delays its unlock for a
+// (sender) takes a mutex, announces the bit, and delays its unlock for a
 // data-dependent duration ("the unlocking happens after a data-dependent
 // loop"); thread 2 (receiver) probes with a single TryLock after a fixed
-// delay. The instruction sequence is identical in every variant — only the
-// master's *timing* decides the outcomes, and the replication of sync ops
-// forces the slaves' TryLock outcomes to match the master's. The recovered
-// value lands in /covert-lock.
+// delay, and takes each bit's majority over lockRounds. The instruction
+// sequence is identical in every variant — only the master's *timing*
+// decides the outcomes, and the replication of sync ops forces the slaves'
+// TryLock outcomes to match the master's. The recovered value lands in
+// /covert-lock.
 func TrylockChannel() core.Program {
 	return core.Program{Name: "covert-trylock", Main: func(t *core.Thread) {
 		secret := Secret(t)
 		m := synclib.NewMutex(t)
-		round := t.NewSyncVar() // sender announces round r as value r+1
-		ack := t.NewSyncVar()   // receiver acknowledges with r+1
+		announce := t.NewSyncVar() // sender announces transmission k as value k+1
+		ack := t.NewSyncVar()      // receiver acknowledges with k+1
 
 		recv := t.Spawn(func(tt *core.Thread) {
-			var recovered uint64
-			for bit := 0; bit < SecretBits; bit++ {
+			var votes [SecretBits]int
+			for k := 0; k < lockRounds*SecretBits; k++ {
+				bit := k % SecretBits
 				// Wait for the sender's announcement (made while the
 				// sender holds the lock).
-				for tt.Load(round) != uint32(bit+1) {
+				for tt.Load(announce) != uint32(k+1) {
 					tt.Yield()
 				}
 				// Probe once, after the fixed delay: long past a bit-0
@@ -171,27 +183,33 @@ func TrylockChannel() core.Program {
 				// outcome is dictated by the recorded sync-op order.
 				spin(probeDelayIterations)
 				if !m.TryLock(tt) {
-					recovered |= 1 << uint(bit)
+					votes[bit]++
 				} else {
 					m.Unlock(tt)
 				}
-				tt.Store(ack, uint32(bit+1))
+				tt.Store(ack, uint32(k+1))
+			}
+			var recovered uint64
+			for bit, n := range votes {
+				if 2*n > lockRounds {
+					recovered |= 1 << uint(bit)
+				}
 			}
 			fd := tt.Syscall(kernel.SysOpen, [6]uint64{kernel.OCreat | kernel.OWronly}, []byte("/covert-lock")).Val
 			tt.Syscall(kernel.SysWrite, [6]uint64{fd}, []byte(fmt.Sprintf("%04x", recovered)))
 			tt.Syscall(kernel.SysClose, [6]uint64{fd}, nil)
 		})
 
-		for bit := 0; bit < SecretBits; bit++ {
+		for k := 0; k < lockRounds*SecretBits; k++ {
 			m.Lock(t)
-			t.Store(round, uint32(bit+1))
+			t.Store(announce, uint32(k+1))
 			// The data-dependent delay: timing only, never a different
 			// instruction sequence — slaves replay the same ops.
-			if secret>>uint(bit)&1 == 1 {
+			if secret>>uint(k%SecretBits)&1 == 1 {
 				spin(holdIterations)
 			}
 			m.Unlock(t)
-			for t.Load(ack) != uint32(bit+1) {
+			for t.Load(ack) != uint32(k+1) {
 				t.Yield()
 			}
 		}

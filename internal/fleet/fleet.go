@@ -118,8 +118,12 @@ func (c *Config) fill() error {
 	}
 	// The fleet always runs its sessions with telemetry: the syscall
 	// matrix and flight recorders are what the admin plane and the
-	// quarantine forensics are built on, and the per-call cost is one
-	// uncontended atomic add (see the bench A/B cells).
+	// quarantine forensics are built on. Per replicated call it costs one
+	// uncontended atomic add for the matrix and one Flight.Append per
+	// variant: an FNV-1a digest of the arguments and payload, a head.Add
+	// shared by every thread and five stores. The appends are most of the
+	// price, about a quarter of a strict-lockstep getpid on a 2-CPU host;
+	// the benchmark's monitor.telemetry_delta_ns cell measures it.
 	c.Session.Telemetry = true
 	return nil
 }

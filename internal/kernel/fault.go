@@ -178,15 +178,14 @@ func (k *Kernel) injectedDo(p *Proc, c Call) Ret {
 	if d.Timeout {
 		inj |= InjTimeout
 		if c.Nr == SysPoll {
-			if n := int(c.Args[0]); n < 0 || n > maxFDs || n*PollFDSize != len(c.Data) {
+			out, n, errno := pollOut(c)
+			if errno != OK {
 				return k.dispatch(p, c) // malformed polls keep their EINVAL
 			}
 			// As-if-expired: every revents field zero. Mirrors doPoll's
 			// timeout return shape (a scrubbed copy of the pollfd array).
-			out := make([]byte, len(c.Data))
-			copy(out, c.Data)
-			for i := 0; i+PollFDSize <= len(out); i += PollFDSize {
-				out[i+6], out[i+7] = 0, 0
+			for i := 0; i < n; i++ {
+				putRevents(out, i, 0)
 			}
 			return Ret{Data: out, Inj: inj}
 		}

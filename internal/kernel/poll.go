@@ -13,7 +13,10 @@ import (
 // variants writing different bytes. Args[0] is the entry count, Args[1]
 // the timeout in nanoseconds (PollNoTimeout blocks indefinitely, 0 never
 // blocks). The result's Data is a copy of the input array with revents
-// filled in; Val is the number of entries with a non-zero revents.
+// filled in; Val is the number of entries with a non-zero revents. With a
+// caller-supplied destination (Call.Buf) that copy is written into Buf's
+// prefix and Data aliases it, exactly as for recv, so an event loop polls
+// without allocating; a Buf shorter than the fd set is EINVAL.
 //
 // Blocking pollers park on the kernel's poll wait set (a futex.Parker):
 // every pipe/listener state change that could flip readiness calls
@@ -98,19 +101,37 @@ func (k *Kernel) pollScan(p *Proc, out []byte, n int) int {
 	return ready
 }
 
+// pollOut validates a poll call's arguments and returns the array its
+// result is written to: a copy of the input fd set, never the input itself
+// (the input payload is compared across variants and may sit in a
+// replication ring slot, so revents are never written over it in place).
+// The copy lands in Call.Buf when the caller supplies one, else in a fresh
+// slice. errno is EINVAL for a count that disagrees with the payload or a
+// Buf too short to hold the result.
+func pollOut(c Call) (out []byte, n int, errno Errno) {
+	n = int(c.Args[0])
+	if n < 0 || n > maxFDs || n*PollFDSize != len(c.Data) {
+		return nil, 0, EINVAL
+	}
+	if c.Buf == nil {
+		out = make([]byte, len(c.Data))
+	} else if len(c.Buf) < len(c.Data) {
+		return nil, 0, EINVAL
+	} else {
+		out = c.Buf[:len(c.Data)]
+	}
+	copy(out, c.Data)
+	return out, n, OK
+}
+
 // doPoll implements SysPoll. It may block; the monitor classifies poll as
 // a blocking replicated call (master executes, result replicated), so only
 // the master's thread ever parks here.
 func (k *Kernel) doPoll(p *Proc, c Call) Ret {
-	n := int(c.Args[0])
-	if n < 0 || n > maxFDs || n*PollFDSize != len(c.Data) {
-		return Ret{Err: EINVAL}
+	out, n, errno := pollOut(c)
+	if errno != OK {
+		return Ret{Err: errno}
 	}
-	// The result is a fresh copy: the input payload is compared across
-	// variants (and may sit in a replication ring slot), so revents must
-	// never be written into the caller's buffer in place.
-	out := make([]byte, len(c.Data))
-	copy(out, c.Data)
 	timeout := c.Args[1]
 	if timeout > uint64(1<<63-1) {
 		// Clamp: a nanosecond count past time.Duration's range (292 years)

@@ -354,3 +354,37 @@ func TestPollStress(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A poll with a destination buffer (Call.Buf) writes its result there and
+// returns Data aliasing Buf's prefix, as recv does; the input fd set stays
+// untouched, and a Buf too short for the fd set is rejected with the other
+// malformed arguments.
+func TestPollIntoCallerBuffer(t *testing.T) {
+	k := New()
+	p := newTestProc(k)
+	pr := k.Do(p, Call{Nr: SysPipe2})
+	fds := make([]byte, 2*PollFDSize)
+	EncodePollFD(fds, 0, int(pr.Val), PollIn)
+	EncodePollFD(fds, 1, int(pr.Val2), PollOut)
+	buf := make([]byte, 4*PollFDSize)
+	r := k.Do(p, Call{Nr: SysPoll, Args: [6]uint64{2, 0}, Data: fds, Buf: buf})
+	if !r.Ok() || r.Val != 1 || len(r.Data) != len(fds) || &r.Data[0] != &buf[0] {
+		t.Fatalf("poll into Buf: %+v, want 1 ready and Data aliasing Buf", r)
+	}
+	if DecodeRevents(r.Data, 0) != 0 || DecodeRevents(r.Data, 1)&PollOut == 0 {
+		t.Fatalf("revents %#x %#x", DecodeRevents(r.Data, 0), DecodeRevents(r.Data, 1))
+	}
+	if DecodeRevents(fds, 1) != 0 {
+		t.Fatal("poll wrote revents into the input fd set")
+	}
+	short := Call{Nr: SysPoll, Args: [6]uint64{2, 0}, Data: fds, Buf: buf[:PollFDSize]}
+	if r := k.Do(p, short); r.Err != EINVAL {
+		t.Fatalf("short Buf: %v, want EINVAL", r.Err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		k.Do(p, Call{Nr: SysPoll, Args: [6]uint64{2, 0}, Data: fds, Buf: buf})
+	})
+	if allocs != 0 {
+		t.Fatalf("poll into Buf allocates %.2f/op, want 0", allocs)
+	}
+}

@@ -225,17 +225,20 @@ const (
 type Call struct {
 	Nr   Sysno
 	Args [6]uint64
-	Data []byte // payload for write/send/…
-	// Buf, when non-nil on read/recv, is the caller's destination buffer:
-	// the kernel copies the pending bytes into it and Ret.Data aliases
-	// Buf's prefix, so a steady-state receive loop allocates nothing. Buf
-	// is VARIANT-LOCAL state, like the address a real recv(2) writes
-	// through: it is never compared, never published, and never encoded
-	// into traces. Under the monitor each variant must own its Buf (the
+	Data []byte // payload for write/send/…, poll's fd set
+	// Buf, when non-nil on read/recv or poll, is the caller's destination
+	// buffer: the kernel copies the pending bytes (poll: the fd set with
+	// revents filled in) into it and Ret.Data aliases Buf's prefix, so a
+	// steady-state receive or event loop allocates nothing. A poll Buf
+	// shorter than Data is EINVAL, and it must not overlap Data. Buf is
+	// VARIANT-LOCAL state, like the address a real recv(2) writes through:
+	// it is never compared, never published, and never encoded into
+	// traces. Under the monitor each variant must own its Buf (the
 	// master's result bytes are copied into a stable record payload before
 	// publication, and each slave copies them back out into its own Buf),
 	// and guests must supply Buf uniformly across variants — SPMD guest
-	// code does so by construction.
+	// code does so by construction. Buf is also what decides who owns a
+	// result (see Ret.Data).
 	Buf []byte
 	// Tid is the calling guest thread's id, VARIANT-LOCAL like Buf: never
 	// compared, never encoded. The deadlock detector keys its blocked-site
@@ -247,7 +250,13 @@ type Call struct {
 type Ret struct {
 	Val  uint64 // primary return value (fd, byte count, address, …)
 	Val2 uint64 // secondary value (pipe2's second fd)
-	Data []byte // payload for read/recv/…
+	// Data is the payload for read/recv/poll/…. Under the monitor a
+	// replicated result without a Call.Buf is SHARED: the master's record
+	// holds the master's Ret by value and each slave's guest gets that
+	// Ret back, so every variant's Data is a slice of one backing array,
+	// and guests must treat it as read-only. With a Buf, Data aliases the
+	// calling variant's own Buf, and each variant owns its bytes.
+	Data []byte
 	Err  Errno
 	// Sig is the signal delivered at this syscall boundary (0 = none).
 	// The kernel never sets it: the MONITOR stamps it onto the master's

@@ -22,7 +22,8 @@ import (
 // spill (an effectful call's live record carries no input payload, see
 // place), a stat whose 16-byte path a pure call's record carries inline for
 // the slave's own check, a stream read whose Call.Buf-aliased result goes
-// through the output arena and back out into the slave's Buf, and an
+// through the output arena and back out into the slave's Buf, a poll whose
+// revents land in each variant's own Buf the same way, and an
 // InvokeBatchOn run of 8 that mixes the spill and the Buf read into one
 // reserved run of the ring. Every cell also runs with the deadlock detector
 // armed (detector=armed): the master proc carries a live BlockBoard with a
@@ -44,10 +45,10 @@ func TestReplicationHotPathZeroAllocs(t *testing.T) {
 	// every variant) and returns the measured operation.
 	type shape struct {
 		name  string
-		setup func(m *Monitor, v int) func()
+		setup func(t *testing.T, m *Monitor, v int) func()
 	}
-	pwrite := func(n int) func(m *Monitor, v int) func() {
-		return func(m *Monitor, v int) func() {
+	pwrite := func(n int) func(t *testing.T, m *Monitor, v int) func() {
+		return func(t *testing.T, m *Monitor, v int) func() {
 			data := make([]byte, n)
 			for i := range data {
 				data[i] = byte(i)
@@ -60,18 +61,18 @@ func TestReplicationHotPathZeroAllocs(t *testing.T) {
 		}
 	}
 	shapes := []shape{
-		{"payload-0", func(m *Monitor, v int) func() {
+		{"payload-0", func(t *testing.T, m *Monitor, v int) func() {
 			return func() { m.Invoke(v, 0, kernel.Call{Nr: kernel.SysGetpid}) }
 		}},
 		{fmt.Sprintf("payload-%d", InlinePayload), pwrite(InlinePayload)},
 		{fmt.Sprintf("payload-%d", 4*InlinePayload), pwrite(4 * InlinePayload)},
-		{"stat-16", func(m *Monitor, v int) func() {
+		{"stat-16", func(t *testing.T, m *Monitor, v int) func() {
 			path := "/alloc-test/stat"
 			m.Invoke(v, 0, openCall(path, kernel.OCreat|kernel.ORdwr))
 			call := kernel.Call{Nr: kernel.SysStat, Data: []byte(path)}
 			return func() { m.Invoke(v, 0, call) }
 		}},
-		{"buf-out", func(m *Monitor, v int) func() {
+		{"buf-out", func(t *testing.T, m *Monitor, v int) func() {
 			// Pipes are stream objects: a Buf-carrying read fills the
 			// caller's buffer in place and the result aliases it.
 			pr := m.Invoke(v, 0, kernel.Call{Nr: kernel.SysPipe2})
@@ -82,7 +83,22 @@ func TestReplicationHotPathZeroAllocs(t *testing.T) {
 				m.Invoke(v, 0, kernel.Call{Nr: kernel.SysRead, Args: [6]uint64{pr.Val, 64}, Buf: buf})
 			}
 		}},
-		{"batch-8", func(m *Monitor, v int) func() {
+		{"poll-buf", func(t *testing.T, m *Monitor, v int) func() {
+			// A pipe's write end is always writable: the poll never parks,
+			// and its revents array is written into each variant's own Buf.
+			pr := m.Invoke(v, 0, kernel.Call{Nr: kernel.SysPipe2})
+			fds := make([]byte, kernel.PollFDSize)
+			kernel.EncodePollFD(fds, 0, int(pr.Val2), kernel.PollOut)
+			buf := make([]byte, kernel.PollFDSize)
+			call := kernel.Call{Nr: kernel.SysPoll, Args: [6]uint64{1, 0}, Data: fds, Buf: buf}
+			return func() {
+				r := m.Invoke(v, 0, call)
+				if r.Val != 1 || len(r.Data) != len(buf) || &r.Data[0] != &buf[0] {
+					t.Errorf("variant %d: poll returned %d ready, Data not aliasing its own Buf", v, r.Val)
+				}
+			}
+		}},
+		{"batch-8", func(t *testing.T, m *Monitor, v int) func() {
 			// Each run of 4 drains exactly what it wrote, so the pipe never
 			// fills: one spilled write, read back as two Buf-sized halves.
 			pr := m.Invoke(v, 0, kernel.Call{Nr: kernel.SysPipe2})
@@ -132,12 +148,12 @@ func TestReplicationHotPathZeroAllocs(t *testing.T) {
 						done := make(chan struct{})
 						go func() {
 							defer close(done)
-							one := sh.setup(m, 1)
+							one := sh.setup(t, m, 1)
 							for i := 0; i < total; i++ {
 								one()
 							}
 						}()
-						one := sh.setup(m, 0)
+						one := sh.setup(t, m, 0)
 						for i := 0; i < warmup; i++ {
 							one()
 						}

@@ -83,7 +83,7 @@ func (b *payloadBox) store(p []byte, arena *spillArena, rcap int, seq uint64) {
 		copy(b.inline[:], p)
 		return
 	}
-	b.spill = arena.put(rcap, seq, p)
+	b.spill = arena.put(rcap, seq, p, 0)
 }
 
 // Record is one entry in a per-thread syscall buffer: the master's account
@@ -197,19 +197,38 @@ type counter struct {
 // which blocks until every consumer group's cursor has passed the old
 // occupant), so in steady state large payloads cost zero allocations too.
 // The backing slices are allocated lazily: most threads never spill.
+//
+// Output arenas (Call.Buf results) cut every slot from one block at their
+// first put, outSlot bytes each. A slot first allocated at its first use
+// would not do for short results: a thread that makes the same k calls per
+// request puts its Buf results in the same rcap/k slots lap after lap,
+// until one extra call shifts the phase and a fresh set of slots allocates
+// — so a serving loop would reach its steady state at no predictable point.
+// Digest arenas hold only payloads past InlinePayload and carve nothing.
 type spillArena struct {
 	bufs [][]byte
 }
 
+// outSlot is an output arena slot's carved size: a request line or a small
+// poll set fits.
+const outSlot = InlinePayload
+
 // put copies p into the arena slot for seq (of a ring with capacity rcap)
-// and returns the stable copy. A nil arena means recycling is unsound (see
-// arenaAt): the copy is then a fresh allocation.
-func (a *spillArena) put(rcap int, seq uint64, p []byte) []byte {
+// and returns the stable copy; a fresh arena's slots are carved carve bytes
+// each (0: none). A nil arena means recycling is unsound (see arenaAt): the
+// copy is then a fresh allocation.
+func (a *spillArena) put(rcap int, seq uint64, p []byte, carve int) []byte {
 	if a == nil {
 		return append([]byte(nil), p...)
 	}
 	if a.bufs == nil {
 		a.bufs = make([][]byte, rcap)
+		if carve > 0 {
+			block := make([]byte, rcap*carve)
+			for i := range a.bufs {
+				a.bufs[i] = block[i*carve : i*carve : (i+1)*carve]
+			}
+		}
 	}
 	i := seq & uint64(rcap-1)
 	b := append(a.bufs[i][:0], p...)
@@ -818,7 +837,7 @@ func (m *Monitor) place(tid int, r *ring.Log[Record], seq uint64, call *kernel.C
 		rec.n = 0
 	}
 	if call.Buf != nil && len(ret.Data) > 0 {
-		rec.Ret.Data = arenaAt(m.outArenas, tid).put(r.Cap(), seq, ret.Data)
+		rec.Ret.Data = arenaAt(m.outArenas, tid).put(r.Cap(), seq, ret.Data, outSlot)
 	}
 	// Nr and Args share the line the slave polls (the slot's publication
 	// word): written last, they and the commit are one burst on it.

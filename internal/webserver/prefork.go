@@ -276,9 +276,10 @@ func workerAcceptLoop(w *core.Thread, srv *pageSrv, sfd uint64) {
 	// /count responses are deterministic because connection→thread
 	// assignment is part of the replicated accept stream.
 	var served uint32
-	// Per-thread scratch buffer: every request line lands here instead of
-	// in a fresh exact-sized allocation.
+	// Per-thread buffers: every request line lands in buf instead of in a
+	// fresh exact-sized allocation, and respond builds /count in scratch.
 	buf := make([]byte, recvBufSize)
+	var scratch []byte
 	for {
 		fd, ok := accept(w, sfd)
 		if !ok {
@@ -305,7 +306,7 @@ func workerAcceptLoop(w *core.Thread, srv *pageSrv, sfd uint64) {
 				w.Kill(w.Getpid(), kernel.SIGTERM)
 				continue
 			}
-			respond(w, srv, fd, line, served)
+			scratch = respond(w, srv, fd, line, served, scratch)
 		}
 		w.Syscall(kernel.SysClose, [6]uint64{fd}, nil)
 	}

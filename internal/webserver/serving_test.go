@@ -1,6 +1,8 @@
 package webserver
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/agent"
@@ -80,5 +82,109 @@ func TestServingSyscallsPerRequest(t *testing.T) {
 				t.Errorf("recv+sendfile+poll = %.2f records/req, want < 4", recs)
 			}
 		})
+	}
+}
+
+// TestServingDoesNotAllocate holds steady-state serving to 0 allocations
+// per request, natively and under the MVEE, in the evented mode over one
+// keep-alive connection and in the prefork mode with a connection per
+// request. The loops reuse every buffer they touch: poll writes its
+// revents into the event loop's own buffer and each thread recvs into its
+// own (Call.Buf), and respond builds /count in per-thread scratch. One op
+// is ten requests on a client that reuses its buffers — nine for the page
+// and one for /count — because AllocsPerRun reports whole allocations per
+// op.
+func TestServingDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode drops sync.Pool puts by design; alloc bound holds without -race")
+	}
+	page, count := []byte("GET / HTTP/1.1"), []byte("GET /count HTTP/1.1")
+	for _, mode := range []struct {
+		name      string
+		cfg       Config
+		keepAlive bool
+	}{
+		{"evented", Config{Port: 8310, Evented: true}, true},
+		{"prefork", Config{Port: 8311, Prefork: true, Workers: 2}, false},
+	} {
+		for _, variants := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/variants=%d", mode.name, variants), func(t *testing.T) {
+				cfg := mode.cfg
+				cfg.fill()
+				s, stop, err := Start(core.Options{
+					Variants: variants, Agent: agent.WallOfClocks, ASLR: true, DCL: true,
+					Seed: 77, MaxThreads: 64, Telemetry: true,
+				}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := s.Kernel()
+				pageLen := len(responseHeader) + cfg.PageSize
+				buf := make([]byte, 2*pageLen)
+				var cc kernel.ClientConn
+				open := false
+				failed := "" // the first bad exchange; a constant, so recording it allocates nothing
+				// request sends a page or a /count request and reads its whole
+				// response: pageLen bytes for the page, one read (one writev)
+				// for /count.
+				request := func(isCount bool) {
+					if !open {
+						c, errno := k.Connect(cfg.Port)
+						if errno != kernel.OK {
+							failed = "connect failed"
+							return
+						}
+						cc, open = c, true
+					}
+					line := page
+					if isCount {
+						line = count
+					}
+					if _, err := cc.Write(line); err != nil {
+						failed = "write failed"
+						return
+					}
+					got := 0
+					for got == 0 || !isCount && got < pageLen {
+						n, err := cc.Read(buf[got:])
+						if err != nil || n == 0 {
+							failed = "short response"
+							return
+						}
+						got += n
+					}
+					if isCount && !bytes.HasPrefix(buf[:got], []byte("count=")) || !isCount && got != pageLen {
+						failed = "wrong response"
+					}
+					if !mode.keepAlive {
+						cc.Close()
+						open = false
+					}
+				}
+				op := func() {
+					for i := 0; i < 9; i++ {
+						request(false)
+					}
+					request(true)
+				}
+				for i := 0; i < 300; i++ {
+					op() // past several ring laps: every arena slot and pool is grown
+				}
+				allocs := testing.AllocsPerRun(50, op)
+				if open {
+					cc.Close()
+				}
+				res := stop()
+				if failed != "" {
+					t.Fatal(failed)
+				}
+				if res.Divergence != nil {
+					t.Fatalf("diverged: %v", res.Divergence)
+				}
+				if allocs != 0 {
+					t.Fatalf("serving allocates %.0f per 10 requests, want 0", allocs)
+				}
+			})
+		}
 	}
 }

@@ -18,8 +18,9 @@
 // through one shared copy of that step. The serving path mirrors nginx's
 // I/O strategy: the static page is materialized as a FILE and served with
 // zero-copy sendfile; /count gathers its two segments with one writev; and
-// every mode recvs into a reusable scratch buffer instead of allocating per
-// request. The evented mode receives all of a poll wakeup's ready
+// every serving thread recvs into a reusable buffer and builds /count in a
+// reusable scratch buffer, so steady-state serving allocates nothing. The
+// evented mode receives all of a poll wakeup's ready
 // connections as one replicated multi-record (core.Thread.SyscallBatch),
 // so a wakeup with K ready clients costs one cross-core handoff, not K.
 package webserver
@@ -27,6 +28,7 @@ package webserver
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -215,7 +217,7 @@ func accept(t *core.Thread, sfd uint64) (fd uint64, ok bool) {
 // nil when the peer is done with the connection.
 func receive(t *core.Thread, fd uint64, buf []byte) []byte {
 	for {
-		r := t.SyscallInto(kernel.SysRecv, [6]uint64{fd, recvBufSize}, buf)
+		r := t.SyscallInto(kernel.SysRecv, [6]uint64{fd, recvBufSize}, nil, buf)
 		if r.Err != kernel.EINTR {
 			return requestLine(r)
 		}
@@ -269,10 +271,12 @@ func runServer(t *core.Thread, cfg Config) {
 	workers := make([]*core.ThreadHandle, cfg.PoolThreads)
 	for w := 0; w < cfg.PoolThreads; w++ {
 		workers[w] = t.Spawn(func(tt *core.Thread) {
-			// One request scratch buffer for this worker's lifetime: every
-			// recv lands in it (core.Thread.SyscallInto), so the serving
-			// path stops paying an exact-sized allocation per request.
+			// One request buffer for this worker's lifetime: every recv
+			// lands in it (core.Thread.SyscallInto), so the serving path
+			// stops paying an exact-sized allocation per request. scratch
+			// is where respond builds a /count response.
 			buf := make([]byte, recvBufSize)
+			var scratch []byte
 			for {
 				qmu.Lock(tt)
 				for len(queue) == 0 && !closed {
@@ -296,7 +300,7 @@ func runServer(t *core.Thread, cfg Config) {
 						tt.Yield()
 						n = bump(tt)
 					}
-					respond(tt, srv, fd, line, n)
+					scratch = respond(tt, srv, fd, line, n, scratch)
 				}
 				tt.Syscall(kernel.SysClose, [6]uint64{fd}, nil)
 			}
@@ -395,7 +399,10 @@ func sendFile(t *core.Thread, fd, src uint64, total int) bool {
 // sendfile from the response file straight to the socket. /count gathers
 // its two pieces — the static label and the formatted counter — with one
 // writev. Either falls back to plain sends if its syscall is unavailable.
-func respond(t *core.Thread, srv *pageSrv, fd uint64, line []byte, count uint32) {
+// scratch is the calling thread's reusable buffer: /count is built in it,
+// and respond returns it (grown if it had to be) for the thread's next
+// request, so a steady-state response allocates nothing.
+func respond(t *core.Thread, srv *pageSrv, fd uint64, line []byte, count uint32, scratch []byte) []byte {
 	switch {
 	case srv.cfg.Vulnerable && bytes.HasPrefix(line, []byte("POST /upload")):
 		// CVE-2013-2028 model: a chunked-transfer stack overflow lets
@@ -424,10 +431,14 @@ func respond(t *core.Thread, srv *pageSrv, fd uint64, line []byte, count uint32)
 		// this response diverges. (The evented mode has a single thread,
 		// so its count is deterministic by construction.) The two pieces
 		// go out as one gathered writev — its payload is compared like
-		// any write, so drifted counts still trip the monitor.
-		flat := []byte(fmt.Sprintf("count=%d", count))
-		label := len("count=")
-		if !sendVec(t, fd, kernel.EncodeIovec(nil, flat[:label], flat[label:]), 2, flat) {
+		// any write, so drifted counts still trip the monitor. The flat
+		// bytes and, behind them, their iovec encoding share scratch.
+		const label = len("count=")
+		scratch = strconv.AppendUint(append(scratch[:0], "count="...), uint64(count), 10)
+		n := len(scratch)
+		scratch = kernel.EncodeIovec(scratch, scratch[:label], scratch[label:n])
+		flat := scratch[:n]
+		if !sendVec(t, fd, scratch[n:], 2, flat) {
 			sendAll(t, fd, flat)
 		}
 	default:
@@ -435,6 +446,7 @@ func respond(t *core.Thread, srv *pageSrv, fd uint64, line []byte, count uint32)
 			sendAll(t, fd, srv.response)
 		}
 	}
+	return scratch
 }
 
 // connState is one open evented-mode connection: its descriptor and its
@@ -472,12 +484,14 @@ func runEventedServer(t *core.Thread, cfg Config) {
 	// deterministic across variants by construction.
 	var reqCount uint32
 	conns := make([]connState, 0, 64)
-	var spare [][]byte // recycled request buffers of closed connections
-	var pollBuf []byte
+	var spare [][]byte         // recycled request buffers of closed connections
+	var pollBuf, revBuf []byte // the fd set and poll's revents, grown together
+	var scratch []byte         // respond's /count buffer
 	var ready []int
 	var calls []kernel.Call
 	var rets []kernel.Ret
 	probeBuf := make([]byte, kernel.PollFDSize)
+	probeRev := make([]byte, kernel.PollFDSize)
 
 	takeBuf := func() []byte {
 		if n := len(spare); n > 0 {
@@ -500,19 +514,21 @@ func runEventedServer(t *core.Thread, cfg Config) {
 serve:
 	for {
 		// Entry 0 is the listener; entries 1..n are the open connections.
-		// The buffer is reused across iterations (grown amortized), so the
-		// steady-state loop allocates only what the kernel returns.
+		// The fd set and the revents array poll writes (Call.Buf) are
+		// reused across iterations (grown amortized), so the steady-state
+		// loop allocates nothing.
 		n := 1 + len(conns)
 		need := n * kernel.PollFDSize
 		if cap(pollBuf) < need {
 			pollBuf = make([]byte, need, need*2)
+			revBuf = make([]byte, need*2)
 		}
 		pollBuf = pollBuf[:need]
 		kernel.EncodePollFD(pollBuf, 0, int(sfd), kernel.PollIn)
 		for i, c := range conns {
 			kernel.EncodePollFD(pollBuf, 1+i, int(c.fd), kernel.PollIn)
 		}
-		r := t.Syscall(kernel.SysPoll, [6]uint64{uint64(n), kernel.PollNoTimeout}, pollBuf)
+		r := t.SyscallInto(kernel.SysPoll, [6]uint64{uint64(n), kernel.PollNoTimeout}, pollBuf, revBuf)
 		if !r.Ok() {
 			break
 		}
@@ -545,7 +561,7 @@ serve:
 		for j, i := range ready {
 			if line := requestLine(rets[j]); line != nil {
 				reqCount++
-				respond(t, srv, conns[i].fd, line, reqCount)
+				scratch = respond(t, srv, conns[i].fd, line, reqCount, scratch)
 			} else {
 				drop(i)
 			}
@@ -565,7 +581,7 @@ serve:
 			}
 			conns = append(conns, connState{fd: fd, buf: takeBuf()})
 			kernel.EncodePollFD(probeBuf, 0, int(sfd), kernel.PollIn)
-			pr := t.Syscall(kernel.SysPoll, [6]uint64{1, 0}, probeBuf)
+			pr := t.SyscallInto(kernel.SysPoll, [6]uint64{1, 0}, probeBuf, probeRev)
 			if !pr.Ok() {
 				break serve
 			}
