@@ -15,8 +15,9 @@ vet:
 	$(GO) vet ./...
 
 # lint-waits holds the replication plane's wait protocol to its one copy
-# (ring.Await / ring.Backoff; DESIGN §12) and the kernel's sleeps to their
-# named functions and one interrupt predicate (DESIGN §2.4).
+# (ring.Await / ring.Backoff; DESIGN §12), the guest futex to its one
+# sleep (futex.Waiter.Sleep), and the kernel's sleeps to their named
+# functions and one interrupt predicate (DESIGN §2.4).
 lint-waits:
 	scripts/lint-waits.sh
 

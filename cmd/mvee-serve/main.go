@@ -4,7 +4,8 @@
 // through the gateway (the simulated kernels have no real network, so the
 // load generator is built in), optionally injects layout-targeted exploit
 // payloads mid-run, and prints the fleet's report (admin.Report, the
-// /statusz page) at the end.
+// /statusz page) at the end. With -attacks and two or more variants it
+// exits 1 unless every attack was quarantined and none leaked.
 //
 // Usage:
 //
@@ -25,6 +26,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/admin"
@@ -165,6 +167,7 @@ func main() {
 	// The adversary: layout-targeted exploit payloads (the CVE-2013-2028
 	// model), spaced through the run. Each one burns at most one session;
 	// the fleet quarantines and hot-replaces it.
+	var leaked atomic.Bool
 	if *attacks > 0 {
 		gadget := variant.NewSpace(0, variant.Options{ASLR: true, DCL: true, Seed: *seed}).AllocCode(64)
 		payload := []byte(fmt.Sprintf("POST /upload %x", gadget))
@@ -177,6 +180,7 @@ func main() {
 					// Expected with -variants 1 (nothing to cross-check);
 					// a real detection failure with >= 2 variants.
 					fmt.Println("!! leak escaped the MVEE:", string(resp))
+					leaked.Store(true)
 				}
 			}
 		}()
@@ -197,14 +201,37 @@ func main() {
 	}
 	wg.Wait()
 
+	// The verdict on the attacks. A quarantine is counted when the member's
+	// divergence hook runs, which can trail the failed request it answered,
+	// so wait (bounded) for every attack to be counted before rendering.
+	failed := false
+	if *attacks > 0 && *variants >= 2 {
+		deadline := time.Now().Add(attackVerdictWait)
+		for f.Stats().Divergences < uint64(*attacks) && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		failed = leaked.Load() || f.Stats().Divergences < uint64(*attacks)
+	}
+
 	fmt.Println()
 	fmt.Print(admin.Report(f.Snapshot()))
+	if failed {
+		fmt.Printf("\n!! FAIL: %d attacks, %d divergences quarantined within %v, leak escaped: %v\n",
+			*attacks, f.Stats().Divergences, attackVerdictWait, leaked.Load())
+	}
 
 	if *linger > 0 {
 		fmt.Printf("\nlingering %v for admin scrapes...\n", *linger)
 		time.Sleep(*linger)
 	}
+	if failed {
+		os.Exit(1)
+	}
 }
+
+// attackVerdictWait bounds how long the run waits for its attacks'
+// quarantines to be counted.
+const attackVerdictWait = 10 * time.Second
 
 func parseAgent(s string) (agent.Kind, error) {
 	switch strings.ToLower(s) {

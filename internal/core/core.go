@@ -181,7 +181,7 @@ type variantState struct {
 	space *variant.Space
 	proc  *kernel.Proc
 	agent agent.Agent
-	futex *futex.Table
+	futex futex.Table
 	wg    sync.WaitGroup
 }
 
@@ -222,7 +222,6 @@ func NewSession(opts Options, prog Program) *Session {
 			id:    v,
 			space: space,
 			proc:  proc,
-			futex: kern.FutexTable(proc.Pid),
 		}
 	}
 	if s.dl != nil {
@@ -442,6 +441,9 @@ type Thread struct {
 	// (or a terminating signal) ends the process, so the trampoline
 	// issues the implicit SysExit.
 	leader bool
+	// fw is this thread's futex waiter: a thread waits on one word at a
+	// time, so FutexWait reuses it for every wait and allocates nothing.
+	fw futex.Waiter
 }
 
 // sigTable is the core-side half of a process's signal table: the actual

@@ -103,15 +103,15 @@ func (t *Thread) RefreshLayout(seed int64) {
 func (t *Thread) FutexWait(v *SyncVar, val uint32) {
 	t.checkKilled()
 	t.vs.agent.Before(t.ID, v.addr)
-	woken := t.vs.futex.Register(&v.word, val)
+	queued := t.vs.futex.Register(&v.word, val, &t.fw)
 	t.vs.agent.After(t.ID, v.addr)
-	if woken != nil {
-		// The deadlock board validates its cells against the table's
-		// waiter count, so a wake that lands before the cell reads as a
-		// wake in flight, never as a sleeper.
+	if queued {
+		// The deadlock board's proof is t.fw.Queued(), and Wake clears it
+		// before this thread runs, so a wake that lands before the cell
+		// reads as a wake in flight, never as a sleeper.
 		b := t.board()
-		b.FutexPark(t.ID, v.addr, t.vs.futex, &v.word)
-		<-woken
+		b.FutexPark(t.ID, v.addr, &t.fw)
+		t.fw.Sleep()
 		b.FutexUnpark(t.ID)
 	}
 	t.checkKilled()

@@ -7,153 +7,159 @@
 // atomicity that makes futexes race-free), and Wake(w, n) releases up to n
 // of the waiters registered at that moment — never waiters that arrive
 // later, which is what makes wakeups lossless.
+//
+// The shape is Linux's futex hash: a fixed array of buckets, each a lock
+// and a FIFO of waiter nodes that the waiting threads own. A word has no
+// state of its own; it is a key its waiters carry, so the table neither
+// allocates nor accumulates per-address state, however many words a
+// process waits on.
 package futex
 
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
-// Table is an independent futex namespace. Each simulated kernel process
-// owns one. The zero value is ready to use.
-//
-// Queues live in the table only while they are needed: a queue is created
-// when the first waiter (or waker) touches its word and removed again once
-// the last waiter drains — like the kernel's futex hash buckets, which hold
-// no per-address state between waits. Without the removal a process that
-// churns through sync addresses (every mutex on a connection object, say)
-// would grow the map by one entry per address it ever parked on, for the
-// lifetime of the process.
+// bucketBits sets the table's hash width, 16 buckets. Guest processes park
+// a handful of threads at a time, so a collision costs a short list walk
+// under a lock the wake takes anyway; the buckets stay unpadded because
+// every session allocates one Table per variant.
+const bucketBits = 4
+
+// Table is an independent futex namespace. Each variant of a session owns
+// one. The zero value is ready to use.
 type Table struct {
-	mu          sync.Mutex
-	queues      map[*atomic.Uint32]*queue
-	interrupted bool
+	b           [1 << bucketBits]bucket
+	interrupted atomic.Bool
 }
 
-type queue struct {
-	// refs counts callers between acquire and release, guarded by
-	// Table.mu. A registered waiter also pins the queue (see release), so
-	// refs itself only needs to cover the acquire→register window.
-	refs int
-
-	mu          sync.Mutex
-	waiters     []chan struct{} // FIFO; closed channel = woken
-	interrupted bool
+// bucket is one hash chain: a FIFO of the waiters registered on the words
+// that hash here, oldest first.
+type bucket struct {
+	mu         sync.Mutex
+	head, tail *Waiter
 }
 
-// acquire returns the queue for w (creating it on first use) with a
-// reference held; every acquire must be balanced by one release.
-func (t *Table) acquire(w *atomic.Uint32) *queue {
-	t.mu.Lock()
-	if t.queues == nil {
-		t.queues = make(map[*atomic.Uint32]*queue)
-	}
-	q, ok := t.queues[w]
-	if !ok {
-		q = &queue{interrupted: t.interrupted}
-		t.queues[w] = q
-	}
-	q.refs++
-	t.mu.Unlock()
-	return q
+// Waiter is one thread's FUTEX_WAIT registration. A thread waits on one
+// word at a time, so it embeds one Waiter and reuses it for every wait:
+// registering links the node into its bucket and allocates nothing. The
+// zero value is ready to use; a Waiter must not be copied after first use.
+type Waiter struct {
+	word   *atomic.Uint32 // guarded by the bucket lock while queued
+	next   *Waiter        // guarded by the bucket lock
+	queued atomic.Bool
+	p      Parker
 }
 
-// acquireExisting is acquire without create-on-miss, for operations that
-// only act on registered waiters (Wake, Waiters). The common uncontended
-// FUTEX_WAKE — value changed, nobody waiting — must not allocate a queue
-// just to find it empty and delete it again.
-func (t *Table) acquireExisting(w *atomic.Uint32) *queue {
-	t.mu.Lock()
-	q := t.queues[w]
-	if q != nil {
-		q.refs++
-	}
-	t.mu.Unlock()
-	return q
-}
-
-// release drops a reference and removes the queue from the table when it
-// is no longer reachable: no caller mid-operation and no registered
-// waiter. The map identity check guards against deleting a successor queue
-// created for the same word after an InterruptAll dropped this one.
-func (t *Table) release(w *atomic.Uint32, q *queue) {
-	t.mu.Lock()
-	q.refs--
-	if q.refs == 0 {
-		q.mu.Lock()
-		empty := len(q.waiters) == 0
-		q.mu.Unlock()
-		if empty && t.queues[w] == q {
-			delete(t.queues, w)
-		}
-	}
-	t.mu.Unlock()
+func (t *Table) bucketOf(w *atomic.Uint32) *bucket {
+	h := uint64(uintptr(unsafe.Pointer(w))) * 0x9E3779B97F4A7C15 // Fibonacci hashing
+	return &t.b[h>>(64-bucketBits)]
 }
 
 // Register is FUTEX_WAIT's check-and-enqueue step without the sleep. If
-// *w != val it returns nil (EAGAIN). Otherwise it queues the caller as w's
-// newest waiter and returns the channel the Wake that releases it (or
-// InterruptAll) closes; the caller sleeps by receiving from it. Splitting
-// the step from the sleep lets a caller order the check and the enqueue
-// against other accesses to w without holding that order while it sleeps.
-func (t *Table) Register(w *atomic.Uint32, val uint32) <-chan struct{} {
-	q := t.acquire(w)
-	q.mu.Lock()
-	var ch chan struct{}
-	switch {
-	case w.Load() != val: // EAGAIN: ch stays nil
-	case q.interrupted:
-		ch = interrupted
-	default:
-		ch = make(chan struct{})
-		q.waiters = append(q.waiters, ch)
+// *w != val it returns false (EAGAIN). Otherwise it queues n as w's
+// newest waiter and returns true; the caller then sleeps with n.Sleep
+// until a Wake (or InterruptAll) releases n. Once the table has been
+// interrupted, Register still reports true but queues nothing, so the
+// sleep returns at once. Splitting the step from the sleep lets a caller
+// order the check and the enqueue against other accesses to w without
+// holding that order while it sleeps.
+func (t *Table) Register(w *atomic.Uint32, val uint32, n *Waiter) bool {
+	b := t.bucketOf(w)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if w.Load() != val {
+		return false
 	}
-	q.mu.Unlock()
-	// A registered waiter keeps the queue in the table (release only
-	// removes empty queues); whoever pops it last removes the queue.
-	t.release(w, q)
-	return ch
+	if t.interrupted.Load() {
+		return true
+	}
+	n.word, n.next = w, nil
+	n.queued.Store(true)
+	if b.tail == nil {
+		b.head = n
+	} else {
+		b.tail.next = n
+	}
+	b.tail = n
+	return true
 }
 
-// interrupted is the already-closed channel Register hands out once the
-// table has been interrupted.
-var interrupted = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
+// Sleep blocks until the registration Register made is released. It is
+// the Parker protocol with the queued flag as its condition: a release
+// that lands between Prepare and Park bumps the generation, so Park
+// returns at once. Like FUTEX_WAIT it sleeps without spinning first.
+func (n *Waiter) Sleep() {
+	for n.queued.Load() {
+		g := n.p.Prepare()
+		if !n.queued.Load() {
+			n.p.Cancel()
+			return
+		}
+		n.p.Park(g)
+	}
+}
+
+// Queued reports whether n is still registered: no Wake or InterruptAll
+// has released it. Wake clears it before the sleeper runs, so a queued
+// waiter is provably asleep — the deadlock detector's futex proof.
+func (n *Waiter) Queued() bool { return n.queued.Load() }
 
 // Wait blocks the caller until a Wake on w, provided *w == val at entry.
 // It returns true if it was registered (and subsequently woken or
 // interrupted), false if the value had already changed (EAGAIN).
 func (t *Table) Wait(w *atomic.Uint32, val uint32) bool {
-	ch := t.Register(w, val)
-	if ch == nil {
+	var n Waiter
+	if !t.Register(w, val, &n) {
 		return false
 	}
-	<-ch
+	n.Sleep()
 	return true
 }
 
-// Wake releases up to n waiters registered on w at this moment, in FIFO
-// order, and returns how many it released.
+// Wake releases up to n waiters registered on w at this moment, in
+// registration order, and returns how many it released.
 func (t *Table) Wake(w *atomic.Uint32, n int) int {
-	q := t.acquireExisting(w)
-	if q == nil {
-		return 0 // no queue, no waiters
+	b := t.bucketOf(w)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	k := 0
+	var prev *Waiter
+	for cur := b.head; cur != nil && k < n; {
+		next := cur.next
+		if cur.word != w {
+			prev = cur
+		} else {
+			b.unlink(prev, cur)
+			cur.release()
+			k++
+		}
+		cur = next
 	}
-	q.mu.Lock()
-	k := n
-	if k > len(q.waiters) {
-		k = len(q.waiters)
-	}
-	for i := 0; i < k; i++ {
-		close(q.waiters[i])
-	}
-	q.waiters = append(q.waiters[:0], q.waiters[k:]...)
-	q.mu.Unlock()
-	t.release(w, q)
 	return k
+}
+
+// unlink removes cur, whose predecessor is prev, from the chain. Caller
+// holds b.mu.
+func (b *bucket) unlink(prev, cur *Waiter) {
+	if prev == nil {
+		b.head = cur.next
+	} else {
+		prev.next = cur.next
+	}
+	if b.tail == cur {
+		b.tail = prev
+	}
+	cur.next = nil
+}
+
+// release ends n's registration and wakes its sleeper. Once queued reads
+// false the owner may reuse n, so release touches nothing but the parker
+// afterwards.
+func (n *Waiter) release() {
+	n.queued.Store(false)
+	n.p.Wake()
 }
 
 // WakeAll releases every waiter currently registered on w.
@@ -166,47 +172,32 @@ func (t *Table) WakeAll(w *atomic.Uint32) int {
 // down (e.g. after divergence); callers of Wait are expected to observe the
 // shutdown condition themselves.
 func (t *Table) InterruptAll() {
-	t.mu.Lock()
-	t.interrupted = true
-	queues := make([]*queue, 0, len(t.queues))
-	for _, q := range t.queues {
-		queues = append(queues, q)
-	}
-	// Dropping the whole map is safe: callers holding a reference keep
-	// their queue pointer, and release's identity check tolerates the
-	// entry being gone. Future Waits observe t.interrupted at creation.
-	t.queues = nil
-	t.mu.Unlock()
-	for _, q := range queues {
-		q.mu.Lock()
-		q.interrupted = true
-		for _, ch := range q.waiters {
-			close(ch)
+	// Set before any bucket is drained: a Register that takes a bucket lock
+	// after the drain released it sees the flag and queues nothing.
+	t.interrupted.Store(true)
+	for i := range t.b {
+		b := &t.b[i]
+		b.mu.Lock()
+		for b.head != nil {
+			cur := b.head
+			b.unlink(nil, cur)
+			cur.release()
 		}
-		q.waiters = nil
-		q.mu.Unlock()
+		b.mu.Unlock()
 	}
 }
 
-// Waiters reports how many goroutines are currently blocked on w. Intended
-// for tests and diagnostics.
+// Waiters reports how many waiters are currently registered on w.
+// Intended for tests and diagnostics.
 func (t *Table) Waiters(w *atomic.Uint32) int {
-	q := t.acquireExisting(w)
-	if q == nil {
-		return 0
+	b := t.bucketOf(w)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	k := 0
+	for cur := b.head; cur != nil; cur = cur.next {
+		if cur.word == w {
+			k++
+		}
 	}
-	q.mu.Lock()
-	n := len(q.waiters)
-	q.mu.Unlock()
-	t.release(w, q)
-	return n
-}
-
-// Queues reports how many per-word wait queues the table currently holds.
-// It exists so tests can assert the table does not accumulate state for
-// addresses whose waiters have all drained.
-func (t *Table) Queues() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.queues)
+	return k
 }

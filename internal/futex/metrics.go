@@ -11,7 +11,7 @@ import "sync/atomic"
 // broadcast", which is the signal the admin plane wants: a healthy lockstep
 // fleet spins and pauses; sustained park growth means a variant is lagging.
 var (
-	parkEvents atomic.Uint64 // Park calls (monitor clock waits, ring waits, wall clocks)
+	parkEvents atomic.Uint64 // Park calls (monitor clock waits, ring waits, wall clocks, guest futexes)
 	wakeEvents atomic.Uint64 // Wake calls that found waiters and broadcast
 )
 

@@ -7,8 +7,8 @@ import (
 
 // Parker is the user-space half of a futex: an eventcount a polling loop
 // parks on once spinning has stopped paying off. Where Table implements the
-// simulated kernel's sys_futex (waiters keyed on a guest word, queues
-// created and torn down per address), a Parker is the MVEE's own waiter
+// simulated kernel's sys_futex (waiters keyed on a guest word, each asleep
+// on the Parker of its own Waiter), a Parker is the MVEE's own waiter
 // queue for one producer word it already polls — a ring's publication
 // word, a Lamport "now serving" clock, a wall clock. The consumer spins a
 // while, then parks here; the producer, having stored the word, calls Wake,

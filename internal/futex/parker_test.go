@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// Regression for the unbounded-queue-map bug: queueFor used to only ever
-// insert, so a process churning through sync addresses grew the table by
-// one queue per address it ever touched. Queues must disappear once their
-// last waiter drains.
+// A process churning through sync addresses must not grow the table by
+// one entry per address it ever waited on: once the waiters drain, no word
+// has a waiter left, and TestTableWakeWithoutQueueIsAllocationFree shows
+// the churn allocates nothing.
 func TestTableRemovesDrainedQueues(t *testing.T) {
 	var tbl Table
 	words := make([]atomic.Uint32, 64)
@@ -32,8 +32,10 @@ func TestTableRemovesDrainedQueues(t *testing.T) {
 			tbl.WakeAll(&words[i])
 		}
 		wg.Wait()
-		if n := tbl.Queues(); n != 0 {
-			t.Fatalf("round %d: %d queues left after all waiters drained, want 0", round, n)
+		for i := range words {
+			if n := tbl.Waiters(&words[i]); n != 0 {
+				t.Fatalf("round %d: word %d has %d waiters after all drained, want 0", round, i, n)
+			}
 		}
 	}
 }
@@ -45,14 +47,15 @@ func TestTableValueChangedLeavesNoQueue(t *testing.T) {
 	if tbl.Wait(&w, 3) {
 		t.Fatal("Wait slept although *w != val")
 	}
-	if n := tbl.Queues(); n != 0 {
-		t.Fatalf("%d queues after an EAGAIN wait, want 0", n)
+	var n Waiter
+	if tbl.Register(&w, 3, &n) || n.Queued() {
+		t.Fatal("Register queued a waiter although *w != val")
+	}
+	if k := tbl.Waiters(&w); k != 0 {
+		t.Fatalf("%d waiters after an EAGAIN wait, want 0", k)
 	}
 	if tbl.Wake(&w, 1) != 0 {
 		t.Fatal("Wake released a phantom waiter")
-	}
-	if n := tbl.Queues(); n != 0 {
-		t.Fatalf("%d queues after a waiterless wake, want 0", n)
 	}
 }
 
@@ -67,15 +70,21 @@ func TestTableInterruptAllDropsQueues(t *testing.T) {
 	waitFor(func() bool { return tbl.Waiters(&w) == 1 })
 	tbl.InterruptAll()
 	<-done
-	if n := tbl.Queues(); n != 0 {
-		t.Fatalf("%d queues after InterruptAll, want 0", n)
+	if k := tbl.Waiters(&w); k != 0 {
+		t.Fatalf("%d waiters after InterruptAll, want 0", k)
 	}
-	// Future waits return immediately and leave nothing behind.
+	// Future waits return immediately and leave nothing behind: Register
+	// still reports "registered", with the waiter already released.
 	if !tbl.Wait(&w, 0) {
 		t.Fatal("post-interrupt Wait returned false")
 	}
-	if n := tbl.Queues(); n != 0 {
-		t.Fatalf("%d queues after post-interrupt Wait, want 0", n)
+	var n Waiter
+	if !tbl.Register(&w, 0, &n) || n.Queued() {
+		t.Fatal("post-interrupt Register did not report a released registration")
+	}
+	n.Sleep()
+	if k := tbl.Waiters(&w); k != 0 {
+		t.Fatalf("%d waiters after post-interrupt waits, want 0", k)
 	}
 }
 
@@ -180,12 +189,30 @@ func TestParkerWakeIsAllocationFree(t *testing.T) {
 	}
 }
 
-// The uncontended FUTEX_WAKE — value changed, nobody waiting — must not
-// create (and then tear down) a queue per call.
+// The uncontended FUTEX_WAKE — value changed, nobody waiting — allocates
+// nothing, and neither does a register/wake pair on a fresh word: the
+// waiter node belongs to the caller, and a word has no state of its own.
 func TestTableWakeWithoutQueueIsAllocationFree(t *testing.T) {
 	var tbl Table
 	var w atomic.Uint32
 	if allocs := testing.AllocsPerRun(100, func() { tbl.Wake(&w, 1) }); allocs != 0 {
 		t.Fatalf("waiterless Wake allocates %.1f/op, want 0", allocs)
+	}
+	words := make([]atomic.Uint32, 1000)
+	var n Waiter
+	churn := func() {
+		for i := range words {
+			if !tbl.Register(&words[i], 0, &n) || tbl.Wake(&words[i], 1) != 1 {
+				t.Fatalf("word %d: register/wake did not pair", i)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, churn); allocs != 0 {
+		t.Fatalf("register/wake over %d fresh words allocates %.1f, want 0", len(words), allocs)
+	}
+	for i := range words {
+		if k := tbl.Waiters(&words[i]); k != 0 {
+			t.Fatalf("word %d: %d waiters left after the churn, want 0", i, k)
+		}
 	}
 }

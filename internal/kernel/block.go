@@ -29,9 +29,9 @@ import (
 // been woken but not yet rescheduled still has its cell registered, so
 // cell-count alone would misfire. Each site carries a proof:
 //
-//   - futex: the waiter count registered on the word must equal the cells
-//     parked on it. Wake removes woken waiters from the queue immediately,
-//     so a woken-but-running thread's cell no longer matches.
+//   - futex: the sleeper's waiter is still queued. Wake dequeues the
+//     waiters it releases before they run, so a woken-but-running thread's
+//     cell fails the proof.
 //   - pipe: every pipe broadcast bumps the pipe's wakeSeq; a cell whose
 //     recorded seq is stale has a wake in flight.
 //   - waitpid: same scheme against the kernel-wide tree wake sequence.
@@ -92,9 +92,8 @@ type BlockedSite struct {
 type cell struct {
 	site BlockedSite
 
-	// futex proof: word's registered-waiter count via tab.
-	tab  *futex.Table
-	word *atomic.Uint32
+	// futex proof: the sleeper's waiter is still queued.
+	fw *futex.Waiter
 
 	// pipe / waitpid proof: the site's wake sequence at registration.
 	seqw *atomic.Uint64
@@ -271,16 +270,10 @@ func (b *BlockBoard) watch() {
 }
 
 // validateLocked proves every parked cell is genuinely asleep. Caller
-// holds b.mu; the per-site locks taken here (futex table, parker) are
-// leaves in the lock order — nothing acquires b.mu while holding them
-// except through the registration path, which never calls back in.
+// holds b.mu; the one per-site lock taken here (the poll parker's) is a
+// leaf in the lock order — nothing acquires b.mu while holding it except
+// through the registration path, which never calls back in.
 func (b *BlockBoard) validateLocked() bool {
-	// Futex words are validated collectively: the number of cells parked
-	// on a word must equal the word's registered waiter count. A woken
-	// waiter is removed from the queue by Wake before it runs, so a stale
-	// cell makes the counts disagree. The nested scan is O(threads²) in
-	// the worst case, but it runs only at candidate quiescence — never on
-	// any per-call path.
 	for tid := 0; tid < b.nslots; tid++ {
 		if !b.parked[tid] || !b.alive[tid] {
 			continue
@@ -288,24 +281,7 @@ func (b *BlockBoard) validateLocked() bool {
 		c := &b.cells[tid]
 		switch c.site.Kind {
 		case BlockFutex:
-			// Count this word's cells once, at its first (lowest-tid) cell.
-			first := true
-			cells := 0
-			for t2 := 0; t2 < b.nslots; t2++ {
-				if !b.parked[t2] || !b.alive[t2] {
-					continue
-				}
-				c2 := &b.cells[t2]
-				if c2.site.Kind != BlockFutex || c2.word != c.word {
-					continue
-				}
-				if t2 < tid {
-					first = false
-					break
-				}
-				cells++
-			}
-			if first && c.tab.Waiters(c.word) != cells {
+			if !c.fw.Queued() {
 				return false
 			}
 		case BlockPipeRead, BlockPipeWrite, BlockWaitpid:
@@ -334,16 +310,17 @@ func (b *BlockBoard) snapshotLocked() []BlockedSite {
 	return out
 }
 
-// FutexPark registers a futex sleep: tid is about to Wait on word (guest
-// address addr) in tab. Balance with FutexUnpark when the wait returns.
-// Exported because the futex slow path lives in core, not the kernel.
-func (b *BlockBoard) FutexPark(tid int, addr uint64, tab *futex.Table, word *atomic.Uint32) {
+// FutexPark registers a futex sleep: tid is about to sleep on fw, which
+// Register queued on the sync variable at guest address addr. Balance with
+// FutexUnpark when the wait returns. Exported because the futex slow path
+// lives in core, not the kernel.
+func (b *BlockBoard) FutexPark(tid int, addr uint64, fw *futex.Waiter) {
 	if b == nil {
 		return
 	}
 	b.park(cell{
 		site: BlockedSite{Tid: tid, Kind: BlockFutex, Addr: addr},
-		tab:  tab, word: word,
+		fw:   fw,
 	})
 }
 

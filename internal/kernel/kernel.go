@@ -17,10 +17,6 @@ type Kernel struct {
 	fs  *fileSystem
 	net *netStack
 
-	// Futexes are per process; the table maps pid -> futex namespace.
-	futexMu sync.Mutex
-	futexes map[int]*futex.Table
-
 	procMu  sync.Mutex
 	procs   map[int]*Proc
 	nextPid int
@@ -170,7 +166,6 @@ func New() *Kernel {
 	k := &Kernel{
 		fs:      newFileSystem(),
 		net:     newNetStack(),
-		futexes: make(map[int]*futex.Table),
 		procs:   make(map[int]*Proc),
 		nextPid: 1000,
 		clock:   realClock{},
@@ -199,19 +194,6 @@ func (k *Kernel) NewProc(brkBase, mmapBase uint64) *Proc {
 	k.procs[pid] = p
 	k.procMu.Unlock()
 	return p
-}
-
-// FutexTable returns the futex namespace of process pid, creating it on
-// first use.
-func (k *Kernel) FutexTable(pid int) *futex.Table {
-	k.futexMu.Lock()
-	defer k.futexMu.Unlock()
-	t, ok := k.futexes[pid]
-	if !ok {
-		t = &futex.Table{}
-		k.futexes[pid] = t
-	}
-	return t
 }
 
 // WriteFile creates (or replaces) a file, for test and workload setup.

@@ -87,10 +87,12 @@ func TestServingSyscallsPerRequest(t *testing.T) {
 
 // TestServingDoesNotAllocate holds steady-state serving to 0 allocations
 // per request, natively and under the MVEE, in the evented mode over one
-// keep-alive connection and in the prefork mode with a connection per
-// request. The loops reuse every buffer they touch: poll writes its
-// revents into the event loop's own buffer and each thread recvs into its
-// own (Call.Buf), and respond builds /count in per-thread scratch. One op
+// keep-alive connection and in the prefork and thread-pool modes with a
+// connection per request. The loops reuse every buffer they touch: the
+// pool's accept queue keeps its array, a guest futex wait queues the
+// thread's own waiter, poll writes its revents into the event loop's own
+// buffer and each thread recvs into its own (Call.Buf), and respond builds
+// /count in per-thread scratch. One op
 // is ten requests on a client that reuses its buffers — nine for the page
 // and one for /count — because AllocsPerRun reports whole allocations per
 // op.
@@ -106,6 +108,7 @@ func TestServingDoesNotAllocate(t *testing.T) {
 	}{
 		{"evented", Config{Port: 8310, Evented: true}, true},
 		{"prefork", Config{Port: 8311, Prefork: true, Workers: 2}, false},
+		{"pool", Config{Port: 8312, PoolThreads: 2}, false},
 	} {
 		for _, variants := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/variants=%d", mode.name, variants), func(t *testing.T) {

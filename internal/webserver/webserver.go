@@ -286,8 +286,10 @@ func runServer(t *core.Thread, cfg Config) {
 					qmu.Unlock(tt)
 					return
 				}
+				// Shift rather than reslice, so the accept loop's append
+				// reuses the array instead of growing a fresh one.
 				fd := queue[0]
-				queue = queue[1:]
+				queue = append(queue[:0], queue[1:]...)
 				qmu.Unlock(tt)
 				if line := receive(tt, fd, buf); line != nil {
 					// nginx touches its shared counters at several points
